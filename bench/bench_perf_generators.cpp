@@ -89,15 +89,11 @@ fft::Periodogram legacy_complex_periodogram(const std::vector<double>& x) {
     centered[t] = fft::cd(x[t] - mean, 0.0);
   const auto spectrum = fft::fft(centered);
   fft::Periodogram pg;
-  const std::size_t m = (n - 1) / 2;
-  pg.frequency.resize(m);
-  pg.ordinate.resize(m);
+  pg.frequency = fft::fourier_frequencies(n);
+  pg.ordinate.resize(pg.frequency.size());
   const double scale = 1.0 / (2.0 * M_PI * static_cast<double>(n));
-  for (std::size_t j = 1; j <= m; ++j) {
-    pg.frequency[j - 1] =
-        2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
+  for (std::size_t j = 1; j <= pg.ordinate.size(); ++j)
     pg.ordinate[j - 1] = std::norm(spectrum[j]) * scale;
-  }
   return pg;
 }
 

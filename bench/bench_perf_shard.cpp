@@ -21,10 +21,13 @@
 // Usage: bench_perf_shard [JSON_PATH] [--smoke] [--days D]
 //   --smoke shrinks the scenario to CI size (two 6-minute windows).
 //   --days D overrides the full scenario's length (default 30), for
-//   calibration runs; fractional D shrinks to one D-day window.
+//   calibration runs; fractional D shrinks to one D-day window. Op
+//   names carry the length: shard_pipeline/month/t* for the 30 days,
+//   shard_pipeline/7d/t* or shard_pipeline/6h/t* otherwise.
 //   Measured at volume_scale 10.6: ~9.3e4 connections/hour day-average
 //   and ~5.3e7 packets/day, so the full 30-day run generates ~1.6e9
 //   packets per thread count — expect ~10 minutes per row on one core.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -105,6 +108,19 @@ RunResult run_month(const Scenario& sc) {
   return out;
 }
 
+/// The scenario's name in op names: "month" only for the 30-day run.
+std::string scenario_tag(const Scenario& sc, bool smoke) {
+  if (smoke) return "smoke";
+  const double hours = sc.window_hours * static_cast<double>(sc.windows);
+  if (hours == 30.0 * 24.0) return "month";
+  char buf[32];
+  if (std::fmod(hours, 24.0) == 0.0)
+    std::snprintf(buf, sizeof(buf), "%gd", hours / 24.0);
+  else
+    std::snprintf(buf, sizeof(buf), "%gh", hours);
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,7 +146,7 @@ int main(int argc, char** argv) {
     sc.windows = 1;
     sc.window_hours = (days > 0 ? days : 30.0) * 24.0;
   }
-  const char* tag = smoke ? "smoke" : "month";
+  const std::string tag = scenario_tag(sc, smoke);
 
   // The 1-thread run is both the byte-identity baseline every other
   // thread count must reproduce and the wall-time anchor of the

@@ -8,6 +8,14 @@
 
 namespace wan::fft {
 
+std::vector<double> fourier_frequencies(std::size_t n) {
+  std::vector<double> frequency(n > 0 ? (n - 1) / 2 : 0);
+  for (std::size_t j = 1; j <= frequency.size(); ++j)
+    frequency[j - 1] =
+        2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
+  return frequency;
+}
+
 Periodogram periodogram(std::span<const double> x) {
   if (x.size() < 4)
     throw std::invalid_argument("periodogram: series too short");
@@ -27,16 +35,12 @@ Periodogram periodogram(std::span<const double> x) {
   for (double v : x) acc.push(v);
 
   const auto spec = rfft(x, acc.mean());
-  const std::size_t m = (n - 1) / 2;
   Periodogram out;
-  out.frequency.resize(m);
-  out.ordinate.resize(m);
+  out.frequency = fourier_frequencies(n);
+  out.ordinate.resize(out.frequency.size());
   const double scale = 1.0 / (2.0 * M_PI * static_cast<double>(n));
-  for (std::size_t j = 1; j <= m; ++j) {
-    out.frequency[j - 1] =
-        2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
+  for (std::size_t j = 1; j <= out.ordinate.size(); ++j)
     out.ordinate[j - 1] = std::norm(spec[j]) * scale;
-  }
   return out;
 }
 
@@ -75,16 +79,12 @@ void SpectrumCascade::halve() {
 }
 
 Periodogram SpectrumCascade::current() const {
-  const std::size_t m = (n_ - 1) / 2;
   Periodogram out;
-  out.frequency.resize(m);
-  out.ordinate.resize(m);
+  out.frequency = fourier_frequencies(n_);
+  out.ordinate.resize(out.frequency.size());
   const double scale = 1.0 / (2.0 * M_PI * static_cast<double>(n_));
-  for (std::size_t j = 1; j <= m; ++j) {
-    out.frequency[j - 1] =
-        2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n_);
+  for (std::size_t j = 1; j <= out.ordinate.size(); ++j)
     out.ordinate[j - 1] = std::norm(half_[j]) * scale;
-  }
   return out;
 }
 
@@ -93,12 +93,8 @@ AveragedPeriodogram::AveragedPeriodogram(std::size_t segment_length)
   if (segment_length < 4 || segment_length % 2 != 0)
     throw std::invalid_argument(
         "AveragedPeriodogram: segment_length must be even and >= 4");
-  const std::size_t m = (segment_length - 1) / 2;
-  frequency_.resize(m);
-  for (std::size_t j = 1; j <= m; ++j)
-    frequency_[j - 1] =
-        2.0 * M_PI * static_cast<double>(j) / static_cast<double>(segment_length);
-  ordinate_sum_.assign(m, 0.0);
+  frequency_ = fourier_frequencies(segment_length);
+  ordinate_sum_.assign(frequency_.size(), 0.0);
 }
 
 void AveragedPeriodogram::push(std::span<const double> x) {

@@ -16,6 +16,13 @@ struct Periodogram {
   std::vector<double> ordinate;   ///< I(lambda_j)
 };
 
+/// The Fourier frequencies lambda_j = 2*pi*j/n, j = 1..floor((n-1)/2):
+/// the one definition of a length-n periodogram's grid. Every periodogram
+/// in this module takes its grid from here, so grids of equal n compare
+/// bitwise equal — which lets a caller build a WhittleRefitter for a grid
+/// before any periodogram on it exists.
+std::vector<double> fourier_frequencies(std::size_t n);
+
 /// Computes I(lambda_j) = |sum_t (x_t - mean) e^{-i lambda_j t}|^2 / (2 pi n).
 /// The mean is removed so the j = 0 ordinate (which would be dominated by
 /// the level of the series) is excluded, as is standard. The mean is

@@ -1,6 +1,6 @@
 #include "src/fft/rolling_periodogram.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 namespace wan::fft {
@@ -14,10 +14,6 @@ SegmentRing::SegmentRing(std::size_t segment_length, std::size_t capacity)
     throw std::invalid_argument("SegmentRing: capacity must be >= 1");
   n_ordinates_ = (segment_length - 1) / 2;
   slots_.assign(capacity_ * n_ordinates_, 0.0);
-  frequency_.resize(n_ordinates_);
-  for (std::size_t j = 1; j <= n_ordinates_; ++j)
-    frequency_[j - 1] = 2.0 * M_PI * static_cast<double>(j) /
-                        static_cast<double>(segment_length_);
 }
 
 void SegmentRing::push_segment(std::span<const double> x) {

@@ -75,7 +75,6 @@ class SegmentRing {
   std::uint64_t total_ = 0;       ///< segments ever pushed
   std::size_t head_ = 0;          ///< next slot to (over)write
   std::vector<double> slots_;     ///< capacity x n_ordinates, ring order
-  std::vector<double> frequency_;
   std::vector<double> pending_;   ///< partial segment from push_samples
 };
 

@@ -2,9 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
+#include "src/fft/periodogram.hpp"
 #include "src/par/parallel.hpp"
+#include "src/stats/whittle.hpp"
 
 namespace wan::monitor {
 
@@ -18,7 +21,15 @@ EngineMux::EngineMux(const stream::WindowedOptions& options,
     throw std::invalid_argument(
         "EngineMux: the mux partitions by protocol itself; pass options "
         "without protocol/orig_data filters");
-  stream::window_geometry(options_);  // validate once, loudly
+  const stream::WindowGeometry geometry =
+      stream::window_geometry(options_);  // validate once, loudly
+
+  // Built here, on the calling thread, so it is built exactly once: left
+  // to the engines, every engine would build its own at its first
+  // report, all together inside push()'s parallel region.
+  const std::shared_ptr<const stats::WhittleRefitter> refitter =
+      std::make_shared<stats::WhittleRefitter>(
+          fft::fourier_frequencies(geometry.segment_bins));
 
   engines_.resize(protocols.size() + 1);
   engines_[0].name = "ALL";
@@ -31,7 +42,8 @@ EngineMux::EngineMux(const stream::WindowedOptions& options,
     auto* pending = &e.pending;
     e.analyzer = std::make_unique<stream::WindowedAnalyzer>(
         options_, t_begin,
-        [pending](const stream::WindowReport& r) { pending->push_back(r); });
+        [pending](const stream::WindowReport& r) { pending->push_back(r); },
+        refitter);
   }
 }
 

@@ -13,10 +13,19 @@
 // capture with that engine's protocol filter (the fan-out parity tests
 // pin this, engine by engine and field by field).
 //
+// The engines share one stats::WhittleRefitter. One slide geometry means
+// one Welch segment length, hence one periodogram grid,
+// fft::fourier_frequencies(segment_bins), so one set of density tables
+// serves every engine and every sweep level. The constructor builds it
+// once, serially, and hands each engine a shared pointer to it; built
+// per engine instead, the tables would cost one build per engine, all
+// at the first report.
+//
 // Engines update in parallel on the src/par pool — they share no
-// mutable state (each engine's sink appends to its own pending queue),
-// and every engine consumes a pre-partitioned time span, so the result
-// is independent of scheduling. Reports drain in rounds — because all
+// mutable state (each engine's sink appends to its own pending queue,
+// and WhittleRefitter::fit only reads the shared tables), and every
+// engine consumes a pre-partitioned time span, so the result is
+// independent of scheduling. Reports drain in rounds — because all
 // engines advance through the same boundaries they emit in lockstep,
 // and a round is one report per engine in fixed engine order — which
 // makes the drained sequence deterministic.
@@ -45,7 +54,10 @@ class EngineMux {
   /// Engine 0 is the aggregate ("ALL"); engines 1..n follow `protocols`
   /// in the given order. `options` supplies the shared geometry; its
   /// own protocol/orig_data filters must be unset (the mux partitions
-  /// by protocol itself) — throws std::invalid_argument otherwise.
+  /// by protocol itself) — throws std::invalid_argument otherwise, and
+  /// when the segment length gives the Whittle fit fewer than 8
+  /// periodogram ordinates. Builds the shared Whittle tables (~0.2 CPU s
+  /// at the daemon's default geometry).
   EngineMux(const stream::WindowedOptions& options,
             const std::vector<trace::Protocol>& protocols, double t_begin);
 

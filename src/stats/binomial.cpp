@@ -5,11 +5,24 @@
 
 namespace wan::stats {
 
+namespace {
+
+// log Gamma(x) for x > 0. lgamma() also stores the sign of Gamma(x) in
+// the global signgam, a data race when windowed engines test Poisson
+// intervals on several threads at once; lgamma_r returns the same value
+// and writes the sign to the caller's variable instead.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double log_binomial_coefficient(std::uint64_t n, std::uint64_t k) {
   if (k > n) return -INFINITY;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) -
+         log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double binomial_pmf(std::uint64_t n, std::uint64_t k, double p) {

@@ -105,20 +105,60 @@ class DirectEvaluator final : public DensityEvaluator {
 // scaling with m: the golden-section search over a 2^20-sample
 // periodogram goes from ~5e9 to ~5e7 pow-equivalents.
 //
-// The 2 sin^2(lambda/2) weight and log lambda are per-ordinate
-// constants shared by every candidate, cached at construction.
+// What depends only on the frequency grid lives in FgnGrid, built once
+// and only read after: the 2 sin^2(lambda/2) weight and log lambda per
+// ordinate, and the set of nodes the grid reads. An ordinate reads just
+// the two nodes around it, so a grid coarser than the node spacing
+// reads few of them — the monitor's 74-ordinate grid reads 148 of 513 —
+// and prepare() evaluates only those. Each node is computed on its own
+// and the others are never read, so every density bit is what a pass
+// over all 513 gives; a dense grid reads them all. The per-candidate
+// node values live in the evaluator, so evaluators on one grid can run
+// on different threads.
+constexpr int kFgnNodes = 513;
+constexpr double kFgnStep = M_PI / (kFgnNodes - 1);
+
+/// The interpolation interval holding lambda (the last one for lambda
+/// == pi): its left node, and lambda's offset into it in node steps.
+struct FgnInterval {
+  int node;
+  double t;
+};
+
+FgnInterval fgn_interval(double lambda) {
+  const double u = lambda * (1.0 / kFgnStep);
+  int i = static_cast<int>(u);
+  if (i > kFgnNodes - 2) i = kFgnNodes - 2;
+  return {i, u - static_cast<double>(i)};
+}
+
+struct FgnGrid {
+  explicit FgnGrid(std::span<const double> freq)
+      : lambda(freq.begin(), freq.end()),
+        log_lambda(freq.size()),
+        weight(freq.size()) {
+    bool is_read[kFgnNodes] = {};
+    for (std::size_t j = 0; j < lambda.size(); ++j) {
+      if (!(lambda[j] > 0.0 && lambda[j] <= M_PI))
+        throw std::invalid_argument(
+            "whittle: periodogram frequencies must be in (0, pi]");
+      log_lambda[j] = std::log(lambda[j]);
+      const double half = std::sin(0.5 * lambda[j]);
+      weight[j] = 2.0 * half * half;
+      const int i = fgn_interval(lambda[j]).node;
+      is_read[i] = is_read[i + 1] = true;
+    }
+    for (int i = 0; i < kFgnNodes; ++i)
+      if (is_read[i]) nodes.push_back(i);
+  }
+
+  std::vector<double> lambda, log_lambda, weight;
+  std::vector<int> nodes;  ///< the nodes the grid reads, ascending
+};
+
 class FgnGridEvaluator final : public DensityEvaluator {
  public:
-  explicit FgnGridEvaluator(std::span<const double> freq)
-      : lambda_(freq.begin(), freq.end()) {
-    log_lambda_.resize(lambda_.size());
-    weight_.resize(lambda_.size());
-    for (std::size_t j = 0; j < lambda_.size(); ++j) {
-      log_lambda_[j] = std::log(lambda_[j]);
-      const double half = std::sin(0.5 * lambda_[j]);
-      weight_[j] = 2.0 * half * half;
-    }
-  }
+  explicit FgnGridEvaluator(const FgnGrid& grid) : grid_(grid) {}
 
   void prepare(double hurst) override {
     const double two_h = 2.0 * hurst;
@@ -126,8 +166,8 @@ class FgnGridEvaluator final : public DensityEvaluator {
     cf2_ = std::sin(M_PI * hurst) * std::tgamma(two_h + 1.0) / M_PI;
     constexpr int kJ = 50;  // matches fgn_spectral_density
     const double edge = 2.0 * M_PI * (kJ + 0.5);
-    for (int i = 0; i < kNodes; ++i) {
-      const double lambda = static_cast<double>(i) * kStep;
+    for (const int i : grid_.nodes) {
+      const double lambda = static_cast<double>(i) * kFgnStep;
       double s = 0.0, ds = 0.0;
       for (int j = 1; j <= kJ; ++j) {
         const double a = 2.0 * M_PI * j + lambda;
@@ -148,26 +188,21 @@ class FgnGridEvaluator final : public DensityEvaluator {
   }
 
   double at(std::size_t j) const override {
-    const double u = lambda_[j] * (1.0 / kStep);
-    int i = static_cast<int>(u);
-    if (i > kNodes - 2) i = kNodes - 2;
-    const double t = u - static_cast<double>(i);
+    const auto [i, t] = fgn_interval(grid_.lambda[j]);
     const double t2 = t * t;
     const double t3 = t2 * t;
     const double series =
         (2.0 * t3 - 3.0 * t2 + 1.0) * node_val_[i] +
-        (t3 - 2.0 * t2 + t) * kStep * node_der_[i] +
+        (t3 - 2.0 * t2 + t) * kFgnStep * node_der_[i] +
         (-2.0 * t3 + 3.0 * t2) * node_val_[i + 1] +
-        (t3 - t2) * kStep * node_der_[i + 1];
-    return cf2_ * weight_[j] * (std::exp(e_ * log_lambda_[j]) + series);
+        (t3 - t2) * kFgnStep * node_der_[i + 1];
+    return cf2_ * grid_.weight[j] *
+           (std::exp(e_ * grid_.log_lambda[j]) + series);
   }
 
  private:
-  static constexpr int kNodes = 513;
-  static constexpr double kStep = M_PI / (kNodes - 1);
-
-  std::vector<double> lambda_, log_lambda_, weight_;
-  double node_val_[kNodes] = {}, node_der_[kNodes] = {};
+  const FgnGrid& grid_;
+  double node_val_[kFgnNodes] = {}, node_der_[kFgnNodes] = {};
   double e_ = -2.0, cf2_ = 0.0;
 };
 
@@ -319,7 +354,8 @@ double d_to_hurst(double d) { return d + 0.5; }
 
 WhittleResult whittle_fgn_from_periodogram(const fft::Periodogram& pg,
                                            const WhittleOptions& options) {
-  FgnGridEvaluator density(pg.frequency);
+  const FgnGrid grid(pg.frequency);
+  FgnGridEvaluator density(grid);
   // theta IS hurst for the fGn family, so the hint needs no conversion.
   return whittle_estimate(pg, density, kFgnThetaMin, kFgnThetaMax,
                           &identity_map, options.hurst_hint);
@@ -338,21 +374,19 @@ WhittleResult whittle_fgn(std::span<const double> x) {
 }
 
 struct WhittleRefitter::Impl {
-  std::vector<double> frequency;  ///< grid the tables were built for
+  FgnGrid grid;                   ///< the grid the tables were built for
   std::vector<double> h;          ///< candidate H lattice
   std::vector<double> log_f_sum;  ///< per candidate: sum_j log f(lambda_j)
   std::vector<double> inv_f;      ///< candidates x m, row-major: 1 / f
   double step = 0.0;
-  FgnGridEvaluator evaluator;     ///< exact pass at the refined minimizer
 
-  explicit Impl(std::span<const double> freq)
-      : frequency(freq.begin(), freq.end()), evaluator(freq) {}
+  explicit Impl(std::span<const double> freq) : grid(freq) {}
 
   /// Lattice objective at candidate k for periodogram ordinates I:
   /// Q_k = log(mean_j I_j / f_j) + mean_j log f_j. Only the first term
   /// touches the data — m multiply-adds against the cached row.
   double lattice_q(std::size_t k, std::span<const double> ordinate) const {
-    const std::size_t m = frequency.size();
+    const std::size_t m = grid.lambda.size();
     const double* row = inv_f.data() + k * m;
     double ratio = 0.0;
     for (std::size_t j = 0; j < m; ++j) ratio += ordinate[j] * row[j];
@@ -364,12 +398,9 @@ struct WhittleRefitter::Impl {
 WhittleRefitter::WhittleRefitter(std::span<const double> frequency,
                                  double h_step)
     : impl_(std::make_unique<Impl>(frequency)) {
+  // Impl's FgnGrid has already rejected frequencies outside (0, pi].
   if (frequency.size() < 8)
     throw std::invalid_argument("WhittleRefitter: too few ordinates");
-  for (double lambda : frequency)
-    if (!(lambda > 0.0 && lambda <= M_PI))
-      throw std::invalid_argument(
-          "WhittleRefitter: frequencies must be in (0, pi]");
   if (!(h_step > 0.0 && h_step <= 0.05))
     throw std::invalid_argument("WhittleRefitter: h_step in (0, 0.05]");
 
@@ -381,15 +412,16 @@ WhittleRefitter::WhittleRefitter(std::span<const double> frequency,
   impl_->h.reserve(count);
   impl_->log_f_sum.reserve(count);
   impl_->inv_f.reserve(count * m);
+  FgnGridEvaluator evaluator(impl_->grid);
   for (std::size_t k = 0; k < count; ++k) {
     const double hk =
         std::min(kFgnThetaMin + static_cast<double>(k) * h_step,
                  kFgnThetaMax);
     impl_->h.push_back(hk);
-    impl_->evaluator.prepare(hk);
+    evaluator.prepare(hk);
     double log_sum = 0.0;
     for (std::size_t j = 0; j < m; ++j) {
-      const double f = impl_->evaluator.at(j);
+      const double f = evaluator.at(j);
       log_sum += std::log(f);
       impl_->inv_f.push_back(1.0 / f);
     }
@@ -406,9 +438,9 @@ WhittleRefitter& WhittleRefitter::operator=(WhittleRefitter&&) noexcept =
 std::size_t WhittleRefitter::candidates() const { return impl_->h.size(); }
 
 WhittleResult WhittleRefitter::fit(const fft::Periodogram& pg,
-                                   const WhittleOptions& options) {
-  Impl& im = *impl_;
-  if (pg.frequency != im.frequency)
+                                   const WhittleOptions& options) const {
+  const Impl& im = *impl_;
+  if (pg.frequency != im.grid.lambda)
     throw std::invalid_argument(
         "WhittleRefitter: periodogram frequency grid does not match the "
         "grid the tables were built for");
@@ -546,13 +578,16 @@ WhittleResult WhittleRefitter::fit(const fft::Periodogram& pg,
 
   // One exact density pass at the refined minimizer for the reported
   // scale and objective — the only non-table work in the whole refit.
-  const Objective at_min = whittle_objective(pg, im.evaluator, t_hat);
+  // Its node values go to this call's own evaluator, so concurrent fits
+  // share nothing they write.
+  FgnGridEvaluator exact(im.grid);
+  const Objective at_min = whittle_objective(pg, exact, t_hat);
 
   WhittleResult r;
   r.hurst = t_hat;
   r.scale = at_min.scale;
   r.objective = at_min.q;
-  const double m = static_cast<double>(im.frequency.size());
+  const double m = static_cast<double>(im.grid.lambda.size());
   r.stderr_hurst = second > 0.0 ? std::sqrt(2.0 / (m * second)) : 0.0;
   r.ci_low = r.hurst - 1.96 * r.stderr_hurst;
   r.ci_high = r.hurst + 1.96 * r.stderr_hurst;

@@ -119,9 +119,10 @@ WindowGeometry window_geometry(const WindowedOptions& options) {
   return g;
 }
 
-WindowedAnalyzer::WindowedAnalyzer(const WindowedOptions& options,
-                                   double t_begin,
-                                   std::function<void(const WindowReport&)> sink)
+WindowedAnalyzer::WindowedAnalyzer(
+    const WindowedOptions& options, double t_begin,
+    std::function<void(const WindowReport&)> sink,
+    std::shared_ptr<const stats::WhittleRefitter> refitter)
     : options_(options),
       geometry_(window_geometry(options)),
       t_begin_(t_begin),
@@ -130,7 +131,8 @@ WindowedAnalyzer::WindowedAnalyzer(const WindowedOptions& options,
       spectrum_(geometry_.segment_bins, geometry_.segments_per_window,
                 options.sweep_levels),
       moments_(geometry_.slide_bins, geometry_.window_bins / geometry_.slide_bins),
-      burst_(geometry_.slide_bins, geometry_.window_bins / geometry_.slide_bins) {
+      burst_(geometry_.slide_bins, geometry_.window_bins / geometry_.slide_bins),
+      refitter_(std::move(refitter)) {
   if (options_.poisson_interval > 0.0) {
     stats::PoissonTestConfig config;
     config.interval_length = options_.poisson_interval;
@@ -198,7 +200,7 @@ void WindowedAnalyzer::emit_report() {
 
   const fft::Periodogram base = spectrum_.ring(0).finish();
   if (!refitter_)
-    refitter_ = std::make_unique<stats::WhittleRefitter>(base.frequency);
+    refitter_ = std::make_shared<stats::WhittleRefitter>(base.frequency);
 
   stats::WhittleOptions whittle_options;
   if (last_hurst_) {

@@ -1,5 +1,6 @@
 // Sliding-window incremental estimation over a packet stream — the
-// algorithmic core of the planned wantraffic_monitor daemon.
+// algorithmic core of the wantraffic_monitor daemon (src/monitor), which
+// runs one engine per tracked protocol.
 //
 // WindowedAnalyzer consumes a time-ordered packet stream (any
 // PacketChunkSource or PacketColumnSource, filters included) and emits
@@ -13,11 +14,13 @@
 //     segment (fft::SegmentRing / SegmentRingCascade), never a
 //     window-wide recompute;
 //   * the Whittle refit is a block update: the frequency grid never
-//     changes, so a WhittleRefitter built at the first report holds
-//     precomputed density tables over an H lattice, and each refit is
-//     a hint-windowed lattice scan plus one exact density pass —
-//     microseconds-to-a-millisecond instead of a from-scratch search
-//     (the previous window's H is still the warm-start hint);
+//     changes, so a WhittleRefitter holds precomputed density tables
+//     over an H lattice, and each refit is a hint-windowed lattice scan
+//     plus one exact density pass — microseconds-to-a-millisecond
+//     instead of a from-scratch search (the previous window's H is
+//     still the warm-start hint). Engines on one geometry can share one
+//     refitter, handed in at construction (the monitor's EngineMux
+//     does); an engine given none builds its own at its first report;
 //   * burst/lull state is a bucket ring merged in O(window/slide);
 //   * Appendix-A outcomes ride a ring, each interval tested once.
 // The only O(window) terms per slide are the materialization of the
@@ -119,8 +122,15 @@ WindowGeometry window_geometry(const WindowedOptions& options);
 /// unbounded stream, which is what makes a multi-day monitor feasible.
 class WindowedAnalyzer {
  public:
-  WindowedAnalyzer(const WindowedOptions& options, double t_begin,
-                   std::function<void(const WindowReport&)> sink);
+  /// `refitter`, when given, must be built on this geometry's
+  /// periodogram grid, fft::fourier_frequencies(segment_bins) (its fit()
+  /// throws at the first report otherwise); engines sharing a geometry
+  /// may share it. When null, the engine builds its own at the first
+  /// report.
+  WindowedAnalyzer(
+      const WindowedOptions& options, double t_begin,
+      std::function<void(const WindowReport&)> sink,
+      std::shared_ptr<const stats::WhittleRefitter> refitter = nullptr);
   ~WindowedAnalyzer();
 
   WindowedAnalyzer(WindowedAnalyzer&&) = delete;
@@ -148,10 +158,10 @@ class WindowedAnalyzer {
   stats::WindowedMoments moments_;
   stats::WindowedBurstLull burst_;
   std::unique_ptr<stats::WindowedPoissonTest> poisson_;
-  /// Built lazily at the first report (it needs the frequency grid);
-  /// one refitter serves every cascade level — same segment length,
-  /// same grid.
-  std::unique_ptr<stats::WhittleRefitter> refitter_;
+  /// Handed in, or built at the first report (it needs the frequency
+  /// grid); one refitter serves every cascade level — same segment
+  /// length, same grid.
+  std::shared_ptr<const stats::WhittleRefitter> refitter_;
   std::optional<double> last_hurst_;  ///< warm-start hint
   std::uint64_t bins_done_ = 0;
   std::uint64_t reports_ = 0;

@@ -2,20 +2,27 @@
 // add/evict parity against the batch AveragedPeriodogram (bitwise),
 // bucket-boundary exactness of the windowed accumulator twins,
 // snapshot/merge round-trips, the Whittle warm-start fallback on junk
-// hints (search and refitter paths), shard-invariance of windowed
-// state routed through ShardRouter, and the end-to-end
+// hints (search and refitter paths), exact-bit pins of the Whittle fits
+// and concurrent fits on one shared refitter, shard-invariance of
+// windowed state routed through ShardRouter, and the end-to-end
 // WindowedAnalyzer against the from-scratch reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <random>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/fft/periodogram.hpp"
 #include "src/fft/rolling_periodogram.hpp"
 #include "src/par/parallel.hpp"
+#include "src/rng/rng.hpp"
 #include "src/stats/counting.hpp"
 #include "src/stats/descriptive.hpp"
 #include "src/stats/poisson_test.hpp"
@@ -283,6 +290,102 @@ TEST(WhittleRefitter, RejectsMismatchedFrequencyGrid) {
   EXPECT_THROW(refitter.fit(other.finish()), std::invalid_argument);
   EXPECT_THROW(stats::WhittleRefitter(std::vector<double>{0.1, 0.2}),
                std::invalid_argument);
+}
+
+// --- Whittle bit pins and the shared refitter --------------------------
+
+/// A periodogram on fourier_frequencies(n): uniform noise times a
+/// lambda^(-1/2) power law, or flat noise. Built from the repo RNG with
+/// sqrt and division only, both correctly rounded, so the input bits
+/// depend on neither the FFT nor the math library's accuracy.
+fft::Periodogram synthetic_periodogram(std::size_t n, std::uint64_t seed,
+                                       bool long_range = true) {
+  fft::Periodogram pg;
+  pg.frequency = fft::fourier_frequencies(n);
+  rng::Rng rng(seed);
+  for (const double lambda : pg.frequency)
+    pg.ordinate.push_back((0.05 + rng.uniform01()) /
+                          (long_range ? std::sqrt(lambda) : 1.0));
+  return pg;
+}
+
+/// A fit's hurst, scale, objective and stderr as the hex of their bits:
+/// the exact pin, readable in a failure message.
+std::string hex_bits(const stats::WhittleResult& r) {
+  std::string out;
+  for (const double v : {r.hurst, r.scale, r.objective, r.stderr_hurst}) {
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(
+                      std::bit_cast<std::uint64_t>(v)));
+    if (!out.empty()) out += ' ';
+    out += buf;
+  }
+  return out;
+}
+
+// The pinned bits come from the evaluator that computed all 513 density
+// nodes for every candidate H. Evaluating only the nodes a grid reads
+// must reproduce them exactly, on a grid that reads few nodes and on one
+// that reads them all.
+TEST(WhittleBitPins, MonitorGridFitsKeepEveryBit) {
+  // The monitor's default geometry: 300-bin slides at sweep level 1
+  // give 150-bin segments, hence 74 ordinates reading 148 of 513 nodes.
+  const fft::Periodogram pg = synthetic_periodogram(150, 1201);
+  ASSERT_EQ(pg.frequency.size(), 74u);
+  // The grid the monitor builds its shared refitter on is the grid its
+  // engines' rolling periodograms land on.
+  fft::SegmentRing ring(150, 2);
+  ring.push_samples(count_series(300, 1202));
+  ASSERT_EQ(ring.finish().frequency, pg.frequency);
+
+  const stats::WhittleRefitter refitter(pg.frequency);
+  EXPECT_EQ(hex_bits(refitter.fit(pg)),
+            "3fe4f7662953ef61 400bafba05f0386f bfe5c5525f56940e "
+            "3fb4a85bb363d848");
+  EXPECT_EQ(hex_bits(stats::whittle_fgn_from_periodogram(pg)),
+            "3fe4f767dd64c469 400bafbbb09f1f39 bfe5c5525f56642e "
+            "3fb4a86506fe4882");
+}
+
+TEST(WhittleBitPins, DenseGridFitsKeepEveryBit) {
+  // 4095 ordinates, about eight per node interval: every node is read.
+  const fft::Periodogram pg = synthetic_periodogram(8192, 1203);
+  // A coarser lattice than the default keeps the table build cheap
+  // under the sanitizers; the exact pass is the same either way.
+  const stats::WhittleRefitter refitter(pg.frequency, 1e-2);
+  EXPECT_EQ(hex_bits(refitter.fit(pg)),
+            "3fe75a57d03f0a3e 400ea4edfe05a32e bfe5c7e8706f6b72 "
+            "3f8487f447df71d9");
+  EXPECT_EQ(hex_bits(stats::whittle_fgn_from_periodogram(pg)),
+            "3fe75a5cc307eb27 400ea4f742603739 bfe5c7e870713266 "
+            "3f8488a96d074d03");
+}
+
+TEST(WhittleRefitter, ConcurrentFitsOnOneRefitterMatchSerialBits) {
+  const stats::WhittleRefitter refitter(fft::fourier_frequencies(150));
+  constexpr std::size_t kThreads = 4, kFitsPerThread = 6;
+  std::vector<fft::Periodogram> pgs;
+  std::vector<stats::WhittleOptions> options;
+  std::vector<std::string> serial;
+  for (std::size_t i = 0; i < kThreads * kFitsPerThread; ++i) {
+    pgs.push_back(synthetic_periodogram(150, 1300 + i, i % 3 != 0));
+    stats::WhittleOptions o;
+    if (i % 2 == 1) o.hurst_hint = 0.55 + 0.015 * static_cast<double>(i);
+    options.push_back(o);
+    serial.push_back(hex_bits(refitter.fit(pgs[i], options[i])));
+  }
+
+  std::vector<std::string> concurrent(serial.size());
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t i = t; i < serial.size(); i += kThreads)
+          concurrent[i] = hex_bits(refitter.fit(pgs[i], options[i]));
+      });
+  }  // the jthreads join here
+  EXPECT_EQ(concurrent, serial);
 }
 
 // --- Geometry validation ------------------------------------------------
