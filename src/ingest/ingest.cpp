@@ -24,40 +24,28 @@ const char* to_string(IngestFormat format) noexcept {
 namespace {
 
 /// "-" (stdin) rides the MmapPcapReader path: open_byte_source spools
-/// the stream to a rewindable temp file, so only configurations that
-/// never reach that reader need rejecting — the ifstream row reader and
-/// the ASCII formats, whose readers open the path directly.
-void check_stdin_support(const std::string& path, IngestFormat format,
-                         const IngestOptions& opt) {
+/// the stream to a rewindable temp file, so only the formats that never
+/// reach that reader need rejecting — the ASCII ones, whose readers
+/// open the path directly.
+void check_stdin_support(const std::string& path, IngestFormat format) {
   if (path != "-") return;
   if (format != IngestFormat::kPcap)
     throw std::invalid_argument(
         "stdin input (-) is supported for pcap only; the " +
         std::string(to_string(format)) +
         " reader needs a named file");
-  if (opt.rows_ingest)
-    throw std::invalid_argument(
-        "stdin input (-) needs the default byte-source reader; drop "
-        "--rows-ingest");
 }
 
 }  // namespace
 
 std::unique_ptr<IngestPacketSource> open_packet_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt) {
-  check_stdin_support(path, format, opt);
+  check_stdin_support(path, format);
   switch (format) {
     case IngestFormat::kPcap:
-      if (opt.shards > 1) {
-        if (opt.rows_ingest)
-          return std::make_unique<ShardedPcapPacketSource>(
-              path, opt.mode, opt.shards, opt.flow, opt.chunk_size);
+      if (opt.shards > 1)
         return std::make_unique<ShardedMmapPcapPacketSource>(
             path, opt.mode, opt.shards, opt.flow, opt.chunk_size);
-      }
-      if (opt.rows_ingest)
-        return std::make_unique<PcapPacketSource>(path, opt.mode, opt.flow,
-                                                  opt.chunk_size);
       return std::make_unique<MmapPcapPacketSource>(path, opt.mode, opt.flow,
                                                     opt.chunk_size);
     case IngestFormat::kLblPkt:
@@ -75,10 +63,10 @@ std::unique_ptr<IngestPacketSource> open_packet_source(
 
 std::unique_ptr<IngestColumnSource> open_packet_column_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt) {
-  check_stdin_support(path, format, opt);
-  // Native columnar decode exists only for serial mmap'd pcap; the
-  // other packet configurations keep their row sources and transpose.
-  if (format == IngestFormat::kPcap && opt.shards == 1 && !opt.rows_ingest)
+  check_stdin_support(path, format);
+  // Native columnar decode exists only for serial pcap; the other
+  // packet configurations keep their row sources and transpose.
+  if (format == IngestFormat::kPcap && opt.shards == 1)
     return std::make_unique<PcapColumnSource>(path, opt.mode, opt.flow,
                                               opt.chunk_size);
   return std::make_unique<ColumnsFromIngest>(
@@ -88,12 +76,9 @@ std::unique_ptr<IngestColumnSource> open_packet_column_source(
 std::unique_ptr<IngestConnSource> open_conn_source(const std::string& path,
                                                    IngestFormat format,
                                                    const IngestOptions& opt) {
-  check_stdin_support(path, format, opt);
+  check_stdin_support(path, format);
   switch (format) {
     case IngestFormat::kPcap:
-      if (opt.rows_ingest)
-        return std::make_unique<PcapConnSource>(path, opt.mode, opt.flow,
-                                                opt.chunk_size);
       return std::make_unique<MmapPcapConnSource>(path, opt.mode, opt.flow,
                                                   opt.chunk_size);
     case IngestFormat::kLblPkt:

@@ -35,11 +35,6 @@ struct IngestOptions {
   /// sources ignore this — closure order is not shard-invariant, so
   /// tools reject --shards in conn mode instead.
   std::size_t shards = 1;
-  /// Use the legacy ifstream row reader for pcap instead of the mmap'd
-  /// zero-copy fast path. The two are pinned byte-identical; this
-  /// exists for A/B measurement (--rows-ingest in the tools) and as an
-  /// escape hatch, not because the outputs can differ.
-  bool rows_ingest = false;
 };
 
 /// Packet-level source for the packet formats (pcap, lbl-pkt).
@@ -48,12 +43,12 @@ struct IngestOptions {
 std::unique_ptr<IngestPacketSource> open_packet_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt);
 
-/// Columnar packet-level source: pcap on the default path decodes
-/// straight into PacketColumns (mmap + flat table, no row chunk —
-/// the zero-copy fast path analyze_columns drains); every other
-/// packet configuration is the row source bridged through a transpose.
-/// Rows are identical to open_packet_source's in every configuration.
-/// Throws std::invalid_argument for kLblConn.
+/// Columnar packet-level source: serial pcap decodes straight into
+/// PacketColumns (PcapColumnSource: mmap + flat table, no row chunk —
+/// the zero-copy fast path analyze_columns drains); lbl-pkt and
+/// sharded ingest are the row source bridged through a transpose
+/// (ColumnsFromIngest). Rows are identical to open_packet_source's in
+/// every configuration. Throws std::invalid_argument for kLblConn.
 std::unique_ptr<IngestColumnSource> open_packet_column_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt);
 

@@ -1,12 +1,10 @@
 #include "src/ingest/onepass.hpp"
 
-#include <cmath>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-
-#include "src/stream/columnar_filters.hpp"
+#include <utility>
 
 namespace wan::ingest {
 
@@ -19,29 +17,18 @@ stream::PipelineResult analyze_pcap_onepass(
   if (!(options.bin > 0.0))
     throw std::invalid_argument("analyze_stream: series too short");
 
-  // The same filter stack analyze_columns builds, in the same order.
-  // Their constructors cache the inner info() — whose deferred time
-  // range is zero, but only the derived *name* is read from it here;
-  // the range comes from the emission pass below.
-  stream::PacketColumnSource* src = &source;
-  std::optional<stream::ColumnFilterSource> filter;
-  if (options.protocol || options.orig_data_only) {
-    filter.emplace(*src, options.protocol, options.orig_data_only);
-    src = &*filter;
-  }
-  std::optional<stream::ColumnBulkOutlierSource> no_outliers;
-  if (options.remove_outliers) {
-    no_outliers.emplace(*src, options.outlier_max_bytes,
-                        options.outlier_max_rate);
-    src = &*no_outliers;
-  }
-  const std::string name = src->info().name;
+  // The filter stack analyze_columns builds. Its stages cache the inner
+  // info() — whose deferred time range is zero, but only the derived
+  // *name* is read from it here; the range comes from the emission
+  // pass below.
+  stream::ColumnFilterStack filtered(source, options);
+  const std::string name = filtered.info().name;
 
   // Speculation failed (or never got off the ground): rewind, run the
   // prescan the deferred constructor skipped, and produce the result
-  // through the ordinary two-pass path. The abandoned filter wrappers
-  // above are rebuilt fresh by analyze_columns, so nothing stale
-  // survives into the authoritative run.
+  // through the ordinary two-pass path. The abandoned stack above is
+  // rebuilt fresh by analyze_columns, so nothing stale survives into
+  // the authoritative run.
   const auto fall_back = [&]() -> stream::PipelineResult {
     source.ensure_eager_info();
     return stream::analyze_columns(source, options);
@@ -54,7 +41,7 @@ stream::PipelineResult analyze_pcap_onepass(
   std::optional<stats::SpeculativeBinCounts> bins;
   std::uint64_t packets = 0;
   stream::PacketColumns chunk;
-  while (src->next(chunk)) {
+  while (filtered.next(chunk)) {
     packets += chunk.size();
     if (!bins) bins.emplace(source.first_emitted_time(), options.bin);
     bins->add(std::span<const double>(chunk.time));
@@ -80,30 +67,10 @@ stream::PipelineResult analyze_pcap_onepass(
   std::optional<std::vector<double>> counts = bins->finish(t_end);
   if (!counts) return fall_back();
 
-  if (counts->size() < 16)  // == ceil((t_end - t0) / bin), the eager grid
-    throw std::invalid_argument("analyze_stream: series too short");
-
-  stream::PipelineResult result;
-  result.info.name = name;
-  result.info.t_begin = t0;
-  result.info.t_end = t_end;
-  result.bin = options.bin;
-  result.packets = packets;
-  result.counts = std::move(*counts);
-  stats::VtAccumulator vt(
-      stats::default_aggregation_levels(result.counts.size()));
-  stats::BurstLullAccumulator bl;
-  stats::MomentAccumulator moments;
-  // Identical interleaved drain to analyze_columns.
-  for (double c : result.counts) {
-    vt.push(c);
-    bl.push(c);
-    moments.push(c);
-  }
-  result.vt = vt.finish();
-  result.burst_lull = bl.finish();
-  result.count_moments = moments;
-  return result;
+  // counts->size() == ceil((t_end - t0) / bin), the eager grid, so the
+  // tail's 16-bin guard rejects exactly what the eager path would.
+  const stream::CountTail tail({name, t0, t_end}, options.bin);
+  return tail.finish(packets, std::move(*counts));
 }
 
 }  // namespace wan::ingest

@@ -132,7 +132,6 @@ void ShardedPacketSourceImpl<Reader>::reset() {
 }
 
 template class ShardedPacketSourceImpl<MmapPcapReader>;
-template class ShardedPacketSourceImpl<PcapReader>;
 template class ShardedPacketSourceImpl<LblPktReader>;
 
 // ------------------------------------------------------ PcapColumnSource
@@ -183,15 +182,6 @@ void PcapColumnSource::ensure_eager_info() {
   deferred_ = false;
 }
 
-// ----------------------------------------------------- ColumnsFromIngest
-
-bool ColumnsFromIngest::next(stream::PacketColumns& chunk) {
-  chunk.clear();
-  if (!inner_->next(buf_)) return false;
-  chunk.append_rows(buf_);
-  return true;
-}
-
 // -------------------------------------------------------- FlowConnSource
 
 template <typename Reader>
@@ -239,7 +229,6 @@ void FlowConnSource<Reader>::reset() {
 }
 
 template class FlowConnSource<MmapPcapReader>;
-template class FlowConnSource<PcapReader>;
 template class FlowConnSource<LblPktReader>;
 
 // --------------------------------------------------------- LblConnSource

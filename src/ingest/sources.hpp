@@ -13,7 +13,9 @@
 //     packets through a flow table (connection ids + protocol
 //     classification attached), emitted as PacketRecord chunks. The
 //     second template parameter picks the table (flat FlowTable by
-//     default; NodeFlowTable instantiations exist as the A/B baseline).
+//     default). The PcapReader and NodeFlowTable instantiations are
+//     references only: parity tests and the bench_perf_ingest gate
+//     compare the fast path against them; no factory opens them.
 //   * PcapColumnSource — the zero-copy fast path: mmap'd batch decode
 //     folded straight into PacketColumns, no PacketRecord row chunk in
 //     between. ColumnsFromIngest adapts any row source to the same
@@ -127,7 +129,6 @@ class ShardedPacketSourceImpl final : public IngestPacketSource {
 };
 
 using ShardedMmapPcapPacketSource = ShardedPacketSourceImpl<MmapPcapReader>;
-using ShardedPcapPacketSource = ShardedPacketSourceImpl<PcapReader>;
 using ShardedLblPktPacketSource = ShardedPacketSourceImpl<LblPktReader>;
 
 /// Whether a source's constructor runs the prescan pass (the default)
@@ -194,22 +195,25 @@ class PcapColumnSource final : public IngestColumnSource {
 };
 
 /// Owning rows->columns bridge: any IngestPacketSource behind the
-/// columnar ledger contract, for the formats (lbl-pkt, sharded or row
-/// pcap) that have no native columnar decode.
+/// columnar ledger contract, for the configurations (lbl-pkt, sharded
+/// ingest) that have no native columnar decode. The transpose is
+/// stream::ColumnsFromRows.
 class ColumnsFromIngest final : public IngestColumnSource {
  public:
   explicit ColumnsFromIngest(std::unique_ptr<IngestPacketSource> inner)
-      : inner_(std::move(inner)) {}
+      : inner_(std::move(inner)), columns_(*inner_) {}
 
   const stream::StreamInfo& info() const override { return inner_->info(); }
-  bool next(stream::PacketColumns& chunk) override;
+  bool next(stream::PacketColumns& chunk) override {
+    return columns_.next(chunk);
+  }
   void reset() override { inner_->reset(); }
 
   const IngestStats& stats() const override { return inner_->stats(); }
 
  private:
   std::unique_ptr<IngestPacketSource> inner_;
-  std::vector<trace::PacketRecord> buf_;
+  stream::ColumnsFromRows columns_;
 };
 
 /// The same packet formats reduced to SYN/FIN-style connection records:
@@ -241,7 +245,6 @@ class FlowConnSource final : public IngestConnSource {
 };
 
 using MmapPcapConnSource = FlowConnSource<MmapPcapReader>;
-using PcapConnSource = FlowConnSource<PcapReader>;
 using LblPktConnSource = FlowConnSource<LblPktReader>;
 
 /// lbl-conn-7 connection logs, streamed directly (no reconstruction —

@@ -55,90 +55,8 @@ void PacketColumns::to_rows(std::vector<trace::PacketRecord>& out) const {
   for (std::size_t i = 0; i < size(); ++i) out[base + i] = row(i);
 }
 
-void ConnColumns::clear() {
-  start.clear();
-  duration.clear();
-  protocol.clear();
-  src_host.clear();
-  dst_host.clear();
-  bytes_orig.clear();
-  bytes_resp.clear();
-  session_id.clear();
-}
-
-void ConnColumns::reserve(std::size_t n) {
-  start.reserve(n);
-  duration.reserve(n);
-  protocol.reserve(n);
-  src_host.reserve(n);
-  dst_host.reserve(n);
-  bytes_orig.reserve(n);
-  bytes_resp.reserve(n);
-  session_id.reserve(n);
-}
-
-void ConnColumns::push_back(const trace::ConnRecord& r) {
-  start.push_back(r.start);
-  duration.push_back(r.duration);
-  protocol.push_back(r.protocol);
-  src_host.push_back(r.src_host);
-  dst_host.push_back(r.dst_host);
-  bytes_orig.push_back(r.bytes_orig);
-  bytes_resp.push_back(r.bytes_resp);
-  session_id.push_back(r.session_id);
-}
-
-void ConnColumns::append_rows(std::span<const trace::ConnRecord> rows) {
-  const std::size_t base = size();
-  const std::size_t n = rows.size();
-  start.resize(base + n);
-  duration.resize(base + n);
-  protocol.resize(base + n);
-  src_host.resize(base + n);
-  dst_host.resize(base + n);
-  bytes_orig.resize(base + n);
-  bytes_resp.resize(base + n);
-  session_id.resize(base + n);
-  for (std::size_t i = 0; i < n; ++i) start[base + i] = rows[i].start;
-  for (std::size_t i = 0; i < n; ++i) duration[base + i] = rows[i].duration;
-  for (std::size_t i = 0; i < n; ++i) protocol[base + i] = rows[i].protocol;
-  for (std::size_t i = 0; i < n; ++i) src_host[base + i] = rows[i].src_host;
-  for (std::size_t i = 0; i < n; ++i) dst_host[base + i] = rows[i].dst_host;
-  for (std::size_t i = 0; i < n; ++i)
-    bytes_orig[base + i] = rows[i].bytes_orig;
-  for (std::size_t i = 0; i < n; ++i)
-    bytes_resp[base + i] = rows[i].bytes_resp;
-  for (std::size_t i = 0; i < n; ++i)
-    session_id[base + i] = rows[i].session_id;
-}
-
-trace::ConnRecord ConnColumns::row(std::size_t i) const {
-  trace::ConnRecord r;
-  r.start = start[i];
-  r.duration = duration[i];
-  r.protocol = protocol[i];
-  r.src_host = src_host[i];
-  r.dst_host = dst_host[i];
-  r.bytes_orig = bytes_orig[i];
-  r.bytes_resp = bytes_resp[i];
-  r.session_id = session_id[i];
-  return r;
-}
-
-void ConnColumns::to_rows(std::vector<trace::ConnRecord>& out) const {
-  const std::size_t base = out.size();
-  out.resize(base + size());
-  for (std::size_t i = 0; i < size(); ++i) out[base + i] = row(i);
-}
-
 PacketColumns to_columns(std::span<const trace::PacketRecord> rows) {
   PacketColumns cols;
-  cols.append_rows(rows);
-  return cols;
-}
-
-ConnColumns to_conn_columns(std::span<const trace::ConnRecord> rows) {
-  ConnColumns cols;
   cols.append_rows(rows);
   return cols;
 }
@@ -151,20 +69,6 @@ bool ColumnsFromRows::next(PacketColumns& chunk) {
 }
 
 bool RowsFromColumns::next(std::vector<trace::PacketRecord>& chunk) {
-  chunk.clear();
-  if (!inner_->next(buf_)) return false;
-  buf_.to_rows(chunk);
-  return true;
-}
-
-bool ConnColumnsFromRows::next(ConnColumns& chunk) {
-  chunk.clear();
-  if (!inner_->next(buf_)) return false;
-  chunk.append_rows(buf_);
-  return true;
-}
-
-bool ConnRowsFromColumns::next(std::vector<trace::ConnRecord>& chunk) {
   chunk.clear();
   if (!inner_->next(buf_)) return false;
   buf_.to_rows(chunk);

@@ -1,6 +1,6 @@
 // Columnar (struct-of-arrays) twin of the row chunk contract: a
-// PacketColumns/ConnColumns chunk holds each record field as its own
-// contiguous column, so an analysis pass that reads one or two fields
+// PacketColumns chunk holds each record field as its own contiguous
+// column, so an analysis pass that reads one or two fields
 // (binning reads times, protocol filtering reads protocol bytes) walks
 // only those bytes — no full-record cache lines, no per-record padding,
 // and the per-column loops auto-vectorize.
@@ -14,8 +14,8 @@
 // is how the parity tests compare the two layouts record for record.
 //
 // Memory: a PacketRecord is 24 bytes after padding; its columns sum to
-// 16 bytes per row (a ConnRecord is 56 vs 49). kPacketRowBytes /
-// kPacketColumnBytes make the win checkable in benches.
+// 16 bytes per row. kPacketRowBytes / kPacketColumnBytes make the win
+// checkable in benches.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/stream/chunk.hpp"
-#include "src/stream/conn_chunk.hpp"
 #include "src/trace/packet_trace.hpp"
 #include "src/trace/records.hpp"
 
@@ -73,39 +72,8 @@ struct PacketColumns {
       sizeof(std::uint8_t) + sizeof(std::uint16_t);
 };
 
-/// Column-per-field layout of a ConnRecord sequence.
-struct ConnColumns {
-  std::vector<double> start;
-  std::vector<double> duration;
-  std::vector<trace::Protocol> protocol;
-  std::vector<std::uint32_t> src_host;
-  std::vector<std::uint32_t> dst_host;
-  std::vector<std::uint64_t> bytes_orig;
-  std::vector<std::uint64_t> bytes_resp;
-  std::vector<std::uint64_t> session_id;
-
-  std::size_t size() const { return start.size(); }
-  bool empty() const { return start.empty(); }
-  void clear();
-  void reserve(std::size_t n);
-
-  void push_back(const trace::ConnRecord& r);
-  void append_rows(std::span<const trace::ConnRecord> rows);
-
-  trace::ConnRecord row(std::size_t i) const;
-  void to_rows(std::vector<trace::ConnRecord>& out) const;
-
-  std::size_t byte_size() const { return size() * kConnColumnBytes; }
-
-  static constexpr std::size_t kConnRowBytes = sizeof(trace::ConnRecord);
-  static constexpr std::size_t kConnColumnBytes =
-      2 * sizeof(double) + sizeof(trace::Protocol) +
-      2 * sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t);
-};
-
-/// Whole-sequence transposes (AoS -> SoA).
+/// Whole-sequence transpose (AoS -> SoA).
 PacketColumns to_columns(std::span<const trace::PacketRecord> rows);
-ConnColumns to_conn_columns(std::span<const trace::ConnRecord> rows);
 
 /// Pull source of packet rows in columnar chunks; the contract of
 /// PacketChunkSource::next / reset, chunk type aside.
@@ -119,16 +87,6 @@ class PacketColumnSource {
   virtual bool next(PacketColumns& chunk) = 0;
 
   /// Rewinds to the first row.
-  virtual void reset() = 0;
-};
-
-/// Columnar twin of ConnChunkSource.
-class ConnColumnSource {
- public:
-  virtual ~ConnColumnSource() = default;
-
-  virtual const StreamInfo& info() const = 0;
-  virtual bool next(ConnColumns& chunk) = 0;
   virtual void reset() = 0;
 };
 
@@ -163,33 +121,6 @@ class RowsFromColumns final : public PacketChunkSource {
  private:
   PacketColumnSource* inner_;
   PacketColumns buf_;
-};
-
-/// Conn twins of the two adapters above.
-class ConnColumnsFromRows final : public ConnColumnSource {
- public:
-  explicit ConnColumnsFromRows(ConnChunkSource& inner) : inner_(&inner) {}
-
-  const StreamInfo& info() const override { return inner_->info(); }
-  bool next(ConnColumns& chunk) override;
-  void reset() override { inner_->reset(); }
-
- private:
-  ConnChunkSource* inner_;
-  std::vector<trace::ConnRecord> buf_;
-};
-
-class ConnRowsFromColumns final : public ConnChunkSource {
- public:
-  explicit ConnRowsFromColumns(ConnColumnSource& inner) : inner_(&inner) {}
-
-  const StreamInfo& info() const override { return inner_->info(); }
-  bool next(std::vector<trace::ConnRecord>& chunk) override;
-  void reset() override { inner_->reset(); }
-
- private:
-  ConnColumnSource* inner_;
-  ConnColumns buf_;
 };
 
 /// Native columnar store source: serves chunk-size slices of an

@@ -17,6 +17,44 @@ std::string filter_suffix(const std::optional<trace::Protocol>& protocol,
 
 }  // namespace
 
+const PacketColumns& filter_rows(const PacketColumns& in,
+                                 const std::optional<trace::Protocol>& protocol,
+                                 bool orig_data,
+                                 std::vector<std::uint32_t>& sel,
+                                 PacketColumns& out) {
+  if (!protocol && !orig_data) return in;
+  sel.clear();
+  if (protocol && orig_data) {
+    select_protocol_orig_data(in, *protocol, sel);
+  } else if (protocol) {
+    select_equal(in.protocol, *protocol, sel);
+  } else {
+    select_orig_data(in, sel);
+  }
+  if (sel.size() == in.size()) return in;
+  gather(in, sel, out);
+  return out;
+}
+
+const PacketColumns& drop_outlier_rows(const PacketColumns& in,
+                                       const std::set<std::uint32_t>& outliers,
+                                       std::vector<std::uint32_t>& sel,
+                                       PacketColumns& out) {
+  if (outliers.empty()) return in;
+  sel.clear();
+  sel.resize(in.size());
+  std::size_t k = 0;
+  const std::uint32_t* conn = in.conn_id.data();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    sel[k] = static_cast<std::uint32_t>(i);
+    k += outliers.contains(conn[i]) ? 0 : 1;
+  }
+  sel.resize(k);
+  if (sel.size() == in.size()) return in;
+  gather(in, sel, out);
+  return out;
+}
+
 ColumnFilterSource::ColumnFilterSource(PacketColumnSource& inner,
                                        std::optional<trace::Protocol> protocol,
                                        bool orig_data)
@@ -30,37 +68,14 @@ bool ColumnFilterSource::next(PacketColumns& chunk) {
   chunk.clear();
   while (chunk.empty()) {
     if (!inner_->next(buf_)) return false;
-    sel_.clear();
-    if (protocol_ && orig_data_) {
-      select_protocol_orig_data(buf_, *protocol_, sel_);
-    } else if (protocol_) {
-      select_equal(buf_.protocol, *protocol_, sel_);
-    } else if (orig_data_) {
-      select_orig_data(buf_, sel_);
-    } else {
-      // No predicate configured: pass through.
+    if (&filter_rows(buf_, protocol_, orig_data_, sel_, chunk) == &buf_) {
+      // No predicate, or every row survived: move the chunk through
+      // instead of gathering.
       chunk = std::move(buf_);
       buf_.clear();
-      return true;
     }
-    if (sel_.size() == buf_.size()) {
-      // Everything survived: move the chunk through instead of gathering.
-      chunk = std::move(buf_);
-      buf_.clear();
-      return true;
-    }
-    gather(buf_, sel_, chunk);
   }
   return true;
-}
-
-ColumnFilterSource protocol_filter_columns(PacketColumnSource& inner,
-                                           trace::Protocol protocol) {
-  return ColumnFilterSource(inner, protocol, /*orig_data=*/false);
-}
-
-ColumnFilterSource originator_data_filter_columns(PacketColumnSource& inner) {
-  return ColumnFilterSource(inner, std::nullopt, /*orig_data=*/true);
 }
 
 ColumnBulkOutlierSource::ColumnBulkOutlierSource(PacketColumnSource& inner,
@@ -89,26 +104,10 @@ bool ColumnBulkOutlierSource::next(PacketColumns& chunk) {
   chunk.clear();
   while (chunk.empty()) {
     if (!inner_->next(buf_)) return false;
-    if (outliers_.empty()) {
+    if (&drop_outlier_rows(buf_, outliers_, sel_, chunk) == &buf_) {
       chunk = std::move(buf_);
       buf_.clear();
-      return true;
     }
-    sel_.clear();
-    sel_.resize(buf_.size());
-    std::size_t k = 0;
-    const std::uint32_t* conn = buf_.conn_id.data();
-    for (std::size_t i = 0; i < buf_.size(); ++i) {
-      sel_[k] = static_cast<std::uint32_t>(i);
-      k += outliers_.contains(conn[i]) ? 0 : 1;
-    }
-    sel_.resize(k);
-    if (sel_.size() == buf_.size()) {
-      chunk = std::move(buf_);
-      buf_.clear();
-      return true;
-    }
-    gather(buf_, sel_, chunk);
   }
   return true;
 }

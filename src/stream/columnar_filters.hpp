@@ -4,7 +4,9 @@
 // predicate call. A filtered chunk is built in two vectorizable loops
 // (select indices, then gather columns); the record sequence each
 // source emits is identical to its row twin's, which is what keeps the
-// columnar analysis path byte-compatible with the row path.
+// columnar analysis path byte-compatible with the row path. The
+// per-chunk work is two kernels, which the sharded pipeline also runs
+// on each shard's sub-chunks.
 #pragma once
 
 #include <optional>
@@ -14,6 +16,25 @@
 #include "src/stream/columnar.hpp"
 
 namespace wan::stream {
+
+/// The stateless filter kernel: keeps the rows of `in` that match
+/// `protocol` (if set) and carry originator user data (if `orig_data`),
+/// evaluated as one selection pass and one gather. Returns `in` itself
+/// when no predicate is set or every row survives; otherwise gathers
+/// the survivors (possibly none) into `out` and returns it. `sel` is
+/// scratch.
+const PacketColumns& filter_rows(const PacketColumns& in,
+                                 const std::optional<trace::Protocol>& protocol,
+                                 bool orig_data,
+                                 std::vector<std::uint32_t>& sel,
+                                 PacketColumns& out);
+
+/// The bulk-outlier removal kernel: drops the rows whose connection is
+/// in `outliers`, with the same return contract as filter_rows.
+const PacketColumns& drop_outlier_rows(const PacketColumns& in,
+                                       const std::set<std::uint32_t>& outliers,
+                                       std::vector<std::uint32_t>& sel,
+                                       PacketColumns& out);
 
 /// Stateless columnar row filter: by protocol (if set), then
 /// originator-data (if requested) — the same predicates, order and
@@ -40,14 +61,6 @@ class ColumnFilterSource final : public PacketColumnSource {
   PacketColumns buf_;
   std::vector<std::uint32_t> sel_;
 };
-
-/// Columnar PacketTrace::filter(protocol): name gains "/<protocol>".
-ColumnFilterSource protocol_filter_columns(PacketColumnSource& inner,
-                                           trace::Protocol protocol);
-
-/// Columnar PacketTrace::originator_data_packets(): name gains
-/// "/orig-data".
-ColumnFilterSource originator_data_filter_columns(PacketColumnSource& inner);
 
 /// Columnar PacketTrace::remove_bulk_outliers(): the same explicit
 /// two-pass shape as BulkOutlierSource — the first next() drains the

@@ -35,13 +35,4 @@ class ConnChunkSource {
 /// never hold more than a chunk.
 trace::ConnTrace collect_conns(ConnChunkSource& source);
 
-/// Feeds every record of the source, in order, to fn(const ConnRecord&).
-template <typename Fn>
-void for_each_conn(ConnChunkSource& source, Fn&& fn) {
-  std::vector<trace::ConnRecord> chunk;
-  while (source.next(chunk)) {
-    for (const trace::ConnRecord& r : chunk) fn(r);
-  }
-}
-
 }  // namespace wan::stream

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
-#include "src/stream/columnar_filters.hpp"
 #include "src/stream/filters.hpp"
 
 namespace wan::stream {
@@ -31,41 +31,40 @@ PipelineResult analyze_stream(PacketChunkSource& source,
   return analyze_columns(columns, options);
 }
 
-PipelineResult analyze_columns(PacketColumnSource& source,
-                               const PipelineOptions& options) {
-  // Filter stages live on this frame. The protocol and originator-data
-  // predicates fuse into one ColumnFilterSource (same record sequence
-  // and derived name as stacking them; one selection pass + one gather).
-  PacketColumnSource* src = &source;
-  std::optional<ColumnFilterSource> filter;
+ColumnFilterStack::ColumnFilterStack(PacketColumnSource& inner,
+                                     const PipelineOptions& options)
+    : top_(&inner) {
+  // The protocol and originator-data predicates fuse into one
+  // ColumnFilterSource (same record sequence and derived name as
+  // stacking them; one selection pass + one gather).
   if (options.protocol || options.orig_data_only) {
-    filter.emplace(*src, options.protocol, options.orig_data_only);
-    src = &*filter;
+    filter_.emplace(*top_, options.protocol, options.orig_data_only);
+    top_ = &*filter_;
   }
-  std::optional<ColumnBulkOutlierSource> no_outliers;
   if (options.remove_outliers) {
-    no_outliers.emplace(*src, options.outlier_max_bytes,
-                        options.outlier_max_rate);
-    src = &*no_outliers;
+    no_outliers_.emplace(*top_, options.outlier_max_bytes,
+                         options.outlier_max_rate);
+    top_ = &*no_outliers_;
   }
+}
 
-  const StreamInfo info = src->info();
-  if (expected_bins(info, options.bin) < 16)
+CountTail::CountTail(StreamInfo info, double bin)
+    : info_(std::move(info)), bin_(bin) {
+  if (expected_bins(info_, bin_) < 16)
     throw std::invalid_argument("analyze_stream: series too short");
+}
 
-  stats::BinCountsAccumulator bins(info.t_begin, info.t_end, options.bin);
-  std::uint64_t packets = 0;
-  PacketColumns chunk;
-  while (src->next(chunk)) {
-    packets += chunk.size();
-    bins.add(std::span<const double>(chunk.time));
-  }
+stats::BinCountsAccumulator CountTail::grid() const {
+  return {info_.t_begin, info_.t_end, bin_};
+}
 
+PipelineResult CountTail::finish(std::uint64_t packets,
+                                 std::vector<double> counts) const {
   PipelineResult result;
-  result.info = info;
-  result.bin = options.bin;
+  result.info = info_;
+  result.bin = bin_;
   result.packets = packets;
-  result.counts = bins.take();
+  result.counts = std::move(counts);
   stats::VtAccumulator vt(
       stats::default_aggregation_levels(result.counts.size()));
   stats::BurstLullAccumulator bl;
@@ -83,6 +82,20 @@ PipelineResult analyze_columns(PacketColumnSource& source,
   result.burst_lull = bl.finish();
   result.count_moments = moments;
   return result;
+}
+
+PipelineResult analyze_columns(PacketColumnSource& source,
+                               const PipelineOptions& options) {
+  ColumnFilterStack filtered(source, options);
+  const CountTail tail(filtered.info(), options.bin);
+  stats::BinCountsAccumulator bins = tail.grid();
+  std::uint64_t packets = 0;
+  PacketColumns chunk;
+  while (filtered.next(chunk)) {
+    packets += chunk.size();
+    bins.add(std::span<const double>(chunk.time));
+  }
+  return tail.finish(packets, bins.take());
 }
 
 PipelineResult analyze_stream_rows(PacketChunkSource& source,

@@ -8,6 +8,12 @@
 // identical accumulator arithmetic (VtLevelAccumulator, BinCounts,
 // BurstLull), so their results — and the figure CSVs rendered from them
 // — are byte-identical. The `stream`-labeled tests pin this.
+//
+// Every columnar entry point (analyze_columns, analyze_sharded[_sources],
+// analyze_pcap_onepass, analyze_windowed) filters through one
+// ColumnFilterStack, and all but the windowed one end in one CountTail.
+// analyze_stream_rows and analyze_batch stay as the independent
+// references the parity tests compare that path against.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +26,7 @@
 #include "src/stats/variance_time.hpp"
 #include "src/stream/chunk.hpp"
 #include "src/stream/columnar.hpp"
+#include "src/stream/columnar_filters.hpp"
 
 namespace wan::stream {
 
@@ -46,6 +53,50 @@ struct PipelineResult {
   stats::MomentAccumulator count_moments;
 };
 
+/// The Section-IV filter stack `options` configures over a column
+/// source, in the batch path's order: protocol and originator-data fused
+/// in one ColumnFilterSource, then the two-pass ColumnBulkOutlierSource;
+/// an option left off adds no stage. Non-owning of `inner`; the stages
+/// live inside the stack, so it is neither copyable nor movable.
+class ColumnFilterStack final : public PacketColumnSource {
+ public:
+  ColumnFilterStack(PacketColumnSource& inner, const PipelineOptions& options);
+  ColumnFilterStack(const ColumnFilterStack&) = delete;
+  ColumnFilterStack& operator=(const ColumnFilterStack&) = delete;
+
+  const StreamInfo& info() const override { return top_->info(); }
+  bool next(PacketColumns& chunk) override { return top_->next(chunk); }
+  void reset() override { top_->reset(); }
+
+ private:
+  std::optional<ColumnFilterSource> filter_;
+  std::optional<ColumnBulkOutlierSource> no_outliers_;
+  PacketColumnSource* top_;
+};
+
+/// The count tail of the columnar entry points. The constructor is the
+/// 16-bin guard: [info.t_begin, info.t_end) must hold at least 16 bins
+/// of `bin` seconds (variance_time_plot's floor), else it throws
+/// std::invalid_argument ("analyze_stream: series too short"), so a
+/// fixed-grid caller fails before reading a record. finish() runs the
+/// variance-time, burst-lull and moment accumulators.
+class CountTail {
+ public:
+  CountTail(StreamInfo info, double bin);
+
+  /// An empty accumulator on the guarded grid.
+  stats::BinCountsAccumulator grid() const;
+
+  /// The result for `packets` surviving records binned into `counts`, a
+  /// series on this grid.
+  PipelineResult finish(std::uint64_t packets,
+                        std::vector<double> counts) const;
+
+ private:
+  StreamInfo info_;
+  double bin_;
+};
+
 /// Streams the source through the configured filters and accumulators.
 /// Throws std::invalid_argument if the count series would be shorter
 /// than 16 bins (same limit as variance_time_plot).
@@ -57,11 +108,10 @@ struct PipelineResult {
 PipelineResult analyze_stream(PacketChunkSource& source,
                               const PipelineOptions& options = {});
 
-/// The columnar analysis path: filters are selection-vector passes
-/// (columnar_filters.hpp) and the accumulators consume whole columns
-/// (BinCountsAccumulator::add(span) etc.). Same filter order, same
-/// arithmetic per element, so same bytes out as the row path — several
-/// times faster on in-memory data.
+/// The columnar analysis path: ColumnFilterStack, bin counts fed whole
+/// time columns (BinCountsAccumulator::add(span)), then CountTail. Same
+/// filter order, same arithmetic per element, so same bytes out as the
+/// row path — several times faster on in-memory data.
 PipelineResult analyze_columns(PacketColumnSource& source,
                                const PipelineOptions& options = {});
 

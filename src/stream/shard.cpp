@@ -1,10 +1,9 @@
 #include "src/stream/shard.hpp"
 
-#include <cmath>
 #include <exception>
 #include <future>
+#include <latch>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -40,65 +39,60 @@ void partition_packets(const PacketColumns& in, std::size_t n_shards,
   }
 }
 
-void partition_conns(const ConnColumns& in, std::size_t n_shards,
-                     std::vector<ConnColumns>& out) {
-  out.resize(n_shards);
-  for (ConnColumns& o : out) o.clear();
-  if (n_shards == 1) {
-    out[0] = in;
-    return;
-  }
-  for (std::size_t i = 0; i < in.size(); ++i)
-    out[shard_of_hosts(in.src_host[i], in.dst_host[i], n_shards)].push_back(
-        in.row(i));
+ShardRouter::ShardRouter(ShardRouterOptions options) : options_(options) {
+  if (options_.n_shards == 0 || options_.n_shards > kMaxShards)
+    throw std::invalid_argument("ShardRouter: n_shards must be in [1, " +
+                                std::to_string(kMaxShards) + "]");
 }
 
-namespace {
-
-// One route over any chunk source: inline when a single worker (or a
-// single shard) makes queues pointless, bounded queues + pool consumers
-// otherwise. The per-shard sub-chunk sequences are identical either way:
-// partition is deterministic and each shard's queue preserves order.
-template <class Source, class Chunk>
-void route_impl(Source& source, const ShardRouterOptions& options,
-                const std::function<void(std::size_t, const Chunk&)>& consume,
-                void (*partition)(const Chunk&, std::size_t,
-                                  std::vector<Chunk>&)) {
-  const std::size_t n = options.n_shards;
+// Inline when a single worker (or a single shard) makes queues
+// pointless, bounded queues + pool consumers otherwise. The per-shard
+// sub-chunk sequences are identical either way: partition is
+// deterministic and each shard's queue preserves order.
+void ShardRouter::route(
+    PacketColumnSource& source,
+    const std::function<void(std::size_t, const PacketColumns&)>& consume) {
+  const std::size_t n = options_.n_shards;
   if (n == 1) {
-    Chunk chunk;
+    PacketColumns chunk;
     while (source.next(chunk))
       if (!chunk.empty()) consume(0, chunk);
     return;
   }
 
   if (par::thread_count() == 1) {
-    Chunk chunk;
-    std::vector<Chunk> parts;
+    PacketColumns chunk;
+    std::vector<PacketColumns> parts;
     while (source.next(chunk)) {
-      partition(chunk, n, parts);
+      partition_packets(chunk, n, parts);
       for (std::size_t s = 0; s < n; ++s)
         if (!parts[s].empty()) consume(s, parts[s]);
     }
     return;
   }
 
-  std::vector<std::unique_ptr<BoundedChunkQueue<Chunk>>> queues;
+  std::vector<std::unique_ptr<BoundedChunkQueue<PacketColumns>>> queues;
   queues.reserve(n);
   for (std::size_t s = 0; s < n; ++s)
-    queues.push_back(
-        std::make_unique<BoundedChunkQueue<Chunk>>(options.queue_chunks));
+    queues.push_back(std::make_unique<BoundedChunkQueue<PacketColumns>>(
+        options_.queue_chunks));
 
   // One long-lived consumer per shard. The pool must hold at least n
   // workers or a parked consumer task would never start while the pump
-  // blocks on its full queue.
+  // blocks on its full queue. The pump also waits until every consumer
+  // runs on a worker: a source whose next() calls par::parallel_for
+  // (sharded flow reconstruction) helps run queued pool tasks while it
+  // waits, and a consumer it picked up there would block this thread on
+  // a queue only this thread feeds.
   par::global_pool().grow(n);
   std::vector<std::exception_ptr> errors(n);
   std::vector<std::future<void>> done;
   done.reserve(n);
+  std::latch running(static_cast<std::ptrdiff_t>(n));
   for (std::size_t s = 0; s < n; ++s) {
     done.push_back(par::global_pool().submit([&, s] {
-      Chunk c;
+      running.count_down();
+      PacketColumns c;
       try {
         while (queues[s]->pop(c)) consume(s, c);
       } catch (...) {
@@ -112,11 +106,12 @@ void route_impl(Source& source, const ShardRouterOptions& options,
     }));
   }
 
-  Chunk chunk;
-  std::vector<Chunk> parts;
+  running.wait();
+  PacketColumns chunk;
+  std::vector<PacketColumns> parts;
   try {
     while (source.next(chunk)) {
-      partition(chunk, n, parts);
+      partition_packets(chunk, n, parts);
       for (std::size_t s = 0; s < n; ++s)
         if (!parts[s].empty()) queues[s]->push(std::move(parts[s]));
     }
@@ -131,100 +126,35 @@ void route_impl(Source& source, const ShardRouterOptions& options,
     if (errors[s]) std::rethrow_exception(errors[s]);
 }
 
-}  // namespace
-
-ShardRouter::ShardRouter(ShardRouterOptions options) : options_(options) {
-  if (options_.n_shards == 0 || options_.n_shards > kMaxShards)
-    throw std::invalid_argument("ShardRouter: n_shards must be in [1, " +
-                                std::to_string(kMaxShards) + "]");
-}
-
-void ShardRouter::route(
-    PacketColumnSource& source,
-    const std::function<void(std::size_t, const PacketColumns&)>& consume) {
-  route_impl<PacketColumnSource, PacketColumns>(source, options_, consume,
-                                                &partition_packets);
-}
-
-void ShardRouter::route(
-    ConnColumnSource& source,
-    const std::function<void(std::size_t, const ConnColumns&)>& consume) {
-  route_impl<ConnColumnSource, ConnColumns>(source, options_, consume,
-                                            &partition_conns);
-}
-
-void ShardRouter::route(
-    PacketChunkSource& source,
-    const std::function<void(std::size_t, const PacketColumns&)>& consume) {
-  ColumnsFromRows columns(source);
-  route(columns, consume);
-}
-
-void ShardRouter::route(
-    ConnChunkSource& source,
-    const std::function<void(std::size_t, const ConnColumns&)>& consume) {
-  ConnColumnsFromRows columns(source);
-  route(columns, consume);
-}
-
 namespace {
 
-std::size_t expected_bins(const StreamInfo& info, double bin) {
-  if (bin <= 0.0 || info.t_end <= info.t_begin) return 0;
-  return static_cast<std::size_t>(
-      std::ceil((info.t_end - info.t_begin) / bin));
-}
-
-// The name suffixes the serial filter chain would stack, in its order.
-std::string options_suffix(const PipelineOptions& o) {
-  std::string s;
-  if (o.protocol) s += "/" + std::string(trace::to_string(*o.protocol));
-  if (o.orig_data_only) s += "/orig-data";
-  if (o.remove_outliers) s += "/no-outliers";
-  return s;
-}
-
-// Applies the protocol/orig-data predicates to one sub-chunk — the same
-// kernel choices as ColumnFilterSource::next — returning either `in`
-// untouched or `scratch` holding the gathered survivors.
-const PacketColumns& filter_chunk(const PacketColumns& in,
-                                  const PipelineOptions& o,
-                                  std::vector<std::uint32_t>& sel,
-                                  PacketColumns& scratch) {
-  if (!o.protocol && !o.orig_data_only) return in;
-  sel.clear();
-  if (o.protocol && o.orig_data_only) {
-    select_protocol_orig_data(in, *o.protocol, sel);
-  } else if (o.protocol) {
-    select_equal(in.protocol, *o.protocol, sel);
-  } else {
-    select_orig_data(in, sel);
+// Per-shard bin grids and packet counts. Bin increments are exact
+// integer adds into identical grids, so the shard-ordered merge in
+// finish() reproduces the serial accumulator's bits regardless of how
+// rows were split; downstream of the merged counts is the serial
+// CountTail. Index s is touched only by shard s.
+struct ShardCounts {
+  ShardCounts(const CountTail& tail, std::size_t n) : packets(n, 0) {
+    bins.reserve(n);
+    for (std::size_t s = 0; s < n; ++s) bins.push_back(tail.grid());
   }
-  if (sel.size() == in.size()) return in;
-  gather(in, sel, scratch);
-  return scratch;
-}
 
-// Drops rows of flagged connections — ColumnBulkOutlierSource's second
-// pass, on one sub-chunk.
-const PacketColumns& drop_outliers(const PacketColumns& in,
-                                   const std::set<std::uint32_t>& outliers,
-                                   std::vector<std::uint32_t>& sel,
-                                   PacketColumns& scratch) {
-  if (outliers.empty()) return in;
-  sel.clear();
-  sel.resize(in.size());
-  std::size_t k = 0;
-  const std::uint32_t* conn = in.conn_id.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    sel[k] = static_cast<std::uint32_t>(i);
-    k += outliers.contains(conn[i]) ? 0 : 1;
+  void add(std::size_t s, const PacketColumns& chunk) {
+    packets[s] += chunk.size();
+    bins[s].add(std::span<const double>(chunk.time));
   }
-  sel.resize(k);
-  if (sel.size() == in.size()) return in;
-  gather(in, sel, scratch);
-  return scratch;
-}
+
+  PipelineResult finish(const CountTail& tail) {
+    for (std::size_t s = 1; s < bins.size(); ++s) {
+      bins[0].merge(bins[s]);
+      packets[0] += packets[s];
+    }
+    return tail.finish(packets[0], bins[0].take());
+  }
+
+  std::vector<stats::BinCountsAccumulator> bins;
+  std::vector<std::uint64_t> packets;
+};
 
 // Consumer-local scratch; index s is touched only by shard s's consumer.
 struct ShardScratch {
@@ -242,12 +172,17 @@ PipelineResult analyze_sharded(PacketColumnSource& source,
   const std::size_t n = router.n_shards();
   if (n == 1) return analyze_columns(source, options);
 
-  StreamInfo info = source.info();
-  info.name += options_suffix(options);
-  if (expected_bins(info, options.bin) < 16)
-    throw std::invalid_argument("analyze_stream: series too short");
-
+  // The serial filter stack fixes the derived name and the grid; the
+  // shards run its chunk kernels on their sub-chunks instead of
+  // draining it.
+  const CountTail tail(ColumnFilterStack(source, options).info(),
+                       options.bin);
   std::vector<ShardScratch> scratch(n);
+  const auto filter = [&](std::size_t s, const PacketColumns& chunk)
+      -> const PacketColumns& {
+    return filter_rows(chunk, options.protocol, options.orig_data_only,
+                       scratch[s].sel, scratch[s].filtered);
+  };
 
   // Pass 1 (outlier filter only): per-shard detectors over the filtered
   // sub-streams. A connection's rows all land in its shard, in stream
@@ -260,67 +195,22 @@ PipelineResult analyze_sharded(PacketColumnSource& source,
     for (std::size_t s = 0; s < n; ++s)
       detectors.emplace_back(options.outlier_max_bytes,
                              options.outlier_max_rate);
-    router.route(source,
-                 [&](std::size_t s, const PacketColumns& chunk) {
-                   const PacketColumns& f = filter_chunk(
-                       chunk, options, scratch[s].sel, scratch[s].filtered);
-                   for (std::size_t i = 0; i < f.size(); ++i)
-                     detectors[s].observe(f.row(i));
-                 });
+    router.route(source, [&](std::size_t s, const PacketColumns& chunk) {
+      const PacketColumns& f = filter(s, chunk);
+      for (std::size_t i = 0; i < f.size(); ++i)
+        detectors[s].observe(f.row(i));
+    });
     for (std::size_t s = 0; s < n; ++s) outliers[s] = detectors[s].outliers();
     source.reset();
   }
 
-  // Pass 2: per-shard bin-count accumulation. Bin increments are exact
-  // integer adds into identical grids, so the shard-ordered merge below
-  // reproduces the serial accumulator's bits regardless of how rows
-  // were split.
-  std::vector<stats::BinCountsAccumulator> bins;
-  bins.reserve(n);
-  for (std::size_t s = 0; s < n; ++s)
-    bins.emplace_back(info.t_begin, info.t_end, options.bin);
-  std::vector<std::uint64_t> packets(n, 0);
+  // Pass 2: per-shard bin-count accumulation.
+  ShardCounts counts(tail, n);
   router.route(source, [&](std::size_t s, const PacketColumns& chunk) {
-    const PacketColumns& f =
-        filter_chunk(chunk, options, scratch[s].sel, scratch[s].filtered);
-    const PacketColumns& kept =
-        drop_outliers(f, outliers[s], scratch[s].sel, scratch[s].kept);
-    packets[s] += kept.size();
-    bins[s].add(std::span<const double>(kept.time));
+    counts.add(s, drop_outlier_rows(filter(s, chunk), outliers[s],
+                                    scratch[s].sel, scratch[s].kept));
   });
-
-  for (std::size_t s = 1; s < n; ++s) {
-    bins[0].merge(bins[s]);
-    packets[0] += packets[s];
-  }
-
-  // Downstream of the merged counts this is analyze_columns' code,
-  // byte for byte.
-  PipelineResult result;
-  result.info = info;
-  result.bin = options.bin;
-  result.packets = packets[0];
-  result.counts = bins[0].take();
-  stats::VtAccumulator vt(
-      stats::default_aggregation_levels(result.counts.size()));
-  stats::BurstLullAccumulator bl;
-  stats::MomentAccumulator moments;
-  for (double c : result.counts) {
-    vt.push(c);
-    bl.push(c);
-    moments.push(c);
-  }
-  result.vt = vt.finish();
-  result.burst_lull = bl.finish();
-  result.count_moments = moments;
-  return result;
-}
-
-PipelineResult analyze_stream_sharded(PacketChunkSource& source,
-                                      const PipelineOptions& options,
-                                      ShardRouterOptions shard_options) {
-  ColumnsFromRows columns(source);
-  return analyze_sharded(columns, options, shard_options);
+  return counts.finish(tail);
 }
 
 PipelineResult analyze_sharded_sources(
@@ -331,77 +221,31 @@ PipelineResult analyze_sharded_sources(
     throw std::invalid_argument(
         "analyze_sharded_sources: n_shards must be in [1, " +
         std::to_string(ShardRouter::kMaxShards) + "]");
-  if (n_shards == 1) {
-    auto source = make_shard(0);
-    return analyze_stream(*source, options);
-  }
 
   // Shard 0's info IS the serial info (the factory contract), so the
-  // bin grid and the derived name are fixed before any shard runs.
+  // filter stack over it fixes the derived name and the grid before
+  // any shard runs.
   auto first = make_shard(0);
-  StreamInfo info = first->info();
-  info.name += options_suffix(options);
-  if (expected_bins(info, options.bin) < 16)
-    throw std::invalid_argument("analyze_stream: series too short");
-
-  std::vector<stats::BinCountsAccumulator> bins;
-  bins.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s)
-    bins.emplace_back(info.t_begin, info.t_end, options.bin);
-  std::vector<std::uint64_t> packets(n_shards, 0);
+  const CountTail tail = [&] {
+    ColumnsFromRows columns(*first);
+    return CountTail(ColumnFilterStack(columns, options).info(), options.bin);
+  }();
+  ShardCounts counts(tail, n_shards);
 
   // Each shard is fully independent — its own source, its own filter
-  // chain (including the outlier two-pass: the chain resets only this
+  // stack (including the outlier two-pass: the stack resets only this
   // shard's source) — so a flat parallel_for over shards is enough.
   // Grain 1: shards are the unit of work.
   par::parallel_for(0, n_shards, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t s = b; s < e; ++s) {
       auto source = s == 0 ? std::move(first) : make_shard(s);
-      PacketColumnSource* src = nullptr;
       ColumnsFromRows columns(*source);
-      std::optional<ColumnFilterSource> filter;
-      std::optional<ColumnBulkOutlierSource> no_outliers;
-      src = &columns;
-      if (options.protocol || options.orig_data_only) {
-        filter.emplace(*src, options.protocol, options.orig_data_only);
-        src = &*filter;
-      }
-      if (options.remove_outliers) {
-        no_outliers.emplace(*src, options.outlier_max_bytes,
-                            options.outlier_max_rate);
-        src = &*no_outliers;
-      }
+      ColumnFilterStack filtered(columns, options);
       PacketColumns chunk;
-      while (src->next(chunk)) {
-        packets[s] += chunk.size();
-        bins[s].add(std::span<const double>(chunk.time));
-      }
+      while (filtered.next(chunk)) counts.add(s, chunk);
     }
   });
-
-  for (std::size_t s = 1; s < n_shards; ++s) {
-    bins[0].merge(bins[s]);
-    packets[0] += packets[s];
-  }
-
-  PipelineResult result;
-  result.info = info;
-  result.bin = options.bin;
-  result.packets = packets[0];
-  result.counts = bins[0].take();
-  stats::VtAccumulator vt(
-      stats::default_aggregation_levels(result.counts.size()));
-  stats::BurstLullAccumulator bl;
-  stats::MomentAccumulator moments;
-  for (double c : result.counts) {
-    vt.push(c);
-    bl.push(c);
-    moments.push(c);
-  }
-  result.vt = vt.finish();
-  result.burst_lull = bl.finish();
-  result.count_moments = moments;
-  return result;
+  return counts.finish(tail);
 }
 
 }  // namespace wan::stream

@@ -33,7 +33,6 @@
 
 #include "src/stream/chunk.hpp"
 #include "src/stream/columnar.hpp"
-#include "src/stream/conn_chunk.hpp"
 #include "src/stream/pipeline.hpp"
 
 namespace wan::stream {
@@ -55,9 +54,10 @@ inline std::size_t shard_of(std::uint32_t conn_id,
                                   static_cast<std::uint64_t>(n_shards));
 }
 
-/// Shard of a connection record: a pure function of the unordered host
-/// pair, so both directions — and every connection of one host pair,
-/// e.g. an FTP session's control and data connections — land together.
+/// Shard of a host pair, unordered, so both directions — and every
+/// connection of one host pair, e.g. an FTP session's control and data
+/// connections — land together. Sharded flow reconstruction
+/// (src/ingest/shard_ingest.hpp) routes raw packets by it.
 inline std::size_t shard_of_hosts(std::uint32_t a, std::uint32_t b,
                                   std::size_t n_shards) noexcept {
   const std::uint32_t lo = a < b ? a : b;
@@ -73,10 +73,6 @@ inline std::size_t shard_of_hosts(std::uint32_t a, std::uint32_t b,
 /// order. out.size() must equal n_shards.
 void partition_packets(const PacketColumns& in, std::size_t n_shards,
                        std::vector<PacketColumns>& out);
-
-/// Conn twin of partition_packets, keyed by shard_of_hosts.
-void partition_conns(const ConnColumns& in, std::size_t n_shards,
-                     std::vector<ConnColumns>& out);
 
 /// Bounded MPSC chunk queue: push blocks while full (backpressure on
 /// the producer), pop blocks while empty and returns false once the
@@ -134,7 +130,7 @@ struct ShardRouterOptions {
   std::size_t queue_chunks = 4;
 };
 
-/// Splits a chunk source into per-shard sub-streams. consume(s, chunk)
+/// Splits a column source into per-shard sub-streams. consume(s, chunk)
 /// receives shard s's sub-chunks in upstream order; calls for one shard
 /// never overlap (they run on one consumer), different shards run
 /// concurrently when par::thread_count() > 1. The per-shard sub-chunk
@@ -151,20 +147,6 @@ class ShardRouter {
              const std::function<void(std::size_t, const PacketColumns&)>&
                  consume);
 
-  /// Conn twin, routing rows by shard_of_hosts(src_host, dst_host).
-  void route(ConnColumnSource& source,
-             const std::function<void(std::size_t, const ConnColumns&)>&
-                 consume);
-
-  /// Row-source conveniences: adapt through ColumnsFromRows (same rows,
-  /// same order) and route the columnar stream.
-  void route(PacketChunkSource& source,
-             const std::function<void(std::size_t, const PacketColumns&)>&
-                 consume);
-  void route(ConnChunkSource& source,
-             const std::function<void(std::size_t, const ConnColumns&)>&
-                 consume);
-
   static constexpr std::size_t kMaxShards = 1024;
 
  private:
@@ -172,25 +154,21 @@ class ShardRouter {
 };
 
 /// Sharded twin of analyze_columns: partitions the stream across
-/// n_shards, accumulates bin counts (and, when options.remove_outliers
-/// is set, runs the two-pass bulk-outlier scan per shard — outlier
-/// decisions are per-connection, and a connection is shard-local),
-/// merges shard state in shard order, and finishes the variance-time /
-/// burst-lull / moment analyses on the merged count series. The result
-/// is byte-identical to analyze_columns(source, options) at every
-/// (shard count, thread count): bin-count merge is exact, and
-/// everything downstream of the merged counts is the serial code.
+/// n_shards, runs the filter stack's chunk kernels (filter_rows,
+/// drop_outlier_rows) per shard — with options.remove_outliers, the
+/// two-pass bulk-outlier scan per shard too, since outlier decisions
+/// are per-connection and a connection is shard-local — accumulates
+/// bin counts, merges shard state in shard order, and finishes in the
+/// serial CountTail. The result is byte-identical to
+/// analyze_columns(source, options) at every (shard count, thread
+/// count): bin-count merge is exact, and everything downstream of the
+/// merged counts is the serial code.
 ///
 /// With remove_outliers the source is drained twice (reset() between
 /// passes), exactly like ColumnBulkOutlierSource.
 PipelineResult analyze_sharded(PacketColumnSource& source,
                                const PipelineOptions& options,
                                ShardRouterOptions shard_options);
-
-/// Row-source convenience, like analyze_stream vs analyze_columns.
-PipelineResult analyze_stream_sharded(PacketChunkSource& source,
-                                      const PipelineOptions& options,
-                                      ShardRouterOptions shard_options);
 
 /// Per-shard-source form: shard s pulls from its own source instead of
 /// routing one shared stream through queues — the shape per-shard

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "src/stats/counting.hpp"
-#include "src/stream/columnar_filters.hpp"
+#include "src/stream/pipeline.hpp"
 
 namespace wan::stream {
 
@@ -240,14 +240,12 @@ void WindowedAnalyzer::emit_report() {
 
 std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
                                            const WindowedOptions& options) {
-  PacketColumnSource* src = &source;
-  std::optional<ColumnFilterSource> filter;
-  if (options.protocol || options.orig_data_only) {
-    filter.emplace(*src, options.protocol, options.orig_data_only);
-    src = &*filter;
-  }
+  PipelineOptions filters;
+  filters.protocol = options.protocol;
+  filters.orig_data_only = options.orig_data_only;
+  ColumnFilterStack src(source, filters);
 
-  const StreamInfo info = src->info();
+  const StreamInfo info = src.info();
   const WindowGeometry geometry = window_geometry(options);
   const double whole = (info.t_end - info.t_begin) / options.bin + 1e-9;
   const auto stream_bins =
@@ -268,16 +266,10 @@ std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
       options, info.t_begin,
       [&reports](const WindowReport& r) { reports.push_back(r); });
   PacketColumns chunk;
-  while (src->next(chunk))
+  while (src.next(chunk))
     engine.push_times(std::span<const double>(chunk.time));
   engine.finish(info.t_end);
   return reports;
-}
-
-std::vector<WindowReport> analyze_windowed(PacketChunkSource& source,
-                                           const WindowedOptions& options) {
-  ColumnsFromRows columns(source);
-  return analyze_windowed(columns, options);
 }
 
 WindowReport analyze_window_counts(std::span<const double> counts, double t0,

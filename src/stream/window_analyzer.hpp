@@ -2,8 +2,8 @@
 // algorithmic core of the wantraffic_monitor daemon (src/monitor), which
 // runs one engine per tracked protocol.
 //
-// WindowedAnalyzer consumes a time-ordered packet stream (any
-// PacketChunkSource or PacketColumnSource, filters included) and emits
+// WindowedAnalyzer consumes a time-ordered packet stream (a
+// PacketColumnSource through analyze_windowed, filters included) and emits
 // one WindowReport per slide: count moments, burst/lull structure,
 // variance-time H, a Whittle H fit on a rolling averaged periodogram,
 // an optional aggregation-stability sweep, and an optional windowed
@@ -168,15 +168,13 @@ class WindowedAnalyzer {
   std::vector<double> scratch_counts_;
 };
 
-/// Drains the (column) source through the configured filters and the
-/// incremental engine; returns every report in slide order. Throws
-/// std::invalid_argument when the stream is shorter than one window.
+/// Drains the column source through the configured filters (the
+/// pipeline's ColumnFilterStack) and the incremental engine; returns
+/// every report in slide order. Throws std::invalid_argument when the
+/// stream is shorter than one window. Row readers reach it through
+/// ColumnsFromRows — the windowed path is columnar-only, like the
+/// sharded one.
 std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
-                                           const WindowedOptions& options);
-
-/// Row-source convenience: adapts through ColumnsFromRows — the
-/// windowed path is columnar-only, like the sharded one.
-std::vector<WindowReport> analyze_windowed(PacketChunkSource& source,
                                            const WindowedOptions& options);
 
 /// From-scratch reference for ONE window: `times` are the post-filter

@@ -1,0 +1,75 @@
+# Command-line byte-identity checks (ctest label `cli`), run as
+#   cmake -DSYNTH=<wantraffic_synth> -DANALYZE=<wantraffic_analyze>
+#         -DINGEST=<wantraffic_ingest> -DDATA_DIR=<tests/data>
+#         -DWORK_DIR=<scratch dir> -P cli_tools.cmake
+# `wantraffic_analyze pkt` must write the same --vt-csv bytes batch,
+# --stream and --shards 3; `wantraffic_ingest pkt` the same binary trace
+# serially, with --shards 3 and from stdin.
+
+if(NOT SYNTH OR NOT ANALYZE OR NOT INGEST OR NOT DATA_DIR OR NOT WORK_DIR)
+  message(FATAL_ERROR "cli_tools.cmake: pass every -D variable above")
+endif()
+
+file(REMOVE_RECURSE "${WORK_DIR}")
+file(MAKE_DIRECTORY "${WORK_DIR}")
+
+# Runs one command (extra execute_process options after the command,
+# e.g. INPUT_FILE, ride along in ARGN) and fails on a nonzero exit.
+function(run)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    string(REPLACE ";" " " cmd "${ARGN}")
+    message(FATAL_ERROR "exit ${rc}: ${cmd}\n${out}\n${err}")
+  endif()
+endfunction()
+
+function(expect_same_file a b)
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${a} and ${b} differ")
+  endif()
+endfunction()
+
+# Binary packet traces `a` and `b`, whose headers name them `a_name` and
+# `b_name`, must agree in every other byte. The header is magic,
+# version, t_begin, t_end (24 bytes), name length (4 bytes), the name,
+# then the record count and the records.
+function(expect_same_trace_but_name a a_name b b_name)
+  file(READ "${a}" head_a LIMIT 24 HEX)
+  file(READ "${b}" head_b LIMIT 24 HEX)
+  string(LENGTH "${a_name}" len_a)
+  string(LENGTH "${b_name}" len_b)
+  math(EXPR skip_a "28 + ${len_a}")
+  math(EXPR skip_b "28 + ${len_b}")
+  file(READ "${a}" tail_a OFFSET ${skip_a} HEX)
+  file(READ "${b}" tail_b OFFSET ${skip_b} HEX)
+  if(NOT head_a STREQUAL head_b OR NOT tail_a STREQUAL tail_b)
+    message(FATAL_ERROR "${a} and ${b} differ beyond the trace name")
+  endif()
+endfunction()
+
+# --- wantraffic_analyze pkt: batch, --stream and --shards 3 ------------
+set(trace "${WORK_DIR}/pkt.bin")
+run("${SYNTH}" pkt --out "${trace}" --binary --hours 0.25 --seed 7)
+run("${ANALYZE}" pkt "${trace}" --binary --filtered
+    --vt-csv "${WORK_DIR}/vt_batch.csv")
+run("${ANALYZE}" pkt "${trace}" --binary --filtered --stream
+    --vt-csv "${WORK_DIR}/vt_stream.csv")
+run("${ANALYZE}" pkt "${trace}" --binary --filtered --shards 3
+    --vt-csv "${WORK_DIR}/vt_shards.csv")
+expect_same_file("${WORK_DIR}/vt_batch.csv" "${WORK_DIR}/vt_stream.csv")
+expect_same_file("${WORK_DIR}/vt_batch.csv" "${WORK_DIR}/vt_shards.csv")
+
+# --- wantraffic_ingest pkt: serial, --shards 3 and stdin ---------------
+set(capture "${DATA_DIR}/tiny_le.pcap")
+run("${INGEST}" pkt pcap "${capture}" --out "${WORK_DIR}/serial.bin")
+run("${INGEST}" pkt pcap "${capture}" --shards 3
+    --out "${WORK_DIR}/shards.bin")
+run("${INGEST}" pkt pcap - --out "${WORK_DIR}/stdin.bin"
+    INPUT_FILE "${capture}")
+expect_same_file("${WORK_DIR}/serial.bin" "${WORK_DIR}/shards.bin")
+# A piped capture has no path, so its trace is named "pcap:-".
+expect_same_trace_but_name("${WORK_DIR}/serial.bin" "pcap:${capture}"
+                           "${WORK_DIR}/stdin.bin" "pcap:-")

@@ -77,47 +77,6 @@ trace::PacketTrace make_test_trace() {
   return t;
 }
 
-std::vector<trace::ConnRecord> make_conn_records() {
-  std::vector<trace::ConnRecord> rows;
-  for (int i = 0; i < 57; ++i) {
-    trace::ConnRecord r;
-    r.start = i * 3.1;
-    r.duration = 0.5 + i;
-    r.protocol = i % 2 ? trace::Protocol::kTelnet : trace::Protocol::kSmtp;
-    r.src_host = 100 + i;
-    r.dst_host = 200 + i;
-    r.bytes_orig = 1000u + i;
-    r.bytes_resp = 5u * i;
-    r.session_id = 7000u + i;
-    rows.push_back(r);
-  }
-  return rows;
-}
-
-// Minimal row-oriented conn source over a vector, for adapter tests.
-class VectorConnSource final : public stream::ConnChunkSource {
- public:
-  VectorConnSource(std::vector<trace::ConnRecord> rows, std::size_t chunk)
-      : rows_(std::move(rows)), chunk_(chunk), info_{"conns", 0.0, 1.0} {}
-
-  const stream::StreamInfo& info() const override { return info_; }
-  bool next(std::vector<trace::ConnRecord>& chunk) override {
-    chunk.clear();
-    if (pos_ >= rows_.size()) return false;
-    const std::size_t n = std::min(chunk_, rows_.size() - pos_);
-    chunk.assign(rows_.begin() + pos_, rows_.begin() + pos_ + n);
-    pos_ += n;
-    return true;
-  }
-  void reset() override { pos_ = 0; }
-
- private:
-  std::vector<trace::ConnRecord> rows_;
-  std::size_t chunk_;
-  std::size_t pos_ = 0;
-  stream::StreamInfo info_;
-};
-
 synth::PacketDatasetConfig small_pkt_config(bool tcp_only) {
   synth::PacketDatasetConfig cfg =
       synth::lbl_pkt_preset("columnar-test", tcp_only, /*seed=*/7);
@@ -156,28 +115,6 @@ TEST(PacketColumns, RoundTripsEveryFieldAndRow) {
             cols.size() * stream::PacketColumns::kPacketColumnBytes);
 }
 
-TEST(ConnColumns, RoundTripsEveryFieldAndRow) {
-  const std::vector<trace::ConnRecord> rows = make_conn_records();
-  const stream::ConnColumns cols = stream::to_conn_columns(rows);
-  ASSERT_EQ(cols.size(), rows.size());
-
-  std::vector<trace::ConnRecord> back;
-  cols.to_rows(back);
-  ASSERT_EQ(back.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    ASSERT_EQ(back[i].start, rows[i].start);
-    ASSERT_EQ(back[i].duration, rows[i].duration);
-    ASSERT_EQ(back[i].protocol, rows[i].protocol);
-    ASSERT_EQ(back[i].src_host, rows[i].src_host);
-    ASSERT_EQ(back[i].dst_host, rows[i].dst_host);
-    ASSERT_EQ(back[i].bytes_orig, rows[i].bytes_orig);
-    ASSERT_EQ(back[i].bytes_resp, rows[i].bytes_resp);
-    ASSERT_EQ(back[i].session_id, rows[i].session_id);
-  }
-  EXPECT_LT(stream::ConnColumns::kConnColumnBytes,
-            stream::ConnColumns::kConnRowBytes);
-}
-
 // --- Adapters across chunk boundaries -----------------------------------
 
 TEST(ColumnarAdapters, PacketRoundTripAcrossOddChunksWithReset) {
@@ -190,23 +127,6 @@ TEST(ColumnarAdapters, PacketRoundTripAcrossOddChunksWithReset) {
 
   cols.reset();
   expect_same_records(drain(cols), t.records());
-}
-
-TEST(ColumnarAdapters, ConnRoundTripAcrossOddChunksWithReset) {
-  const std::vector<trace::ConnRecord> rows = make_conn_records();
-  VectorConnSource src(rows, /*chunk=*/11);
-  stream::ConnColumnsFromRows cols(src);
-  stream::ConnRowsFromColumns back(cols);
-
-  for (int pass = 0; pass < 2; ++pass) {
-    std::vector<trace::ConnRecord> got, chunk;
-    while (back.next(chunk))
-      got.insert(got.end(), chunk.begin(), chunk.end());
-    ASSERT_EQ(got.size(), rows.size()) << "pass " << pass;
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      ASSERT_EQ(got[i].session_id, rows[i].session_id) << "row " << i;
-    back.reset();
-  }
 }
 
 TEST(ColumnarAdapters, ColumnTableSourceSlicesTheWholeTable) {
@@ -272,8 +192,8 @@ TEST(ColumnarFilters, ProtocolFilterMatchesRowFilterSource) {
 
   stream::TraceChunkSource rows2(t, /*chunk_size=*/11);
   stream::ColumnsFromRows cols(rows2);
-  stream::ColumnFilterSource col_f =
-      stream::protocol_filter_columns(cols, trace::Protocol::kTelnet);
+  stream::ColumnFilterSource col_f(cols, trace::Protocol::kTelnet,
+                                   /*orig_data=*/false);
   EXPECT_EQ(col_f.info().name, want.name());
   expect_same_records(drain(col_f), want.records());
 }
@@ -286,8 +206,7 @@ TEST(ColumnarFilters, OriginatorDataFilterMatchesRowFilterSource) {
 
   stream::TraceChunkSource rows2(t, /*chunk_size=*/11);
   stream::ColumnsFromRows cols(rows2);
-  stream::ColumnFilterSource col_f =
-      stream::originator_data_filter_columns(cols);
+  stream::ColumnFilterSource col_f(cols, std::nullopt, /*orig_data=*/true);
   EXPECT_EQ(col_f.info().name, want.name());
   expect_same_records(drain(col_f), want.records());
 }

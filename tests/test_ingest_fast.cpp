@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -378,21 +379,38 @@ TEST(PcapColumnSource, AnalysisIsByteIdenticalToLegacyRowIngest) {
 }
 
 TEST(PcapColumnSource, FactoryBridgesAndNativePathAgree) {
-  ingest::IngestOptions native;
-  ingest::IngestOptions legacy;
-  legacy.rows_ingest = true;
-  const auto a = ingest::open_packet_column_source(
-      fixture("tiny_le.pcap"), ingest::IngestFormat::kPcap, native);
-  const auto b = ingest::open_packet_column_source(
-      fixture("tiny_le.pcap"), ingest::IngestFormat::kPcap, legacy);
-  const auto ca = stream::collect_columns(*a);
-  const auto cb = stream::collect_columns(*b);
-  ASSERT_EQ(ca.size(), cb.size());
-  EXPECT_EQ(ca.time, cb.time);
-  EXPECT_EQ(ca.protocol, cb.protocol);
-  EXPECT_EQ(ca.conn_id, cb.conn_id);
-  EXPECT_EQ(ca.from_originator, cb.from_originator);
-  EXPECT_EQ(ca.payload_bytes, cb.payload_bytes);
+  // The factory's native decode (serial pcap) against the row sources
+  // bridged through ColumnsFromIngest: the serial mmap source, and the
+  // 3-shard source the factory opens for --shards 3.
+  const std::string path = fixture("tiny_le.pcap");
+  const auto native =
+      ingest::open_packet_column_source(path, ingest::IngestFormat::kPcap, {});
+  ASSERT_NE(dynamic_cast<const ingest::PcapColumnSource*>(native.get()),
+            nullptr);
+  const auto want = stream::collect_columns(*native);
+  ASSERT_GT(want.size(), 0u);
+
+  ingest::IngestOptions sharded;
+  sharded.shards = 3;
+  std::vector<std::unique_ptr<ingest::IngestColumnSource>> bridged;
+  bridged.push_back(std::make_unique<ingest::ColumnsFromIngest>(
+      std::make_unique<ingest::MmapPcapPacketSource>(path,
+                                                     ParseMode::kStrict)));
+  bridged.push_back(ingest::open_packet_column_source(
+      path, ingest::IngestFormat::kPcap, sharded));
+  for (const auto& b : bridged) {
+    EXPECT_EQ(b->info().name, native->info().name);
+    EXPECT_EQ(b->info().t_begin, native->info().t_begin);
+    EXPECT_EQ(b->info().t_end, native->info().t_end);
+    const auto got = stream::collect_columns(*b);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.time, want.time);
+    EXPECT_EQ(got.protocol, want.protocol);
+    EXPECT_EQ(got.conn_id, want.conn_id);
+    EXPECT_EQ(got.from_originator, want.from_originator);
+    EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+    expect_same_stats(b->stats(), native->stats());
+  }
 }
 
 // ------------------------------------- one-pass == two-pass analysis
@@ -570,14 +588,6 @@ TEST(StdinInput, RejectsConfigurationsThatNeedANamedFile) {
       std::invalid_argument);
   EXPECT_THROW(
       ingest::open_conn_source("-", ingest::IngestFormat::kLblConn, opt),
-      std::invalid_argument);
-  opt.rows_ingest = true;
-  EXPECT_THROW(
-      ingest::open_packet_source("-", ingest::IngestFormat::kPcap, opt),
-      std::invalid_argument);
-  EXPECT_THROW(
-      ingest::open_packet_column_source("-", ingest::IngestFormat::kPcap,
-                                        opt),
       std::invalid_argument);
 }
 

@@ -328,9 +328,10 @@ TEST(ShardRouter, RoutedSubStreamsPreserveOrderAtAnyThreadCount) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     par::set_thread_count(threads);
     synth::StreamingPacketSynthesizer synth(cfg);
+    stream::ColumnsFromRows columns(synth);
     stream::ShardRouter router({/*n_shards=*/4, /*queue_chunks=*/2});
     std::vector<std::vector<double>> times(4);
-    router.route(static_cast<stream::PacketChunkSource&>(synth),
+    router.route(columns,
                  [&](std::size_t s, const stream::PacketColumns& chunk) {
                    times[s].insert(times[s].end(), chunk.time.begin(),
                                    chunk.time.end());
@@ -364,8 +365,9 @@ TEST(ShardPipeline, SynthesizedRoutedShardingIsByteIdenticalToSerial) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       par::set_thread_count(threads);
       synth::StreamingPacketSynthesizer src(cfg);
+      stream::ColumnsFromRows columns(src);
       const stream::PipelineResult sharded =
-          stream::analyze_stream_sharded(src, opt, {shards, 2});
+          stream::analyze_sharded(columns, opt, {shards, 2});
       EXPECT_EQ(sharded.packets, serial.packets)
           << shards << " shards, " << threads << " threads";
       EXPECT_EQ(sharded.counts, serial.counts);
@@ -380,59 +382,91 @@ TEST(ShardPipeline, SynthesizedRoutedShardingIsByteIdenticalToSerial) {
   par::set_thread_count(1);
 }
 
-// Same invariant with the full filter chain (protocol + orig-data +
-// outlier removal), which exercises the sharded two-pass outlier scan.
+// {protocol}, {orig-data} and {protocol + orig-data}, each with and
+// without outlier removal: every branch of the sharded filter kernel,
+// and the sharded two-pass outlier scan.
+std::vector<stream::PipelineOptions> filtered_options() {
+  std::vector<stream::PipelineOptions> out;
+  for (const bool outliers : {false, true}) {
+    for (const int filter : {0, 1, 2}) {  // protocol, orig-data, both
+      stream::PipelineOptions opt;
+      opt.bin = 0.5;
+      if (filter != 1) opt.protocol = trace::Protocol::kFtpData;
+      opt.orig_data_only = filter != 0;
+      opt.remove_outliers = outliers;
+      out.push_back(opt);
+    }
+  }
+  return out;
+}
+
+// The routed invariant through the filter stack, over filtered_options().
 TEST(ShardPipeline, FilteredShardingIsByteIdenticalToSerial) {
   const auto cfg = shard_test_config();
-  stream::PipelineOptions opt;
-  opt.bin = 0.5;
-  opt.protocol = trace::Protocol::kFtpData;
-  opt.remove_outliers = true;
+  for (const stream::PipelineOptions& opt : filtered_options()) {
+    synth::StreamingPacketSynthesizer serial_src(cfg);
+    const stream::PipelineResult serial =
+        stream::analyze_stream(serial_src, opt);
+    const std::string want = stream::vt_csv(serial);
+    ASSERT_GT(serial.packets, 0u) << serial.info.name;
 
-  synth::StreamingPacketSynthesizer serial_src(cfg);
-  const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
-  const std::string want = stream::vt_csv(serial);
-  ASSERT_GT(serial.packets, 0u);
-
-  for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      synth::StreamingPacketSynthesizer src(cfg);
-      const stream::PipelineResult sharded =
-          stream::analyze_stream_sharded(src, opt, {shards, 2});
-      EXPECT_EQ(sharded.packets, serial.packets);
-      EXPECT_EQ(sharded.counts, serial.counts);
-      EXPECT_EQ(sharded.info.name, serial.info.name);
-      EXPECT_EQ(stream::vt_csv(sharded), want);
+    for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        par::set_thread_count(threads);
+        synth::StreamingPacketSynthesizer src(cfg);
+        stream::ColumnsFromRows columns(src);
+        const stream::PipelineResult sharded =
+            stream::analyze_sharded(columns, opt, {shards, 2});
+        EXPECT_EQ(sharded.packets, serial.packets)
+            << serial.info.name << ", " << shards << " shards, " << threads
+            << " threads";
+        EXPECT_EQ(sharded.counts, serial.counts);
+        EXPECT_EQ(sharded.info.name, serial.info.name);
+        EXPECT_EQ(stream::vt_csv(sharded), want);
+      }
     }
   }
   par::set_thread_count(1);
 }
 
 // Per-shard synthesis: shard s regenerates exactly its own connections;
-// the merged analysis matches the serial bytes without any router.
+// the merged analysis matches the serial bytes without any router —
+// unfiltered, and through the full filter stack, whose outlier
+// two-pass then runs inside each shard.
 TEST(ShardPipeline, PerShardSynthesisIsByteIdenticalToSerial) {
   const auto cfg = shard_test_config();
-  stream::PipelineOptions opt;
-  opt.bin = 0.5;
+  stream::PipelineOptions plain;
+  plain.bin = 0.5;
+  stream::PipelineOptions filtered = plain;
+  filtered.protocol = trace::Protocol::kFtpData;
+  filtered.orig_data_only = true;
+  filtered.remove_outliers = true;
 
-  synth::StreamingPacketSynthesizer serial_src(cfg);
-  const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
-  const std::string want = stream::vt_csv(serial);
+  for (const stream::PipelineOptions& opt : {plain, filtered}) {
+    synth::StreamingPacketSynthesizer serial_src(cfg);
+    const stream::PipelineResult serial =
+        stream::analyze_stream(serial_src, opt);
+    const std::string want = stream::vt_csv(serial);
+    ASSERT_GT(serial.packets, 0u) << serial.info.name;
 
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      const stream::PipelineResult sharded = stream::analyze_sharded_sources(
-          [&](std::size_t s) -> std::unique_ptr<stream::PacketChunkSource> {
-            return std::make_unique<synth::StreamingPacketSynthesizer>(
-                cfg, stream::kDefaultChunkSize, synth::SynthShard{s, shards});
-          },
-          shards, opt);
-      EXPECT_EQ(sharded.packets, serial.packets)
-          << shards << " shards, " << threads << " threads";
-      EXPECT_EQ(sharded.counts, serial.counts);
-      EXPECT_EQ(stream::vt_csv(sharded), want);
+    for (std::size_t shards :
+         {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        par::set_thread_count(threads);
+        const stream::PipelineResult sharded = stream::analyze_sharded_sources(
+            [&](std::size_t s) -> std::unique_ptr<stream::PacketChunkSource> {
+              return std::make_unique<synth::StreamingPacketSynthesizer>(
+                  cfg, stream::kDefaultChunkSize,
+                  synth::SynthShard{s, shards});
+            },
+            shards, opt);
+        EXPECT_EQ(sharded.packets, serial.packets)
+            << serial.info.name << ", " << shards << " shards, " << threads
+            << " threads";
+        EXPECT_EQ(sharded.counts, serial.counts);
+        EXPECT_EQ(sharded.info.name, serial.info.name);
+        EXPECT_EQ(stream::vt_csv(sharded), want);
+      }
     }
   }
   par::set_thread_count(1);
@@ -461,8 +495,10 @@ TEST(ShardSynth, ShardsPartitionTheSerialRecordSet) {
   EXPECT_EQ(total, want.size());
 }
 
-// Ingested capture: routing the pcap-derived packet stream across
-// shards reproduces the serial analysis bytes (the 4-tuple flow hash
+// Ingested capture, as --shards N --ingest-format pcap runs it: flow
+// reconstruction sharded across the mmap source's per-shard tables,
+// then the packet stream routed across analysis shards, reproduces the
+// serial ifstream reference's analysis bytes (the 4-tuple flow hash
 // keys the shard, via the conn ids the flow table assigned).
 TEST(ShardPipeline, IngestedPcapShardingIsByteIdenticalToSerial) {
   stream::PipelineOptions opt;
@@ -475,14 +511,21 @@ TEST(ShardPipeline, IngestedPcapShardingIsByteIdenticalToSerial) {
   ASSERT_GT(serial.packets, 0u);
 
   for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
-    ingest::PcapPacketSource src(fixture("tiny_le.pcap"),
-                                 ingest::ParseMode::kStrict);
-    const stream::PipelineResult sharded =
-        stream::analyze_stream_sharded(src, opt, {shards, 2});
-    EXPECT_EQ(sharded.packets, serial.packets);
-    EXPECT_EQ(sharded.counts, serial.counts);
-    EXPECT_EQ(stream::vt_csv(sharded), want);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      par::set_thread_count(threads);
+      ingest::ShardedMmapPcapPacketSource src(
+          fixture("tiny_le.pcap"), ingest::ParseMode::kStrict, shards);
+      stream::ColumnsFromRows columns(src);
+      const stream::PipelineResult sharded =
+          stream::analyze_sharded(columns, opt, {shards, 2});
+      EXPECT_EQ(sharded.packets, serial.packets)
+          << shards << " shards, " << threads << " threads";
+      EXPECT_EQ(sharded.counts, serial.counts);
+      EXPECT_EQ(sharded.info.name, serial.info.name);
+      EXPECT_EQ(stream::vt_csv(sharded), want);
+    }
   }
+  par::set_thread_count(1);
 }
 
 TEST(ShardRouter, RejectsZeroAndOversizedShardCounts) {
@@ -636,9 +679,10 @@ TEST(ShardIngest, ShardedFlowTableMatchesSerialOnSyntheticStream) {
   par::set_thread_count(1);
 }
 
-// Source-level twin: the sharded pcap source emits the serial source's
-// chunk stream byte-for-byte, reports the reader's ledger, and its
-// per-shard record ledgers merge to the reader's record count.
+// Source-level twin: the sharded mmap pcap source (the one
+// --shards N --ingest-format pcap opens) emits the serial ifstream
+// reference's chunk stream byte-for-byte, reports the same ledger, and
+// its per-shard record ledgers merge to the reader's record count.
 TEST(ShardIngest, ShardedPacketSourceMatchesSerialSource) {
   ingest::PcapPacketSource serial(fixture("tiny_le.pcap"),
                                   ingest::ParseMode::kStrict);
@@ -648,8 +692,8 @@ TEST(ShardIngest, ShardedPacketSourceMatchesSerialSource) {
   for (std::size_t shards : {std::size_t{2}, std::size_t{5}}) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       par::set_thread_count(threads);
-      ingest::ShardedPcapPacketSource src(fixture("tiny_le.pcap"),
-                                          ingest::ParseMode::kStrict, shards);
+      ingest::ShardedMmapPcapPacketSource src(
+          fixture("tiny_le.pcap"), ingest::ParseMode::kStrict, shards);
       EXPECT_EQ(src.info().name, serial.info().name);
       const trace::PacketTrace got = stream::collect(src);
       ASSERT_EQ(got.size(), want.size());

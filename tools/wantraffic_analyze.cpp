@@ -13,26 +13,25 @@
 // through flow reconstruction (src/ingest) on the way in, so the
 // analyses below see the same record types either way. Ingestion is
 // strict by default; --lenient salvages damaged captures and prints the
-// error ledger. pcap ingestion defaults to the zero-copy fast path
-// (mmap'd decode, flat flow table, direct columnar emission — DESIGN.md
-// §14); --rows-ingest selects the retained ifstream row reader, which
-// produces the same bytes slower.
+// error ledger. pcap ingestion takes the zero-copy fast path (mmap'd
+// decode, flat flow table, direct columnar emission — DESIGN.md §14).
 //
-// --stream runs the packet analysis through the chunked pipeline
-// (src/stream): the file is never materialized in memory, yet the
-// results — including the --vt-csv figure file — are byte-identical to
-// the batch path's. The streamed analysis is columnar by default
-// (src/stream/columnar.hpp); --rows forces the retained row-at-a-time
-// pipeline, which produces the same bytes several times slower.
+// --stream runs the packet analysis through the chunked columnar
+// pipeline (src/stream): the file is never materialized in memory, yet
+// the results — including the --vt-csv figure file — are
+// byte-identical to the batch path's. Every streamed run opens one
+// column source (native for pcap, bridged for lbl-pkt, sharded ingest
+// and this repo's binary/CSV readers) and hands it to exactly one
+// analysis: the windowed engine, the sharded pipeline or
+// analyze_columns.
 //
 // --shards N (pkt mode, implies --stream) fans the analysis — and,
 // with --ingest-format, flow reconstruction itself — across N
 // flow-hash shards on the src/par worker pool (--threads M sizes it).
 // Sharded output is byte-identical to the serial path at every shard
 // and thread count; see src/stream/shard.hpp for the contract.
-// --shards contradicts --rows (the row pipeline has no sharded path)
-// and conn mode (connection closure order is not shard-invariant);
-// both combinations are rejected, as is --shards 0.
+// --shards contradicts conn mode (connection closure order is not
+// shard-invariant), which is rejected, as is --shards 0.
 //
 // --window W (pkt mode) switches to the incremental sliding-window
 // engine (src/stream/window_analyzer.hpp): one report row per --slide S
@@ -41,12 +40,14 @@
 // rolling periodogram, optionally an aggregation sweep
 // (--sweep-levels) and a windowed Appendix-A verdict
 // (--poisson-interval I). --window-csv FILE writes the rows as a
-// figure CSV. The engine is columnar and single-stream by design, so
-// --window rejects --rows, --shards and the whole-stream-only
-// --filtered/--vt-csv outputs with reasoned messages.
+// figure CSV. The engine is single-stream by design, so --window
+// rejects --shards and the whole-stream-only --filtered/--vt-csv
+// outputs with reasoned messages.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "src/core/poisson_report.hpp"
@@ -77,7 +78,7 @@ int usage() {
                "  wantraffic_analyze pkt FILE [--bin SEC] "
                "[--protocol NAME] [--binary]\n"
                "                         [--filtered] [--vt-csv FILE] "
-               "[--stream] [--rows] [--chunk N]\n"
+               "[--stream] [--chunk N]\n"
                "                         [--shards N (implies --stream)] "
                "[--threads N]\n"
                "                         [--window SEC [--slide SEC] "
@@ -86,7 +87,7 @@ int usage() {
                "[--poisson-interval SEC]\n"
                "                          [--window-csv FILE]]\n"
                "  either mode: [--ingest-format pcap|lbl-conn|lbl-pkt] "
-               "[--lenient] [--rows-ingest]\n"
+               "[--lenient]\n"
                "  FILE may be - (stdin) with --ingest-format pcap\n");
   return 2;
 }
@@ -110,7 +111,6 @@ ingest::IngestOptions ingest_options(const tools::ArgParser& args) {
   opt.mode = args.has("--lenient") ? ingest::ParseMode::kLenient
                                    : ingest::ParseMode::kStrict;
   opt.chunk_size = args.count("--chunk", opt.chunk_size, 1);
-  opt.rows_ingest = args.has("--rows-ingest");
   return opt;
 }
 
@@ -184,21 +184,18 @@ int report_pkt(const stream::PipelineResult& result,
   return 0;
 }
 
-// Streamed analysis entry point: columnar by default, sharded across
-// the worker pool under --shards, the retained row pipeline under
-// --rows. Byte-identical every way.
-stream::PipelineResult analyze(stream::PacketChunkSource& src,
-                               const stream::PipelineOptions& opt,
-                               const tools::ArgParser& args,
-                               std::size_t shards) {
-  if (shards > 1) return stream::analyze_stream_sharded(src, opt, {shards});
-  if (args.has("--rows")) return stream::analyze_stream_rows(src, opt);
-  return stream::analyze_stream(src, opt);
+void print_ingested(const stream::PipelineResult& result,
+                    const std::string& path,
+                    const ingest::IngestColumnSource& src) {
+  std::printf("ingested %llu packets from %s (%s)\n",
+              static_cast<unsigned long long>(result.packets), path.c_str(),
+              src.info().name.c_str());
+  print_ingest_ledger(src.stats());
 }
 
 // Drains the source through the sliding-window engine and prints one
 // report row per slide (plus the optional figure CSV).
-int run_windowed(stream::PacketChunkSource& src,
+int run_windowed(stream::PacketColumnSource& src,
                  const stream::WindowedOptions& opt,
                  const tools::ArgParser& args) {
   const auto reports = stream::analyze_windowed(src, opt);
@@ -236,8 +233,6 @@ std::optional<stream::WindowedOptions> windowed_options(
                                     "engine: pass --window SECONDS");
     return std::nullopt;
   }
-  args.reject_together("--window", "--rows",
-                       "the sliding-window engine is columnar-only");
   args.reject_together("--window", "--shards",
                        "the sliding-window engine emits one time-ordered "
                        "report stream; shard-merge of windowed state is a "
@@ -262,8 +257,6 @@ std::optional<stream::WindowedOptions> windowed_options(
 }
 
 int run_pkt(const std::string& path, const tools::ArgParser& args) {
-  args.reject_together("--rows", "--shards",
-                       "the retained row pipeline has no sharded path");
   const std::size_t shards = args.count("--shards", 1, 1);
   stream::PipelineOptions opt;
   opt.bin = args.number("--bin", opt.bin);
@@ -281,66 +274,54 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
   }
   opt.chunk_size = args.count("--chunk", opt.chunk_size, 1);
   const auto windowed = windowed_options(args, opt);
+  const auto format = ingest_format(args);
 
-  if (const auto format = ingest_format(args)) {
-    ingest::IngestOptions iopt = ingest_options(args);
-    iopt.shards = shards;  // shard flow reconstruction too
-    // The zero-copy fast path: mmap'd decode feeds columns straight
-    // into analyze_columns — no PacketRecord chunk, no transpose. Taken
-    // whenever the streamed columnar analysis would run anyway.
-    if (!windowed && args.has("--stream") && shards == 1 &&
-        !args.has("--rows")) {
-      const auto src = ingest::open_packet_column_source(path, *format, iopt);
-      const auto result = stream::analyze_columns(*src, opt);
-      std::printf("ingested %llu packets from %s (%s)\n",
-                  static_cast<unsigned long long>(result.packets),
-                  path.c_str(), src->info().name.c_str());
-      print_ingest_ledger(src->stats());
+  // Batch: the whole trace in memory, analyzed by the span statistics.
+  if (!windowed && !args.has("--stream") && shards == 1) {
+    if (format) {
+      const auto src = ingest::open_packet_column_source(
+          path, *format, ingest_options(args));
+      stream::RowsFromColumns rows(*src);
+      const auto result = stream::analyze_batch(stream::collect(rows), opt);
+      print_ingested(result, path, *src);
       return report_pkt(result, args);
     }
-    const auto src = ingest::open_packet_source(path, *format, iopt);
-    if (windowed) return run_windowed(*src, *windowed, args);
-    stream::PipelineResult result;
-    if (args.has("--stream") || shards > 1) {
-      result = analyze(*src, opt, args, shards);
-    } else {
-      result = stream::analyze_batch(stream::collect(*src), opt);
-    }
-    std::printf("ingested %llu packets from %s (%s)\n",
-                static_cast<unsigned long long>(result.packets), path.c_str(),
-                src->info().name.c_str());
-    print_ingest_ledger(src->stats());
-    return report_pkt(result, args);
+    const auto tr = args.has("--binary") ? trace::read_packet_binary_file(path)
+                                         : trace::read_packet_csv_file(path);
+    std::printf("loaded %zu packets from %s\n", tr.size(), path.c_str());
+    return report_pkt(stream::analyze_batch(tr, opt), args);
   }
 
-  if (windowed) {
-    if (args.has("--binary")) {
-      stream::BinaryChunkSource src(path, opt.chunk_size);
-      return run_windowed(src, *windowed, args);
-    }
-    stream::CsvChunkSource src(path, opt.chunk_size);
-    return run_windowed(src, *windowed, args);
+  // Streamed: one column source, dispatched once.
+  std::unique_ptr<ingest::IngestColumnSource> ingested;
+  std::unique_ptr<stream::PacketChunkSource> file;
+  std::optional<stream::ColumnsFromRows> file_columns;
+  stream::PacketColumnSource* src = nullptr;
+  if (format) {
+    ingest::IngestOptions iopt = ingest_options(args);
+    iopt.shards = shards;  // shard flow reconstruction too
+    ingested = ingest::open_packet_column_source(path, *format, iopt);
+    src = ingested.get();
+  } else {
+    if (args.has("--binary"))
+      file = std::make_unique<stream::BinaryChunkSource>(path, opt.chunk_size);
+    else
+      file = std::make_unique<stream::CsvChunkSource>(path, opt.chunk_size);
+    src = &file_columns.emplace(*file);
   }
 
-  if (args.has("--stream") || shards > 1) {
-    stream::PipelineResult result;
-    if (args.has("--binary")) {
-      stream::BinaryChunkSource src(path, opt.chunk_size);
-      result = analyze(src, opt, args, shards);
-    } else {
-      stream::CsvChunkSource src(path, opt.chunk_size);
-      result = analyze(src, opt, args, shards);
-    }
+  if (windowed) return run_windowed(*src, *windowed, args);
+  const stream::PipelineResult result =
+      shards > 1 ? stream::analyze_sharded(*src, opt, {shards})
+                 : stream::analyze_columns(*src, opt);
+  if (ingested) {
+    print_ingested(result, path, *ingested);
+  } else {
     std::printf("streamed %llu packets from %s (%s)\n",
                 static_cast<unsigned long long>(result.packets), path.c_str(),
                 result.info.name.c_str());
-    return report_pkt(result, args);
   }
-
-  const auto tr = args.has("--binary") ? trace::read_packet_binary_file(path)
-                                       : trace::read_packet_csv_file(path);
-  std::printf("loaded %zu packets from %s\n", tr.size(), path.c_str());
-  return report_pkt(stream::analyze_batch(tr, opt), args);
+  return report_pkt(result, args);
 }
 
 }  // namespace
@@ -351,8 +332,6 @@ int main(int argc, char** argv) {
   args.add_flag("--binary");
   args.add_flag("--filtered");
   args.add_flag("--stream");
-  args.add_flag("--rows");
-  args.add_flag("--rows-ingest");
   args.add_flag("--lenient");
   args.add_option("--ingest-format");
   args.add_option("--interval");

@@ -54,7 +54,7 @@ int usage() {
       "  wantraffic_ingest pkt  FORMAT INPUT --out FILE [--csv]\n"
       "                         [--lenient] [--chunk N] [--idle-timeout "
       "SEC]\n"
-      "                         [--shards N] [--threads N] [--rows-ingest]\n"
+      "                         [--shards N] [--threads N]\n"
       "  wantraffic_ingest conn FORMAT INPUT [--out FILE] [--lenient]\n"
       "                         [--chunk N] [--idle-timeout SEC]\n"
       "  FORMAT: pcap | lbl-conn | lbl-pkt\n"
@@ -70,9 +70,6 @@ ingest::IngestOptions make_options(const tools::ArgParser& args) {
   opt.flow.idle_timeout =
       args.number("--idle-timeout", opt.flow.idle_timeout);
   opt.shards = args.count("--shards", 1, 1);
-  // pcap reads default to the mmap'd zero-copy reader; this selects the
-  // retained ifstream path (same bytes out, slower — for A/B runs).
-  opt.rows_ingest = args.has("--rows-ingest");
   return opt;
 }
 
@@ -153,7 +150,6 @@ int main(int argc, char** argv) {
   tools::ArgParser args(argc, argv);
   args.add_flag("--csv");
   args.add_flag("--lenient");
-  args.add_flag("--rows-ingest");
   args.add_option("--out");
   args.add_option("--chunk");
   args.add_option("--idle-timeout");
