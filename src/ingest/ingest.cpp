@@ -58,7 +58,8 @@ std::unique_ptr<IngestPacketSource> open_packet_source(
       break;
   }
   throw std::invalid_argument(
-      "lbl-conn logs hold connections, not packets; use open_conn_source");
+      "lbl-conn logs hold connections, not packets; use "
+      "reconstruct_conn_trace");
 }
 
 std::unique_ptr<IngestColumnSource> open_packet_column_source(
@@ -73,32 +74,23 @@ std::unique_ptr<IngestColumnSource> open_packet_column_source(
       open_packet_source(path, format, opt));
 }
 
-std::unique_ptr<IngestConnSource> open_conn_source(const std::string& path,
-                                                   IngestFormat format,
-                                                   const IngestOptions& opt) {
-  check_stdin_support(path, format);
-  switch (format) {
-    case IngestFormat::kPcap:
-      return std::make_unique<MmapPcapConnSource>(path, opt.mode, opt.flow,
-                                                  opt.chunk_size);
-    case IngestFormat::kLblPkt:
-      return std::make_unique<LblPktConnSource>(path, opt.mode, opt.flow,
-                                                opt.chunk_size);
-    case IngestFormat::kLblConn:
-      return std::make_unique<LblConnSource>(path, opt.mode, opt.chunk_size);
-  }
-  throw std::invalid_argument("unknown ingest format");
-}
-
 trace::ConnTrace reconstruct_conn_trace(const std::string& path,
                                         IngestFormat format,
                                         const IngestOptions& opt,
                                         IngestStats* stats_out) {
-  const auto source = open_conn_source(path, format, opt);
-  auto tr = stream::collect_conns(*source);
-  tr.sort_by_start();
-  if (stats_out != nullptr) *stats_out = source->stats();
-  return tr;
+  check_stdin_support(path, format);
+  switch (format) {
+    case IngestFormat::kPcap:
+      return read_conn_trace<MmapPcapReader>(path, opt.mode, opt.flow,
+                                             stats_out);
+    case IngestFormat::kLblPkt:
+      return read_conn_trace<LblPktReader>(path, opt.mode, opt.flow,
+                                           stats_out);
+    case IngestFormat::kLblConn:
+      return read_conn_trace<LblConnReader>(path, opt.mode, opt.flow,
+                                            stats_out);
+  }
+  throw std::invalid_argument("unknown ingest format");
 }
 
 }  // namespace wan::ingest

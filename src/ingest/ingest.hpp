@@ -1,6 +1,7 @@
-// Front door of the ingestion subsystem: pick a format, get a chunk
-// source. Tools parse "--ingest-format=pcap|lbl-conn|lbl-pkt" into an
-// IngestFormat and hand the rest to these factories.
+// Front door of the ingestion subsystem: pick a format, get a packet
+// chunk source or a whole connection trace. Tools parse
+// "--ingest-format=pcap|lbl-conn|lbl-pkt" into an IngestFormat and hand
+// the rest to these functions.
 #pragma once
 
 #include <memory>
@@ -27,13 +28,14 @@ const char* to_string(IngestFormat format) noexcept;
 
 struct IngestOptions {
   ParseMode mode = ParseMode::kStrict;
+  /// Records per chunk of a packet source. Connection traces load whole.
   std::size_t chunk_size = stream::kDefaultChunkSize;
   FlowTableConfig flow;  ///< idle timeout for flow reconstruction
   /// Flow-hash shards for packet-level reconstruction. 1 = the serial
   /// FlowTable; > 1 fans the table work across the src/par pool with
-  /// byte-identical output (see shard_ingest.hpp). Connection-level
-  /// sources ignore this — closure order is not shard-invariant, so
-  /// tools reject --shards in conn mode instead.
+  /// byte-identical output (see shard_ingest.hpp). Connection traces
+  /// ignore this — closure order is not shard-invariant, so tools
+  /// reject --shards in conn mode instead.
   std::size_t shards = 1;
 };
 
@@ -52,15 +54,12 @@ std::unique_ptr<IngestPacketSource> open_packet_source(
 std::unique_ptr<IngestColumnSource> open_packet_column_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt);
 
-/// Connection-level source for any format: lbl-conn logs stream
-/// directly; the packet formats are folded through flow reconstruction.
-std::unique_ptr<IngestConnSource> open_conn_source(const std::string& path,
-                                                   IngestFormat format,
-                                                   const IngestOptions& opt);
-
-/// Convenience batch wrapper: ingest `path` into a ConnTrace sorted by
-/// start time, ready for poisson_report / find_ftp_bursts. `stats_out`,
-/// when non-null, receives the emission-pass ledger.
+/// Ingests `path` into a ConnTrace sorted by start time, ready for
+/// poisson_report / find_ftp_bursts, reading the input once: lbl-conn
+/// logs are read directly, the packet formats are folded through flow
+/// reconstruction (read_conn_trace). `stats_out`, when non-null,
+/// receives the ledger. Throws IngestError per the strict-mode
+/// contract, before anything is returned.
 trace::ConnTrace reconstruct_conn_trace(const std::string& path,
                                         IngestFormat format,
                                         const IngestOptions& opt,

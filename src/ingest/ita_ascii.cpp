@@ -158,16 +158,6 @@ bool LblConnReader::next(trace::ConnRecord& out) {
   return false;
 }
 
-void LblConnReader::reset() {
-  is_.clear();
-  is_.seekg(0);
-  if (!is_) throw std::runtime_error("lbl-conn: reset seek failed: " + path_);
-  stats_.clear();
-  line_no_ = 0;
-  prev_start_ = 0.0;
-  any_ = false;
-}
-
 // ---------------------------------------------------------- LblPktReader
 
 LblPktReader::LblPktReader(const std::string& path, ParseMode mode)

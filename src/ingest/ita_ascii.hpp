@@ -40,7 +40,6 @@ class LblConnReader {
   /// strict mode accepts them too).
   bool next(trace::ConnRecord& out);
 
-  void reset();
   const IngestStats& stats() const { return stats_; }
 
  private:

@@ -1,6 +1,7 @@
 #include "src/ingest/sources.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace wan::ingest {
 
@@ -18,6 +19,7 @@ double source_tick(const LblPktReader&) { return 1e-6; }  // μs timestamps
 const char* format_tag(const PcapReader&) { return "pcap:"; }
 const char* format_tag(const MmapPcapReader&) { return "pcap:"; }
 const char* format_tag(const LblPktReader&) { return "lbl-pkt:"; }
+const char* format_tag(const LblConnReader&) { return "lbl-conn:"; }
 
 /// Prescan pass: the packet time range, with the reader left rewound.
 template <typename Reader>
@@ -182,89 +184,51 @@ void PcapColumnSource::ensure_eager_info() {
   deferred_ = false;
 }
 
-// -------------------------------------------------------- FlowConnSource
+// ------------------------------------------------------- read_conn_trace
 
 template <typename Reader>
-FlowConnSource<Reader>::FlowConnSource(const std::string& path,
-                                       ParseMode mode, FlowTableConfig flow,
-                                       std::size_t chunk_size)
-    : reader_(path, mode), table_(flow), chunk_size_(chunk_size) {
-  info_ = prescan_packets(reader_, path);
-}
-
-template <typename Reader>
-bool FlowConnSource<Reader>::next(std::vector<trace::ConnRecord>& chunk) {
-  chunk.clear();
-  while (chunk.size() < chunk_size_) {
-    if (pos_ < pending_.size()) {
-      chunk.push_back(pending_[pos_++]);
-      continue;
-    }
-    pending_.clear();
-    pos_ = 0;
-    RawPacket pkt;
-    while (pending_.empty()) {
-      if (reader_.next(pkt)) {
-        table_.add(pkt);
-        table_.take_closed(pending_);
-      } else if (!flushed_) {
-        table_.flush();  // capture ended: close what never saw a FIN
-        table_.take_closed(pending_);
-        flushed_ = true;
-      } else {
-        return !chunk.empty();
-      }
-    }
-  }
-  return !chunk.empty();
-}
-
-template <typename Reader>
-void FlowConnSource<Reader>::reset() {
-  reader_.reset();
-  table_.clear();
-  pending_.clear();
-  pos_ = 0;
-  flushed_ = false;
-}
-
-template class FlowConnSource<MmapPcapReader>;
-template class FlowConnSource<LblPktReader>;
-
-// --------------------------------------------------------- LblConnSource
-
-LblConnSource::LblConnSource(const std::string& path, ParseMode mode,
-                             std::size_t chunk_size)
-    : reader_(path, mode), chunk_size_(chunk_size) {
-  trace::ConnRecord rec;
+trace::ConnTrace read_conn_trace(const std::string& path, ParseMode mode,
+                                 FlowTableConfig flow,
+                                 IngestStats* stats_out) {
+  Reader reader(path, mode);
+  std::vector<trace::ConnRecord> records;
   bool any = false;
   double lo = 0.0, hi = 0.0;
-  while (reader_.next(rec)) {
-    const double end = rec.start + rec.duration;
-    if (!any) {
-      lo = rec.start;
-      hi = end;
-      any = true;
-    } else {
-      lo = std::min(lo, rec.start);
-      hi = std::max(hi, end);
+  const auto cover = [&](double begin, double end) {
+    lo = any ? std::min(lo, begin) : begin;
+    hi = any ? std::max(hi, end) : end;
+    any = true;
+  };
+  if constexpr (std::is_same_v<Reader, LblConnReader>) {
+    trace::ConnRecord rec;
+    while (reader.next(rec)) {
+      cover(rec.start, rec.start + rec.duration);
+      records.push_back(rec);
     }
+  } else {
+    FlowTable table(flow);
+    RawPacket pkt;
+    while (reader.next(pkt)) {
+      cover(pkt.time, pkt.time);
+      table.add(pkt);
+      table.take_closed(records);  // drained as they close: one copy
+    }
+    table.flush();  // input ended: close what never saw a FIN
+    table.take_closed(records);
+    hi += source_tick(reader);
   }
-  reader_.reset();
-  info_.name = "lbl-conn:" + path;
-  info_.t_begin = any ? lo : 0.0;
-  info_.t_end = any ? hi : 0.0;
+  if (stats_out != nullptr) *stats_out = reader.stats();
+  trace::ConnTrace tr(format_tag(reader) + path, any ? lo : 0.0,
+                      any ? hi : 0.0, std::move(records));
+  tr.sort_by_start();
+  return tr;
 }
 
-bool LblConnSource::next(std::vector<trace::ConnRecord>& chunk) {
-  chunk.clear();
-  trace::ConnRecord rec;
-  while (chunk.size() < chunk_size_ && reader_.next(rec)) {
-    chunk.push_back(rec);
-  }
-  return !chunk.empty();
-}
-
-void LblConnSource::reset() { reader_.reset(); }
+template trace::ConnTrace read_conn_trace<MmapPcapReader>(
+    const std::string&, ParseMode, FlowTableConfig, IngestStats*);
+template trace::ConnTrace read_conn_trace<LblPktReader>(
+    const std::string&, ParseMode, FlowTableConfig, IngestStats*);
+template trace::ConnTrace read_conn_trace<LblConnReader>(
+    const std::string&, ParseMode, FlowTableConfig, IngestStats*);
 
 }  // namespace wan::ingest

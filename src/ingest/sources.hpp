@@ -1,13 +1,12 @@
-// Chunk-source adapters: each ingest reader exposed through the
-// streaming layer's pull contract, so real captures flow through the
-// same src/stream pipeline as synthesized traces, in chunk-bounded
-// memory.
+// Ingest readers behind the streaming layer's contracts, so real
+// captures flow through the same src/stream pipeline as synthesized
+// traces, in chunk-bounded memory.
 //
-// Sources are two-pass: the constructor prescans the file once to learn
-// the trace's time range (analyze_stream reads info() before any
-// records flow), then rewinds. The prescan's ledger is discarded on the
-// rewind — stats() reflects the emission pass only, so callers see each
-// defect counted exactly once.
+// Packet sources are two-pass: the constructor prescans the file once
+// to learn the trace's time range (analyze_stream reads info() before
+// any records flow), then rewinds. The prescan's ledger is discarded on
+// the rewind — stats() reflects the emission pass only, so callers see
+// each defect counted exactly once.
 //
 //   * PacketSourceImpl<MmapPcapReader / PcapReader / LblPktReader> —
 //     packets through a flow table (connection ids + protocol
@@ -20,10 +19,10 @@
 //     folded straight into PacketColumns, no PacketRecord row chunk in
 //     between. ColumnsFromIngest adapts any row source to the same
 //     contract for the formats without a native columnar path.
-//   * FlowConnSource<...> — the same packets folded *into* connections:
-//     emits the ConnRecords the flow table closes, in closure order,
-//     flushing still-open flows at EOF.
-//   * LblConnSource — SYN/FIN connection logs read directly.
+//
+// Connections have no chunk source: every connection analysis is a
+// whole-trace algorithm, so read_conn_trace loads a ConnTrace whole, in
+// one pass over the input.
 #pragma once
 
 #include <cstdint>
@@ -40,18 +39,12 @@
 #include "src/ingest/pcap_reader.hpp"
 #include "src/stream/chunk.hpp"
 #include "src/stream/columnar.hpp"
-#include "src/stream/conn_chunk.hpp"
+#include "src/trace/conn_trace.hpp"
 
 namespace wan::ingest {
 
 /// Packet chunk source that also carries an ingest error ledger.
 class IngestPacketSource : public stream::PacketChunkSource {
- public:
-  virtual const IngestStats& stats() const = 0;
-};
-
-/// Connection chunk source that also carries an ingest error ledger.
-class IngestConnSource : public stream::ConnChunkSource {
  public:
   virtual const IngestStats& stats() const = 0;
 };
@@ -216,54 +209,19 @@ class ColumnsFromIngest final : public IngestColumnSource {
   stream::ColumnsFromRows columns_;
 };
 
-/// The same packet formats reduced to SYN/FIN-style connection records:
-/// chunks hold the connections the flow table closed, in closure order;
-/// at end of input every still-open flow is flushed. collect_conns +
-/// sort_by_start yields a ConnTrace ready for the Section-III analyses.
+/// Loads one input's connections whole, in one pass, sorted by start
+/// time (ready for poisson_report / find_ftp_bursts).
+///   * MmapPcapReader, LblPktReader: every packet folds through one
+///     FlowTable; connections are taken as they close, and the flows
+///     still open are flushed at end of input. The range is
+///     [min packet time, max packet time + one tick).
+///   * LblConnReader: the log's records, read directly; `flow` is
+///     unused. The range is [min start, max(start + duration)).
+/// `stats_out`, when non-null, receives the reader's ledger. Strict
+/// mode throws IngestError on the first defect.
 template <typename Reader>
-class FlowConnSource final : public IngestConnSource {
- public:
-  FlowConnSource(const std::string& path, ParseMode mode,
-                 FlowTableConfig flow = {},
-                 std::size_t chunk_size = stream::kDefaultChunkSize);
-
-  const stream::StreamInfo& info() const override { return info_; }
-  bool next(std::vector<trace::ConnRecord>& chunk) override;
-  void reset() override;
-
-  const IngestStats& stats() const override { return reader_.stats(); }
-  const FlowTable& flow_table() const { return table_; }
-
- private:
-  Reader reader_;
-  FlowTable table_;
-  stream::StreamInfo info_;
-  std::size_t chunk_size_;
-  std::vector<trace::ConnRecord> pending_;
-  std::size_t pos_ = 0;
-  bool flushed_ = false;
-};
-
-using MmapPcapConnSource = FlowConnSource<MmapPcapReader>;
-using LblPktConnSource = FlowConnSource<LblPktReader>;
-
-/// lbl-conn-7 connection logs, streamed directly (no reconstruction —
-/// the archive already reduced them to SYN/FIN records).
-class LblConnSource final : public IngestConnSource {
- public:
-  LblConnSource(const std::string& path, ParseMode mode,
-                std::size_t chunk_size = stream::kDefaultChunkSize);
-
-  const stream::StreamInfo& info() const override { return info_; }
-  bool next(std::vector<trace::ConnRecord>& chunk) override;
-  void reset() override;
-
-  const IngestStats& stats() const override { return reader_.stats(); }
-
- private:
-  LblConnReader reader_;
-  stream::StreamInfo info_;
-  std::size_t chunk_size_;
-};
+trace::ConnTrace read_conn_trace(const std::string& path, ParseMode mode,
+                                 FlowTableConfig flow = {},
+                                 IngestStats* stats_out = nullptr);
 
 }  // namespace wan::ingest

@@ -23,6 +23,13 @@ class ConnTrace {
   ConnTrace() = default;
   ConnTrace(std::string name, double t_begin, double t_end)
       : name_(std::move(name)), t_begin_(t_begin), t_end_(t_end) {}
+  /// Takes `records` in their given order; move them in to avoid a copy.
+  ConnTrace(std::string name, double t_begin, double t_end,
+            std::vector<ConnRecord> records)
+      : name_(std::move(name)),
+        t_begin_(t_begin),
+        t_end_(t_end),
+        records_(std::move(records)) {}
 
   const std::string& name() const { return name_; }
   double t_begin() const { return t_begin_; }

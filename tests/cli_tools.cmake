@@ -2,9 +2,12 @@
 #   cmake -DSYNTH=<wantraffic_synth> -DANALYZE=<wantraffic_analyze>
 #         -DINGEST=<wantraffic_ingest> -DDATA_DIR=<tests/data>
 #         -DWORK_DIR=<scratch dir> -P cli_tools.cmake
-# `wantraffic_analyze pkt` must write the same --vt-csv bytes batch,
-# --stream and --shards 3; `wantraffic_ingest pkt` the same binary trace
-# serially, with --shards 3 and from stdin.
+# `wantraffic_synth pkt --binary` must write the same trace batch,
+# --stream and --stream --chunk 1000; `wantraffic_analyze pkt` the same
+# --vt-csv bytes batch, --stream and --shards 3; `wantraffic_ingest pkt`
+# the same binary trace serially, with --shards 3 and from stdin, and
+# `wantraffic_ingest conn` the same CSV from a file and from stdin.
+# Invalid counts and mode-foreign flags must be rejected.
 
 if(NOT SYNTH OR NOT ANALYZE OR NOT INGEST OR NOT DATA_DIR OR NOT WORK_DIR)
   message(FATAL_ERROR "cli_tools.cmake: pass every -D variable above")
@@ -21,6 +24,19 @@ function(run)
   if(NOT rc EQUAL 0)
     string(REPLACE ";" " " cmd "${ARGN}")
     message(FATAL_ERROR "exit ${rc}: ${cmd}\n${out}\n${err}")
+  endif()
+endfunction()
+
+# Runs one command that must be rejected: it has to exit nonzero with
+# `reason` in its error output.
+function(run_fails reason)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  string(FIND "${err}" "${reason}" at)
+  if(rc EQUAL 0 OR at EQUAL -1)
+    string(REPLACE ";" " " cmd "${ARGN}")
+    message(FATAL_ERROR "want a nonzero exit with '${reason}': ${cmd}\n"
+            "exit ${rc}\n${out}\n${err}")
   endif()
 endfunction()
 
@@ -50,9 +66,36 @@ function(expect_same_trace_but_name a a_name b b_name)
   endif()
 endfunction()
 
-# --- wantraffic_analyze pkt: batch, --stream and --shards 3 ------------
+# Connection CSVs `a` and `b`, whose headers name them `a_name` and
+# `b_name`, must agree in every other byte.
+function(expect_same_conn_csv_but_name a a_name b b_name)
+  file(READ "${a}" text_a)
+  file(READ "${b}" text_b)
+  string(REPLACE " name=${a_name}\n" " name=\n" text_a "${text_a}")
+  string(REPLACE " name=${b_name}\n" " name=\n" text_b "${text_b}")
+  if(NOT text_a STREQUAL text_b)
+    message(FATAL_ERROR "${a} and ${b} differ beyond the trace name")
+  endif()
+endfunction()
+
+# --- wantraffic_synth pkt: batch, --stream and --stream --chunk 1000 ---
 set(trace "${WORK_DIR}/pkt.bin")
 run("${SYNTH}" pkt --out "${trace}" --binary --hours 0.25 --seed 7)
+run("${SYNTH}" pkt --out "${WORK_DIR}/pkt_stream.bin" --binary --hours 0.25
+    --seed 7 --stream)
+run("${SYNTH}" pkt --out "${WORK_DIR}/pkt_chunk.bin" --binary --hours 0.25
+    --seed 7 --stream --chunk 1000)
+expect_same_file("${trace}" "${WORK_DIR}/pkt_stream.bin")
+expect_same_file("${trace}" "${WORK_DIR}/pkt_chunk.bin")
+run_fails("--chunk wants at least 1" "${SYNTH}" pkt
+          --out "${WORK_DIR}/bad.bin" --binary --hours 0.1 --stream --chunk 0)
+run_fails("--seed wants a non-negative integer" "${SYNTH}" pkt
+          --out "${WORK_DIR}/bad.bin" --binary --hours 0.1 --seed -3)
+run_fails("--seed wants a non-negative integer" "${SYNTH}" pkt
+          --out "${WORK_DIR}/bad.bin" --binary --hours 0.1
+          --seed 18446744073709551616)  # 2^64
+
+# --- wantraffic_analyze pkt: batch, --stream and --shards 3 ------------
 run("${ANALYZE}" pkt "${trace}" --binary --filtered
     --vt-csv "${WORK_DIR}/vt_batch.csv")
 run("${ANALYZE}" pkt "${trace}" --binary --filtered --stream
@@ -73,3 +116,12 @@ expect_same_file("${WORK_DIR}/serial.bin" "${WORK_DIR}/shards.bin")
 # A piped capture has no path, so its trace is named "pcap:-".
 expect_same_trace_but_name("${WORK_DIR}/serial.bin" "pcap:${capture}"
                            "${WORK_DIR}/stdin.bin" "pcap:-")
+
+# --- wantraffic_ingest conn: file and stdin; --chunk rejected ----------
+run("${INGEST}" conn pcap "${capture}" --out "${WORK_DIR}/conn_file.csv")
+run("${INGEST}" conn pcap - --out "${WORK_DIR}/conn_stdin.csv"
+    INPUT_FILE "${capture}")
+expect_same_conn_csv_but_name("${WORK_DIR}/conn_file.csv" "pcap:${capture}"
+                              "${WORK_DIR}/conn_stdin.csv" "pcap:-")
+run_fails("--chunk applies to pkt mode only" "${INGEST}" conn pcap
+          "${capture}" --chunk 8)

@@ -198,7 +198,7 @@ TableRun run_table(const std::vector<RawPacket>& stream,
   TableRun out;
   for (const RawPacket& p : stream) {
     out.pkts.push_back(table.add(p));
-    table.take_closed(out.conns);  // interleaved, like FlowConnSource
+    table.take_closed(out.conns);  // interleaved, like read_conn_trace
   }
   table.flush();
   table.take_closed(out.conns);
@@ -587,7 +587,7 @@ TEST(StdinInput, RejectsConfigurationsThatNeedANamedFile) {
       ingest::open_packet_source("-", ingest::IngestFormat::kLblPkt, opt),
       std::invalid_argument);
   EXPECT_THROW(
-      ingest::open_conn_source("-", ingest::IngestFormat::kLblConn, opt),
+      ingest::reconstruct_conn_trace("-", ingest::IngestFormat::kLblConn, opt),
       std::invalid_argument);
 }
 

@@ -15,6 +15,7 @@
 // message naming both spellings.
 #pragma once
 
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
@@ -92,15 +93,16 @@ class ArgParser {
   }
 
   /// Strict integer count with a lower bound: fractional, negative,
-  /// non-numeric and below-minimum values (e.g. "--shards 0" with
-  /// min_value 1) all throw std::invalid_argument.
+  /// non-numeric, out-of-range and below-minimum values (e.g.
+  /// "--shards 0" with min_value 1) all throw std::invalid_argument.
   std::size_t count(const std::string& name, std::size_t fallback,
                     std::size_t min_value = 0) const {
     const std::string* v = value(name);
     if (v == nullptr) return fallback;
     char* end = nullptr;
+    errno = 0;
     const unsigned long long u = std::strtoull(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0' ||
+    if (end == v->c_str() || *end != '\0' || errno == ERANGE ||
         v->find_first_not_of("0123456789") != std::string::npos)
       throw std::invalid_argument("flag " + name +
                                   " wants a non-negative integer, got '" + *v +

@@ -7,14 +7,18 @@
 //     as a binary packet trace (default) or packet CSV. FORMAT is
 //     pcap or lbl-pkt.
 //   wantraffic_ingest conn FORMAT INPUT [--out FILE] [--lenient]
-//       [--chunk N] [--idle-timeout SEC]
+//       [--idle-timeout SEC]
 //     Connections (reconstructed for the packet formats, read directly
-//     for lbl-conn) summarized per protocol and optionally written as
-//     connection CSV. FORMAT is pcap, lbl-conn or lbl-pkt.
+//     for lbl-conn) loaded whole in one pass, summarized per protocol
+//     and optionally written as connection CSV. FORMAT is pcap,
+//     lbl-conn or lbl-pkt.
+//
+// --chunk N (pkt mode only) sets the records per chunk; conn mode
+// rejects it, because connections have no chunks.
 //
 // INPUT may be "-" for pcap: stdin is spooled to an anonymous temp file
-// and served through the buffered byte source, so the usual two-pass
-// (prescan + rewind) readers work on piped captures unchanged.
+// and served through the buffered byte source, so the two-pass
+// (prescan + rewind) packet sources work on piped captures unchanged.
 //
 // Parsing is strict by default: the first structural defect aborts the
 // run. --lenient salvages what the file still holds and prints the
@@ -39,7 +43,6 @@
 #include "src/ingest/ingest.hpp"
 #include "src/par/parallel.hpp"
 #include "src/stream/binary_chunk.hpp"
-#include "src/stream/conn_chunk.hpp"
 #include "src/trace/csv_io.hpp"
 #include "tools/arg_parse.hpp"
 
@@ -56,7 +59,7 @@ int usage() {
       "SEC]\n"
       "                         [--shards N] [--threads N]\n"
       "  wantraffic_ingest conn FORMAT INPUT [--out FILE] [--lenient]\n"
-      "                         [--chunk N] [--idle-timeout SEC]\n"
+      "                         [--idle-timeout SEC]\n"
       "  FORMAT: pcap | lbl-conn | lbl-pkt\n"
       "  INPUT:  a capture path, or - for stdin (pcap only)\n");
   return 2;
@@ -125,6 +128,10 @@ int run_conn(ingest::IngestFormat format, const std::string& input,
     throw std::invalid_argument(
         "--shards applies to pkt mode only: connection closure order is "
         "not shard-invariant");
+  if (args.given("--chunk"))
+    throw std::invalid_argument(
+        "--chunk applies to pkt mode only: connections load whole, in one "
+        "pass");
   const auto opt = make_options(args);
   ingest::IngestStats stats;
   const auto tr = ingest::reconstruct_conn_trace(input, format, opt, &stats);

@@ -76,10 +76,10 @@ int main(int argc, char** argv) {
   const std::string& mode = args.positional()[0];
   const std::string* out = args.value("--out");
   if (!out) return usage();
-  const auto seed = static_cast<std::uint64_t>(args.number("--seed", 1));
   const std::string* preset = args.value("--preset");
 
   try {
+    const std::uint64_t seed = args.count("--seed", 1);
     if (mode == "conn") {
       const double days = args.number("--days", 1.0);
       auto cfg = (preset && *preset == "small")
@@ -98,9 +98,8 @@ int main(int argc, char** argv) {
       cfg.hours = args.number("--hours", cfg.hours);
 
       if (args.has("--stream")) {
-        const auto chunk_size = static_cast<std::size_t>(args.number(
-            "--chunk", static_cast<double>(stream::kDefaultChunkSize)));
-        synth::StreamingPacketSynthesizer src(cfg, chunk_size);
+        synth::StreamingPacketSynthesizer src(
+            cfg, args.count("--chunk", stream::kDefaultChunkSize, 1));
         std::uint64_t n = 0;
         if (args.has("--binary")) {
           stream::ChunkedBinaryWriter writer(*out, src.info());
