@@ -1,6 +1,7 @@
 #include "src/core/poisson_report.hpp"
 
 #include "src/plot/ascii_plot.hpp"
+#include "src/trace/conn_groups.hpp"
 
 namespace wan::core {
 
@@ -9,9 +10,15 @@ std::vector<ProtocolVerdict> poisson_report(
   stats::PoissonTestConfig test = config.test;
   test.interval_length = config.interval_length;
 
+  // Every protocol's sorted arrivals from one grouping pass.
+  const trace::ConnGroups by_protocol(tr, [](const trace::ConnRecord& r) {
+    return trace::GroupKey{static_cast<std::uint64_t>(r.protocol), 0};
+  });
   std::vector<ProtocolVerdict> rows;
   for (trace::Protocol p : config.protocols) {
-    const auto times = tr.arrival_times(p);
+    const auto g = by_protocol.find({static_cast<std::uint64_t>(p), 0});
+    if (!g) continue;
+    const std::span<const double> times = by_protocol.starts(*g);
     if (times.size() < 2 * test.min_interarrivals) continue;
     ProtocolVerdict v;
     v.trace_name = tr.name();

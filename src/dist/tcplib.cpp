@@ -42,6 +42,14 @@ TcplibTelnetInterarrival::TcplibTelnetInterarrival(TcplibParams params)
   // Upper tail: Pareto(x97, beta_tail), truncated at max_interarrival.
   segments_.push_back({x97, q.max_interarrival, 1.0 - q.tail_mass, 1.0,
                        /*pareto=*/true, q.beta_tail});
+
+  for (Segment& s : segments_) {
+    s.log_ratio = std::log(s.hi / s.lo);
+    if (s.pareto) {
+      s.norm = 1.0 - std::pow(s.lo / s.hi, s.beta);
+      s.neg_inv_beta = -1.0 / s.beta;
+    }
+  }
 }
 
 double TcplibTelnetInterarrival::tail_start() const {
@@ -52,10 +60,9 @@ double TcplibTelnetInterarrival::segment_cdf(const Segment& s,
                                              double x) const {
   double f;  // conditional CDF within the segment, in [0,1]
   if (s.pareto) {
-    const double norm = 1.0 - std::pow(s.lo / s.hi, s.beta);
-    f = (1.0 - std::pow(s.lo / x, s.beta)) / norm;
+    f = (1.0 - std::pow(s.lo / x, s.beta)) / s.norm;
   } else {
-    f = std::log(x / s.lo) / std::log(s.hi / s.lo);
+    f = std::log(x / s.lo) / s.log_ratio;
   }
   return s.p_lo + f * (s.p_hi - s.p_lo);
 }
@@ -63,11 +70,8 @@ double TcplibTelnetInterarrival::segment_cdf(const Segment& s,
 double TcplibTelnetInterarrival::segment_quantile(const Segment& s,
                                                   double p) const {
   const double f = (p - s.p_lo) / (s.p_hi - s.p_lo);
-  if (s.pareto) {
-    const double norm = 1.0 - std::pow(s.lo / s.hi, s.beta);
-    return s.lo * std::pow(1.0 - f * norm, -1.0 / s.beta);
-  }
-  return s.lo * std::exp(f * std::log(s.hi / s.lo));
+  if (s.pareto) return s.lo * std::pow(1.0 - f * s.norm, s.neg_inv_beta);
+  return s.lo * std::exp(f * s.log_ratio);
 }
 
 double TcplibTelnetInterarrival::cdf(double x) const {
@@ -90,23 +94,21 @@ double TcplibTelnetInterarrival::quantile(double p) const {
 
 double TcplibTelnetInterarrival::segment_mean(const Segment& s) const {
   if (!s.pareto) {
-    return (s.hi - s.lo) / std::log(s.hi / s.lo);
+    return (s.hi - s.lo) / s.log_ratio;
   }
-  const double norm = 1.0 - std::pow(s.lo / s.hi, s.beta);
-  const double c = s.beta * std::pow(s.lo, s.beta) / norm;
+  const double c = s.beta * std::pow(s.lo, s.beta) / s.norm;
   const double e = 1.0 - s.beta;
-  if (std::abs(e) < 1e-12) return c * std::log(s.hi / s.lo);
+  if (std::abs(e) < 1e-12) return c * s.log_ratio;
   return c * (std::pow(s.hi, e) - std::pow(s.lo, e)) / e;
 }
 
 double TcplibTelnetInterarrival::segment_moment2(const Segment& s) const {
   if (!s.pareto) {
-    return (s.hi * s.hi - s.lo * s.lo) / (2.0 * std::log(s.hi / s.lo));
+    return (s.hi * s.hi - s.lo * s.lo) / (2.0 * s.log_ratio);
   }
-  const double norm = 1.0 - std::pow(s.lo / s.hi, s.beta);
-  const double c = s.beta * std::pow(s.lo, s.beta) / norm;
+  const double c = s.beta * std::pow(s.lo, s.beta) / s.norm;
   const double e = 2.0 - s.beta;
-  if (std::abs(e) < 1e-12) return c * std::log(s.hi / s.lo);
+  if (std::abs(e) < 1e-12) return c * s.log_ratio;
   return c * (std::pow(s.hi, e) - std::pow(s.lo, e)) / e;
 }
 

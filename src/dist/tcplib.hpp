@@ -66,6 +66,11 @@ class TcplibTelnetInterarrival final : public Distribution {
     double p_lo, p_hi;  // CDF values at lo/hi
     bool pareto;        // log-uniform if false
     double beta;        // Pareto shape (ignored if !pareto)
+    // Constants of the segment's CDF, quantile and moments, computed
+    // once at construction:
+    double log_ratio = 0.0;     // log(hi/lo)
+    double norm = 0.0;          // Pareto: 1 - (lo/hi)^beta
+    double neg_inv_beta = 0.0;  // Pareto: -1/beta
   };
 
   double segment_cdf(const Segment& s, double x) const;

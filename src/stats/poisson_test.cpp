@@ -77,8 +77,13 @@ PoissonTestResult test_poisson_arrivals(std::span<const double> arrival_times,
                                         double t_begin, double t_end) {
   if (!(config.interval_length > 0.0))
     throw std::invalid_argument("PoissonTestConfig: interval_length must be > 0");
-  std::vector<double> times(arrival_times.begin(), arrival_times.end());
-  std::sort(times.begin(), times.end());
+  std::span<const double> times = arrival_times;
+  std::vector<double> sorted;
+  if (!std::is_sorted(times.begin(), times.end())) {
+    sorted.assign(times.begin(), times.end());
+    std::sort(sorted.begin(), sorted.end());
+    times = sorted;
+  }
 
   if (times.empty()) return PoissonTestResult{};
 
@@ -101,8 +106,8 @@ PoissonTestResult test_poisson_arrivals(std::span<const double> arrival_times,
     while (lo < times.size() && times[lo] < s0) ++lo;
     std::size_t hi = lo;
     while (hi < times.size() && times[hi] < s1) ++hi;
-    intervals.push_back(test_poisson_interval(
-        std::span<const double>(times).subspan(lo, hi - lo), s0, config));
+    intervals.push_back(
+        test_poisson_interval(times.subspan(lo, hi - lo), s0, config));
     lo = hi;
   }
   return aggregate_poisson_intervals(std::move(intervals), config);

@@ -67,8 +67,9 @@ struct PoissonTestResult {
 };
 
 /// Runs the Appendix A methodology on arrival times (seconds, sorted or
-/// not; will be sorted internally). `t_begin`/`t_end` bound the trace; if
-/// t_end <= t_begin they default to the observed extremes.
+/// not: sorted input is read in place, other input is copied and
+/// sorted). `t_begin`/`t_end` bound the trace; if t_end <= t_begin they
+/// default to the observed extremes.
 PoissonTestResult test_poisson_arrivals(std::span<const double> arrival_times,
                                         const PoissonTestConfig& config = {},
                                         double t_begin = 0.0,

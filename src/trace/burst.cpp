@@ -1,43 +1,39 @@
 #include "src/trace/burst.hpp"
 
 #include <algorithm>
-#include <map>
+
+#include "src/trace/conn_groups.hpp"
 
 namespace wan::trace {
 
 namespace {
 
-std::uint64_t group_key(const ConnRecord& r, SessionGrouping grouping) {
-  if (grouping == SessionGrouping::kSessionId) return r.session_id;
-  return (static_cast<std::uint64_t>(r.src_host) << 32) | r.dst_host;
+GroupKey session_key(const ConnRecord& r) { return {r.session_id, 0}; }
+
+GroupKey host_pair_key(const ConnRecord& r) {
+  return {(std::uint64_t{r.src_host} << 32) | r.dst_host, 0};
 }
 
-// FTPDATA connections of each session, sorted by start time.
-std::map<std::uint64_t, std::vector<ConnRecord>> sessions_of(
-    const ConnTrace& trace, SessionGrouping grouping) {
-  std::map<std::uint64_t, std::vector<ConnRecord>> sessions;
-  for (const ConnRecord& r : trace.records()) {
-    if (r.protocol != Protocol::kFtpData) continue;
-    sessions[group_key(r, grouping)].push_back(r);
-  }
-  for (auto& [key, conns] : sessions) {
-    std::sort(conns.begin(), conns.end(),
-              [](const ConnRecord& a, const ConnRecord& b) {
-                return a.start < b.start;
-              });
-  }
-  return sessions;
+// FTPDATA connections of each session, in key order, by start.
+ConnGroups sessions_of(const ConnTrace& trace, SessionGrouping grouping) {
+  return ConnGroups(trace,
+                    grouping == SessionGrouping::kSessionId ? session_key
+                                                            : host_pair_key,
+                    Protocol::kFtpData);
 }
 
 }  // namespace
 
 std::vector<FtpBurst> find_ftp_bursts(const ConnTrace& trace, double gap,
                                       SessionGrouping grouping) {
+  const ConnGroups sessions = sessions_of(trace, grouping);
   std::vector<FtpBurst> bursts;
-  for (const auto& [key, conns] : sessions_of(trace, grouping)) {
+  for (std::size_t g = 0; g < sessions.size(); ++g) {
+    const std::uint64_t key = sessions.key(g).hi;
     FtpBurst current;
     bool open = false;
-    for (const ConnRecord& c : conns) {
+    for (const std::uint32_t i : sessions.members(g)) {
+      const ConnRecord& c = trace.records()[i];
       if (open && c.start - current.end <= gap) {
         current.end = std::max(current.end, c.end());
         current.bytes += c.total_bytes();
@@ -60,10 +56,13 @@ std::vector<FtpBurst> find_ftp_bursts(const ConnTrace& trace, double gap,
 std::vector<double> intra_session_spacings(const ConnTrace& trace,
                                            SessionGrouping grouping,
                                            double min_spacing) {
+  const ConnGroups sessions = sessions_of(trace, grouping);
   std::vector<double> spacings;
-  for (const auto& [key, conns] : sessions_of(trace, grouping)) {
+  for (std::size_t g = 0; g < sessions.size(); ++g) {
+    const std::span<const std::uint32_t> conns = sessions.members(g);
     for (std::size_t i = 1; i < conns.size(); ++i) {
-      const double s = conns[i].start - conns[i - 1].end();
+      const double s = trace.records()[conns[i]].start -
+                       trace.records()[conns[i - 1]].end();
       spacings.push_back(std::max(s, min_spacing));
     }
   }

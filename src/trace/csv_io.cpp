@@ -1,8 +1,11 @@
 #include "src/trace/csv_io.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 namespace wan::trace {
@@ -20,6 +23,45 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 [[noreturn]] void bad_line(const std::string& what, std::size_t line_no) {
   throw std::runtime_error("csv_io: " + what + " at line " +
                            std::to_string(line_no));
+}
+
+// Streams a double at 17 significant digits, so it reads back bit for
+// bit.
+struct G17 {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& os, G17 g) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", g.v);
+  return os.write(buf, n);
+}
+
+// std::stod that also refuses nan and inf.
+double parse_finite(const std::string& s, const char* what,
+                    std::size_t line_no) {
+  double v = 0.0;
+  try {
+    v = std::stod(s);
+  } catch (const std::logic_error&) {
+    bad_line(std::string("malformed ") + what, line_no);
+  }
+  if (!std::isfinite(v)) bad_line(std::string("non-finite ") + what, line_no);
+  return v;
+}
+
+// The "# t_begin=... t_end=... name=..." metadata comment on line 1.
+std::pair<double, double> parse_meta(const std::string& line) {
+  double t_begin = 0.0, t_end = 0.0;
+  std::istringstream meta(line);
+  std::string tok;
+  while (meta >> tok) {
+    if (tok.rfind("t_begin=", 0) == 0)
+      t_begin = parse_finite(tok.substr(8), "t_begin", 1);
+    if (tok.rfind("t_end=", 0) == 0)
+      t_end = parse_finite(tok.substr(6), "t_end", 1);
+  }
+  return {t_begin, t_end};
 }
 
 Protocol parse_protocol(const std::string& s, std::size_t line_no) {
@@ -43,13 +85,14 @@ std::ifstream open_in(const std::string& path) {
 }  // namespace
 
 void write_csv(const ConnTrace& trace, std::ostream& os) {
-  os << "# t_begin=" << trace.t_begin() << " t_end=" << trace.t_end()
-     << " name=" << trace.name() << "\n";
+  os << "# t_begin=" << G17{trace.t_begin()} << " t_end="
+     << G17{trace.t_end()} << " name=" << trace.name() << "\n";
   os << "start,duration,protocol,src,dst,bytes_orig,bytes_resp,session\n";
   for (const ConnRecord& r : trace.records()) {
-    os << r.start << ',' << r.duration << ',' << to_string(r.protocol) << ','
-       << r.src_host << ',' << r.dst_host << ',' << r.bytes_orig << ','
-       << r.bytes_resp << ',' << r.session_id << '\n';
+    os << G17{r.start} << ',' << G17{r.duration} << ','
+       << to_string(r.protocol) << ',' << r.src_host << ',' << r.dst_host
+       << ',' << r.bytes_orig << ',' << r.bytes_resp << ',' << r.session_id
+       << '\n';
   }
 }
 
@@ -67,12 +110,7 @@ ConnTrace read_conn_csv(std::istream& is, std::string name) {
   if (is.peek() == '#') {
     std::getline(is, line);
     ++line_no;
-    std::istringstream meta(line);
-    std::string tok;
-    while (meta >> tok) {
-      if (tok.rfind("t_begin=", 0) == 0) t_begin = std::stod(tok.substr(8));
-      if (tok.rfind("t_end=", 0) == 0) t_end = std::stod(tok.substr(6));
-    }
+    std::tie(t_begin, t_end) = parse_meta(line);
   }
   // Header.
   if (!std::getline(is, line)) throw std::runtime_error("csv_io: empty input");
@@ -86,9 +124,9 @@ ConnTrace read_conn_csv(std::istream& is, std::string name) {
     const auto f = split_csv_line(line);
     if (f.size() != 8) bad_line("expected 8 fields", line_no);
     ConnRecord r;
+    r.start = parse_finite(f[0], "start", line_no);
+    r.duration = parse_finite(f[1], "duration", line_no);
     try {
-      r.start = std::stod(f[0]);
-      r.duration = std::stod(f[1]);
       r.protocol = parse_protocol(f[2], line_no);
       r.src_host = static_cast<std::uint32_t>(std::stoul(f[3]));
       r.dst_host = static_cast<std::uint32_t>(std::stoul(f[4]));
@@ -118,14 +156,14 @@ ConnTrace read_conn_csv_file(const std::string& path) {
 
 void write_packet_csv_header(std::ostream& os, const std::string& name,
                              double t_begin, double t_end) {
-  os << "# t_begin=" << t_begin << " t_end=" << t_end << " name=" << name
-     << "\n";
+  os << "# t_begin=" << G17{t_begin} << " t_end=" << G17{t_end}
+     << " name=" << name << "\n";
   os << "time,protocol,conn,orig,payload\n";
 }
 
 void write_packet_csv_row(std::ostream& os, const PacketRecord& r) {
-  os << r.time << ',' << to_string(r.protocol) << ',' << r.conn_id << ','
-     << (r.from_originator ? 1 : 0) << ',' << r.payload_bytes << '\n';
+  os << G17{r.time} << ',' << to_string(r.protocol) << ',' << r.conn_id
+     << ',' << (r.from_originator ? 1 : 0) << ',' << r.payload_bytes << '\n';
 }
 
 std::pair<double, double> read_packet_csv_header(std::istream& is) {
@@ -133,12 +171,7 @@ std::pair<double, double> read_packet_csv_header(std::istream& is) {
   double t_begin = 0.0, t_end = 0.0;
   if (is.peek() == '#') {
     std::getline(is, line);
-    std::istringstream meta(line);
-    std::string tok;
-    while (meta >> tok) {
-      if (tok.rfind("t_begin=", 0) == 0) t_begin = std::stod(tok.substr(8));
-      if (tok.rfind("t_end=", 0) == 0) t_end = std::stod(tok.substr(6));
-    }
+    std::tie(t_begin, t_end) = parse_meta(line);
   }
   if (!std::getline(is, line)) throw std::runtime_error("csv_io: empty input");
   return {t_begin, t_end};
@@ -149,8 +182,8 @@ PacketRecord parse_packet_csv_row(const std::string& line,
   const auto f = split_csv_line(line);
   if (f.size() != 5) bad_line("expected 5 fields", line_no);
   PacketRecord r;
+  r.time = parse_finite(f[0], "time", line_no);
   try {
-    r.time = std::stod(f[0]);
     r.protocol = parse_protocol(f[1], line_no);
     r.conn_id = static_cast<std::uint32_t>(std::stoul(f[2]));
     r.from_originator = f[3] == "1";
@@ -172,8 +205,10 @@ void write_csv_file(const PacketTrace& trace, const std::string& path) {
 }
 
 PacketTrace read_packet_csv(std::istream& is, std::string name) {
+  // Lines the header takes: the metadata comment, if any, and the
+  // column header.
+  std::size_t line_no = is.peek() == '#' ? 2 : 1;
   const auto [t_begin, t_end] = read_packet_csv_header(is);
-  std::size_t line_no = 2;  // metadata (if any) + column header consumed
 
   PacketTrace trace(std::move(name), t_begin, t_end);
   double max_time = t_end;

@@ -1,5 +1,8 @@
 // CSV persistence for traces, so synthesized datasets can be saved,
-// shared, and re-analyzed with external tools.
+// shared, and re-analyzed with external tools. Every double (times,
+// durations, the header's t_begin/t_end) is written with 17 significant
+// digits, so a trace read back is bit-identical to the one written. The
+// readers reject nan and inf in any of those fields, naming the line.
 #pragma once
 
 #include <iosfwd>
@@ -17,7 +20,7 @@ void write_csv(const ConnTrace& trace, std::ostream& os);
 void write_csv_file(const ConnTrace& trace, const std::string& path);
 
 /// Reads the format written by write_csv. Throws std::runtime_error on
-/// malformed input.
+/// malformed input, non-finite numbers included.
 ConnTrace read_conn_csv(std::istream& is, std::string name = "csv");
 ConnTrace read_conn_csv_file(const std::string& path);
 

@@ -1,66 +1,76 @@
 #include "src/trace/periodic.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-#include <set>
-#include <tuple>
+#include <span>
+#include <utility>
 
 #include "src/stats/descriptive.hpp"
+#include "src/trace/conn_groups.hpp"
 
 namespace wan::trace {
 
 namespace {
 
-using StreamKey = std::tuple<std::uint32_t, std::uint32_t, Protocol>;
-
-std::map<StreamKey, std::vector<double>> stream_arrivals(
-    const ConnTrace& trace) {
-  std::map<StreamKey, std::vector<double>> streams;
-  for (const ConnRecord& r : trace.records()) {
-    streams[{r.src_host, r.dst_host, r.protocol}].push_back(r.start);
-  }
-  for (auto& [key, times] : streams) std::sort(times.begin(), times.end());
-  return streams;
+GroupKey stream_key(const ConnRecord& r) {
+  return {(std::uint64_t{r.src_host} << 32) | r.dst_host,
+          static_cast<std::uint64_t>(r.protocol)};
 }
 
-}  // namespace
-
-std::vector<PeriodicStream> detect_periodic_streams(
-    const ConnTrace& trace, const PeriodicDetectionConfig& config) {
+// The periodic streams among `streams`, in key order; appends each
+// one's group index to `groups` when it is given.
+std::vector<PeriodicStream> detect(const ConnGroups& streams,
+                                   const PeriodicDetectionConfig& config,
+                                   std::vector<std::size_t>* groups) {
   std::vector<PeriodicStream> found;
-  for (const auto& [key, times] : stream_arrivals(trace)) {
+  for (std::size_t g = 0; g < streams.size(); ++g) {
+    const std::span<const double> times = streams.starts(g);
     if (times.size() < config.min_count) continue;
     const auto gaps = stats::interarrivals(times);
     const double m = stats::mean(gaps);
     if (!(m > 0.0)) continue;
     const double cv = stats::stddev(gaps) / m;
     if (cv <= config.max_cv) {
+      const GroupKey& key = streams.key(g);
       PeriodicStream s;
-      std::tie(s.src_host, s.dst_host, s.protocol) = key;
+      s.src_host = static_cast<std::uint32_t>(key.hi >> 32);
+      s.dst_host = static_cast<std::uint32_t>(key.hi);
+      s.protocol = static_cast<Protocol>(key.lo);
       s.connections = times.size();
       s.mean_period = m;
       s.cv = cv;
       found.push_back(s);
+      if (groups) groups->push_back(g);
     }
   }
   return found;
 }
 
+}  // namespace
+
+std::vector<PeriodicStream> detect_periodic_streams(
+    const ConnTrace& trace, const PeriodicDetectionConfig& config) {
+  return detect(ConnGroups(trace, stream_key), config, nullptr);
+}
+
 ConnTrace remove_periodic_streams(const ConnTrace& trace,
                                   const PeriodicDetectionConfig& config) {
-  const auto periodic = detect_periodic_streams(trace, config);
-  std::set<StreamKey> doomed;
-  for (const PeriodicStream& s : periodic) {
-    doomed.insert({s.src_host, s.dst_host, s.protocol});
+  std::vector<char> doomed(trace.size(), 0);
+  std::size_t n_doomed = 0;
+  {
+    const ConnGroups streams(trace, stream_key);
+    std::vector<std::size_t> groups;
+    detect(streams, config, &groups);
+    for (const std::size_t g : groups) {
+      for (const std::uint32_t i : streams.members(g)) doomed[i] = 1;
+      n_doomed += streams.members(g).size();
+    }
   }
-  ConnTrace out(trace.name() + "/deperiodic", trace.t_begin(),
-                trace.t_end());
-  for (const ConnRecord& r : trace.records()) {
-    if (doomed.contains({r.src_host, r.dst_host, r.protocol})) continue;
-    out.add(r);
+  std::vector<ConnRecord> kept;
+  kept.reserve(trace.size() - n_doomed);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (!doomed[i]) kept.push_back(trace.records()[i]);
   }
-  return out;
+  return ConnTrace(trace.name() + "/deperiodic", trace.t_begin(),
+                   trace.t_end(), std::move(kept));
 }
 
 }  // namespace wan::trace

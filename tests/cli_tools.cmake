@@ -7,7 +7,9 @@
 # --vt-csv bytes batch, --stream and --shards 3; `wantraffic_ingest pkt`
 # the same binary trace serially, with --shards 3 and from stdin, and
 # `wantraffic_ingest conn` the same CSV from a file and from stdin.
-# Invalid counts and mode-foreign flags must be rejected.
+# `wantraffic_analyze conn` must reach the in-memory verdicts on a
+# synthesized day read back from its CSV. Invalid counts, mode-foreign
+# flags and non-finite CSV numbers must be rejected.
 
 if(NOT SYNTH OR NOT ANALYZE OR NOT INGEST OR NOT DATA_DIR OR NOT WORK_DIR)
   message(FATAL_ERROR "cli_tools.cmake: pass every -D variable above")
@@ -38,6 +40,24 @@ function(run_fails reason)
     message(FATAL_ERROR "want a nonzero exit with '${reason}': ${cmd}\n"
             "exit ${rc}\n${out}\n${err}")
   endif()
+endfunction()
+
+# Runs one command (after COMMAND) that must exit 0 with stdout matching
+# every regex after PATTERNS.
+function(run_matches)
+  cmake_parse_arguments(PARSE_ARGV 0 arg "" "" "PATTERNS;COMMAND")
+  execute_process(COMMAND ${arg_COMMAND} RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(REPLACE ";" " " cmd "${arg_COMMAND}")
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "exit ${rc}: ${cmd}\n${out}\n${err}")
+  endif()
+  foreach(pattern IN LISTS arg_PATTERNS)
+    if(NOT out MATCHES "${pattern}")
+      message(FATAL_ERROR "want '${pattern}' in the output of ${cmd}:\n"
+              "${out}")
+    endif()
+  endforeach()
 endfunction()
 
 function(expect_same_file a b)
@@ -125,3 +145,19 @@ expect_same_conn_csv_but_name("${WORK_DIR}/conn_file.csv" "pcap:${capture}"
                               "${WORK_DIR}/conn_stdin.csv" "pcap:-")
 run_fails("--chunk applies to pkt mode only" "${INGEST}" conn pcap
           "${capture}" --chunk 8)
+
+# --- wantraffic_analyze conn: a synthesized day through its CSV --------
+# The CSV keeps every start time's bits, so the verdicts are the ones
+# the same day gets in memory: 72 weather-map records go, and TELNET
+# reads POISSON (91.7% exp-pass).
+set(day "${WORK_DIR}/day.csv")
+run("${SYNTH}" conn --days 1 --seed 1 --out "${day}")
+run_matches(PATTERNS "removed 72 periodic" "TELNET +[^\n]* POISSON"
+            COMMAND "${ANALYZE}" conn "${day}" --deperiodic)
+file(WRITE "${WORK_DIR}/nan.csv"
+     "# t_begin=0 t_end=100 name=nan\n"
+     "start,duration,protocol,src,dst,bytes_orig,bytes_resp,session\n"
+     "1,2,TELNET,1,2,3,4,0\n"
+     "nan,2,TELNET,1,2,3,4,0\n")
+run_fails("non-finite start at line 4" "${ANALYZE}" conn
+          "${WORK_DIR}/nan.csv")

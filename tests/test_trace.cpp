@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
+#include "src/synth/synthesizer.hpp"
 #include "src/trace/burst.hpp"
 #include "src/trace/conn_trace.hpp"
 #include "src/trace/csv_io.hpp"
@@ -241,6 +245,79 @@ TEST(CsvIo, MalformedInputRejected) {
   EXPECT_THROW(read_conn_csv(ss2), std::runtime_error);
   std::stringstream empty("");
   EXPECT_THROW(read_conn_csv(empty), std::runtime_error);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(CsvIo, SynthesizedDayRoundtripsBitForBit) {
+  const ConnTrace t =
+      synth::synthesize_conn_trace(synth::lbl_conn_preset("day", 1.0, 1));
+  std::stringstream ss;
+  write_csv(t, ss);
+  const ConnTrace back = read_conn_csv(ss, "day");
+  EXPECT_EQ(bits(back.t_begin()), bits(t.t_begin()));
+  EXPECT_EQ(bits(back.t_end()), bits(t.t_end()));
+  ASSERT_EQ(back.size(), t.size());
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const ConnRecord& a = t.records()[i];
+    const ConnRecord& b = back.records()[i];
+    differ += bits(a.start) != bits(b.start) ||
+              bits(a.duration) != bits(b.duration) ||
+              a.protocol != b.protocol || a.src_host != b.src_host ||
+              a.dst_host != b.dst_host || a.bytes_orig != b.bytes_orig ||
+              a.bytes_resp != b.bytes_resp || a.session_id != b.session_id;
+  }
+  EXPECT_EQ(differ, 0u);
+}
+
+TEST(CsvIo, PacketTraceFromFourteenHoursRoundtripsBitForBit) {
+  PacketTrace t("p", 14 * 3600.0, 15 * 3600.0 + 1e-6);
+  for (int i = 0; i < 1000; ++i) {
+    t.add({14 * 3600.0 + 3.6 * i + 1e-6 * (i % 7), Protocol::kTelnet,
+           static_cast<std::uint32_t>(i), i % 2 == 0,
+           static_cast<std::uint16_t>(i)});
+  }
+  std::stringstream ss;
+  write_csv(t, ss);
+  const PacketTrace back = read_packet_csv(ss, "p");
+  EXPECT_EQ(bits(back.t_begin()), bits(t.t_begin()));
+  EXPECT_EQ(bits(back.t_end()), bits(t.t_end()));
+  ASSERT_EQ(back.size(), t.size());
+  for (std::size_t i = 0; i < t.size(); ++i)
+    EXPECT_EQ(bits(back.records()[i].time), bits(t.records()[i].time)) << i;
+}
+
+template <class Read>
+void expect_rejected(const std::string& csv, const std::string& reason,
+                     Read read) {
+  std::stringstream ss(csv);
+  try {
+    read(ss);
+    ADD_FAILURE() << "accepted: " << csv;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CsvIo, NonFiniteNumbersRejected) {
+  const auto conn = [](std::istream& is) { read_conn_csv(is); };
+  const std::string head =
+      "start,duration,protocol,src,dst,bytes_orig,bytes_resp,session\n";
+  expect_rejected(head + "1,2,TELNET,1,2,3,4,0\nnan,2,TELNET,1,2,3,4,0\n",
+                  "non-finite start at line 3", conn);
+  expect_rejected(head + "1,-inf,TELNET,1,2,3,4,0\n",
+                  "non-finite duration at line 2", conn);
+  expect_rejected("# t_begin=0 t_end=inf name=x\n" + head,
+                  "non-finite t_end at line 1", conn);
+
+  const auto pkt = [](std::istream& is) { read_packet_csv(is); };
+  expect_rejected("time,protocol,conn,orig,payload\ninf,TELNET,1,1,1\n",
+                  "non-finite time at line 2", pkt);
+  expect_rejected("# t_begin=NAN t_end=1 name=x\n"
+                  "time,protocol,conn,orig,payload\n",
+                  "non-finite t_begin at line 1", pkt);
 }
 
 TEST(CsvIo, FileRoundtrip) {
