@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,17 @@ class TraceChunkSource final : public PacketChunkSource {
 /// Drains the source into an in-memory trace (the streaming → batch
 /// bridge; parity tests compare this against batch construction).
 trace::PacketTrace collect(PacketChunkSource& source);
+
+/// Drains the source into a chunked writer (ChunkedBinaryWriter or
+/// ChunkedCsvWriter), one chunk per write, then closes it; returns the
+/// record count.
+template <typename Writer>
+std::uint64_t drain_into(PacketChunkSource& source, Writer& writer) {
+  std::vector<trace::PacketRecord> chunk;
+  while (source.next(chunk)) writer.write(chunk);
+  writer.close();
+  return writer.count();
+}
 
 /// Feeds every record of the source, in order, to fn(const PacketRecord&).
 template <typename Fn>

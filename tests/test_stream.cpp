@@ -4,8 +4,10 @@
 // accumulators, byte for byte for files and figure CSVs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -185,6 +187,60 @@ TEST(CsvChunk, SourceParsesWhatTheBatchReaderParses) {
 
   src.reset();
   expect_same_records(stream::collect(src), batch);
+}
+
+// A packet CSV without its metadata line takes the window of its
+// records (the rule in csv_io.hpp): the batch reader and the streamed
+// source agree on it and on every result, and the first bin starts at
+// the first packet, not at time 0.
+TEST(CsvChunk, MetadataLessFileTakesTheWindowOfItsRecords) {
+  const trace::PacketTrace t0 = make_test_trace();
+  trace::PacketTrace t("late", 0.0, 0.0);
+  for (trace::PacketRecord r : t0.records()) {
+    r.time += 14 * 3600.0;  // a trace that starts at 14 h
+    t.add(r);
+  }
+  std::stringstream ss;
+  trace::write_csv(t, ss);
+  std::string csv = ss.str();
+  csv.erase(0, csv.find('\n') + 1);  // drop the metadata line
+  TempFile f("stream_nometa.csv");
+  std::ofstream(f.path) << csv;
+
+  const double first = t.records().front().time;
+  const double last = t.records().back().time;
+  const trace::PacketTrace batch = trace::read_packet_csv_file(f.path);
+  EXPECT_EQ(batch.t_begin(), first);
+  EXPECT_EQ(batch.t_end(),
+            std::nextafter(last, std::numeric_limits<double>::infinity()));
+  stream::CsvChunkSource src(f.path, /*chunk_size=*/23);
+  EXPECT_EQ(src.info().t_begin, batch.t_begin());
+  EXPECT_EQ(src.info().t_end, batch.t_end());
+  expect_same_records(stream::collect(src), batch);
+
+  src.reset();
+  stream::PipelineOptions opt;
+  opt.bin = 1.0;
+  opt.orig_data_only = true;
+  opt.remove_outliers = true;
+  stream::ColumnsFromRows columns(src);
+  const stream::PipelineResult streamed = stream::analyze_columns(columns, opt);
+  const stream::PipelineResult whole = stream::analyze_batch(batch, opt);
+  EXPECT_EQ(streamed.info.t_begin, first);
+  EXPECT_EQ(streamed.info.t_end, whole.info.t_end);
+  EXPECT_EQ(streamed.packets, whole.packets);
+  EXPECT_EQ(streamed.counts, whole.counts);
+  EXPECT_EQ(streamed.burst_lull.burst_lengths, whole.burst_lull.burst_lengths);
+  EXPECT_EQ(streamed.burst_lull.lull_lengths, whole.burst_lull.lull_lengths);
+  EXPECT_EQ(streamed.count_moments.mean(), whole.count_moments.mean());
+  EXPECT_EQ(stream::vt_csv(streamed), stream::vt_csv(whole));
+  // The first packet is an originator data packet, so it is counted in
+  // bin 0; the grid ends with the last packet's bin.
+  ASSERT_FALSE(streamed.counts.empty());
+  EXPECT_GE(streamed.counts.front(), 1.0);
+  EXPECT_EQ(streamed.counts.size(),
+            static_cast<std::size_t>(std::ceil((whole.info.t_end - first) /
+                                               opt.bin)));
 }
 
 // --- Filters -----------------------------------------------------------

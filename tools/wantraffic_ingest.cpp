@@ -36,13 +36,12 @@
 // --binary paths of wantraffic_analyze) reads ingested and synthesized
 // traces interchangeably.
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "src/ingest/ingest.hpp"
 #include "src/par/parallel.hpp"
 #include "src/stream/binary_chunk.hpp"
+#include "src/stream/csv_chunk.hpp"
 #include "src/trace/csv_io.hpp"
 #include "tools/arg_parse.hpp"
 
@@ -93,26 +92,12 @@ int run_pkt(ingest::IngestFormat format, const std::string& input,
   const stream::StreamInfo& info = source->info();
 
   std::uint64_t packets = 0;
-  std::vector<trace::PacketRecord> chunk;
   if (args.has("--csv")) {
-    std::ofstream os(*out);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for write\n", out->c_str());
-      return 1;
-    }
-    trace::write_packet_csv_header(os, info.name, info.t_begin, info.t_end);
-    while (source->next(chunk)) {
-      for (const trace::PacketRecord& r : chunk)
-        trace::write_packet_csv_row(os, r);
-      packets += chunk.size();
-    }
+    stream::ChunkedCsvWriter writer(*out, info);
+    packets = stream::drain_into(*source, writer);
   } else {
     stream::ChunkedBinaryWriter writer(*out, info);
-    while (source->next(chunk)) {
-      writer.write(chunk);
-      packets += chunk.size();
-    }
-    writer.close();
+    packets = stream::drain_into(*source, writer);
   }
 
   std::printf("%s: %llu packets over [%.6f, %.6f) -> %s\n",

@@ -5,13 +5,12 @@
 //                         [--preset lbl|small] [--no-weathermap]
 //   wantraffic_synth pkt  --out trace.csv [--hours H] [--seed S]
 //                         [--preset lbl|dec] [--all-protocols] [--binary]
-//                         [--stream] [--chunk N]
+//                         [--chunk N]
 //
 // Produces a SYN/FIN connection trace (CSV) or a packet trace
-// (CSV, or the compact binary format with --binary). With --stream the
-// packet trace is generated and written chunk by chunk — peak memory is
-// bounded by the chunk size, not the trace length — and the output file
-// is byte-identical to the batch path's.
+// (CSV, or the compact binary format with --binary). The packet trace
+// is generated and written chunk by chunk, --chunk N records at a time,
+// so peak memory is bounded by the chunk size, not the trace length.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,7 +19,6 @@
 #include "src/stream/csv_chunk.hpp"
 #include "src/synth/stream_synth.hpp"
 #include "src/synth/synthesizer.hpp"
-#include "src/trace/binary_io.hpp"
 #include "src/trace/csv_io.hpp"
 #include "tools/arg_parse.hpp"
 
@@ -37,19 +35,8 @@ int usage() {
       "  wantraffic_synth pkt  --out FILE [--hours H] [--seed S]\n"
       "                        [--preset lbl|dec] [--all-protocols] "
       "[--binary]\n"
-      "                        [--stream] [--chunk N]\n");
+      "                        [--chunk N]\n");
   return 2;
-}
-
-// Drains the streaming synthesizer into the chunked writer; returns the
-// record count. Template because the two writers share write()/close()
-// but no base class.
-template <typename Writer>
-std::uint64_t pump(stream::PacketChunkSource& src, Writer& writer) {
-  std::vector<trace::PacketRecord> chunk;
-  while (src.next(chunk)) writer.write(chunk);
-  writer.close();
-  return writer.count();
 }
 
 }  // namespace
@@ -59,7 +46,6 @@ int main(int argc, char** argv) {
   args.add_flag("--no-weathermap");
   args.add_flag("--all-protocols");
   args.add_flag("--binary");
-  args.add_flag("--stream");
   args.add_option("--out");
   args.add_option("--days");
   args.add_option("--hours");
@@ -97,30 +83,19 @@ int main(int argc, char** argv) {
                      : synth::lbl_pkt_preset("CLI", !all, seed);
       cfg.hours = args.number("--hours", cfg.hours);
 
-      if (args.has("--stream")) {
-        synth::StreamingPacketSynthesizer src(
-            cfg, args.count("--chunk", stream::kDefaultChunkSize, 1));
-        std::uint64_t n = 0;
-        if (args.has("--binary")) {
-          stream::ChunkedBinaryWriter writer(*out, src.info());
-          n = pump(src, writer);
-        } else {
-          stream::ChunkedCsvWriter writer(*out, src.info());
-          n = pump(src, writer);
-        }
-        std::printf("streamed %llu packets (%.2f h) to %s\n",
-                    static_cast<unsigned long long>(n), cfg.hours,
-                    out->c_str());
+      synth::StreamingPacketSynthesizer src(
+          cfg, args.count("--chunk", stream::kDefaultChunkSize, 1));
+      std::uint64_t n = 0;
+      if (args.has("--binary")) {
+        stream::ChunkedBinaryWriter writer(*out, src.info());
+        n = stream::drain_into(src, writer);
       } else {
-        const auto tr = synth::synthesize_packet_trace(cfg);
-        if (args.has("--binary")) {
-          trace::write_binary_file(tr, *out);
-        } else {
-          trace::write_csv_file(tr, *out);
-        }
-        std::printf("wrote %zu packets (%.2f h) to %s\n", tr.size(),
-                    cfg.hours, out->c_str());
+        stream::ChunkedCsvWriter writer(*out, src.info());
+        n = stream::drain_into(src, writer);
       }
+      std::printf("streamed %llu packets (%.2f h) to %s\n",
+                  static_cast<unsigned long long>(n), cfg.hours,
+                  out->c_str());
     } else {
       return usage();
     }
