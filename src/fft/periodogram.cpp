@@ -106,31 +106,6 @@ void AveragedPeriodogram::push(std::span<const double> x) {
   ++segments_;
 }
 
-void AveragedPeriodogram::merge(const AveragedPeriodogram& other) {
-  if (segment_length_ != other.segment_length_)
-    throw std::invalid_argument(
-        "AveragedPeriodogram::merge: segment length mismatch");
-  for (std::size_t i = 0; i < ordinate_sum_.size(); ++i)
-    ordinate_sum_[i] += other.ordinate_sum_[i];
-  segments_ += other.segments_;
-}
-
-AveragedPeriodogramSnapshot AveragedPeriodogram::snapshot() const {
-  return {static_cast<std::uint64_t>(segment_length_),
-          static_cast<std::uint64_t>(segments_), ordinate_sum_};
-}
-
-AveragedPeriodogram AveragedPeriodogram::from_snapshot(
-    const AveragedPeriodogramSnapshot& s) {
-  AveragedPeriodogram acc(static_cast<std::size_t>(s.segment_length));
-  if (acc.ordinate_sum_.size() != s.ordinate_sum.size())
-    throw std::invalid_argument(
-        "AveragedPeriodogram::from_snapshot: ordinate count mismatch");
-  acc.ordinate_sum_ = s.ordinate_sum;
-  acc.segments_ = static_cast<std::size_t>(s.segments);
-  return acc;
-}
-
 Periodogram AveragedPeriodogram::finish() const {
   if (segments_ == 0)
     throw std::logic_error("AveragedPeriodogram::finish: no segments");

@@ -86,23 +86,13 @@ class SpectrumCascade {
   std::size_t factor_ = 1;
 };
 
-/// Serializable state of an AveragedPeriodogram: per-frequency ordinate
-/// sums plus the segment count. Exact-sum doubles, so it round-trips
-/// bit-exactly.
-struct AveragedPeriodogramSnapshot {
-  std::uint64_t segment_length = 0;
-  std::uint64_t segments = 0;
-  std::vector<double> ordinate_sum;
-};
-
 /// Bartlett-style averaged periodogram: push fixed-length segments of a
 /// count series and finish() with per-segment periodograms averaged
-/// ordinate by ordinate — the mergeable spectral input for sharded
-/// Whittle/GPH/Beran estimation. Each segment is centered on its own
-/// mean (Welch's segment convention), so a segment's contribution
-/// depends only on its own samples; merging two accumulators is then an
-/// exact elementwise sum plus a segment-count add, and any merge order
-/// over disjoint segment sets reproduces the serial bits.
+/// ordinate by ordinate — the spectral input for Whittle/GPH/Beran
+/// estimation. Each segment is centered on its own mean (Welch's
+/// segment convention), so a segment's contribution depends only on its
+/// own samples; that is what lets SegmentRing (rolling_periodogram.hpp)
+/// keep per-segment ordinates and evict the oldest.
 class AveragedPeriodogram {
  public:
   /// Throws std::invalid_argument unless segment_length >= 4 and even
@@ -116,21 +106,13 @@ class AveragedPeriodogram {
   std::size_t segment_length() const { return segment_length_; }
   std::size_t segments() const { return segments_; }
 
-  /// Elementwise ordinate-sum add; requires equal segment lengths
-  /// (throws std::invalid_argument otherwise). Associative up to
-  /// floating-point addition order — fix the fold order (shard 0 <- 1
-  /// <- 2 ...) for reproducible bits.
-  void merge(const AveragedPeriodogram& other);
-
-  AveragedPeriodogramSnapshot snapshot() const;
-  static AveragedPeriodogram from_snapshot(
-      const AveragedPeriodogramSnapshot& s);
-
   /// The averaged periodogram on the segment-length frequency grid;
   /// throws std::logic_error before any segment has been pushed.
   Periodogram finish() const;
 
  private:
+  friend class SegmentRing;  // averaged() fills the sums directly
+
   std::size_t segment_length_ = 0;
   std::size_t segments_ = 0;
   std::vector<double> frequency_;

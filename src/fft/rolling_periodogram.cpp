@@ -59,10 +59,8 @@ AveragedPeriodogram SegmentRing::averaged() const {
   const std::size_t n = segments();
   if (n == 0)
     throw std::logic_error("SegmentRing: no complete segment yet");
-  AveragedPeriodogramSnapshot snap;
-  snap.segment_length = static_cast<std::uint64_t>(segment_length_);
-  snap.segments = static_cast<std::uint64_t>(n);
-  snap.ordinate_sum.assign(n_ordinates_, 0.0);
+  AveragedPeriodogram acc(segment_length_);
+  acc.segments_ = n;
   // Sum resident segments oldest first: when the ring is full the
   // oldest slot is head_ (the next overwrite target), otherwise slot 0.
   // This is the order AveragedPeriodogram::push would have added them
@@ -72,9 +70,9 @@ AveragedPeriodogram SegmentRing::averaged() const {
     const double* slot =
         slots_.data() + ((start + k) % capacity_) * n_ordinates_;
     for (std::size_t i = 0; i < n_ordinates_; ++i)
-      snap.ordinate_sum[i] += slot[i];
+      acc.ordinate_sum_[i] += slot[i];
   }
-  return AveragedPeriodogram::from_snapshot(snap);
+  return acc;
 }
 
 SegmentRingCascade::SegmentRingCascade(std::size_t segment_length,

@@ -62,10 +62,9 @@ class SegmentRing {
   /// before the first complete segment.
   Periodogram finish() const;
 
-  /// The resident window as an AveragedPeriodogram — the bridge to the
-  /// batch type's snapshot()/merge() contract. The returned
-  /// accumulator's state (ordinate sums, segment count) is exactly
-  /// what a batch accumulator fed the same window would hold.
+  /// The resident window as an AveragedPeriodogram, whose state
+  /// (ordinate sums, segment count) is exactly what a batch
+  /// accumulator fed the same window would hold.
   AveragedPeriodogram averaged() const;
 
  private:

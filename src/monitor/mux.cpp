@@ -17,10 +17,10 @@ EngineMux::EngineMux(const stream::WindowedOptions& options,
     : options_(options),
       t_begin_(t_begin),
       last_t1_(std::numeric_limits<double>::quiet_NaN()) {
-  if (options_.protocol || options_.orig_data_only)
+  if (options_.protocol)
     throw std::invalid_argument(
         "EngineMux: the mux partitions by protocol itself; pass options "
-        "without protocol/orig_data filters");
+        "without a protocol filter");
   const stream::WindowGeometry geometry =
       stream::window_geometry(options_);  // validate once, loudly
 

@@ -53,8 +53,8 @@ class EngineMux {
  public:
   /// Engine 0 is the aggregate ("ALL"); engines 1..n follow `protocols`
   /// in the given order. `options` supplies the shared geometry; its
-  /// own protocol/orig_data filters must be unset (the mux partitions
-  /// by protocol itself) — throws std::invalid_argument otherwise, and
+  /// own protocol filter must be unset (the mux partitions by protocol
+  /// itself) — throws std::invalid_argument otherwise, and
   /// when the segment length gives the Whittle fit fewer than 8
   /// periodogram ordinates. Builds the shared Whittle tables (~0.2 CPU s
   /// at the daemon's default geometry).

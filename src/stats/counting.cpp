@@ -73,16 +73,6 @@ void BinCountsAccumulator::merge(const BinCountsAccumulator& other) {
     counts_[i] += other.counts_[i];
 }
 
-BinCountsAccumulator BinCountsAccumulator::from_snapshot(
-    const BinCountsSnapshot& s) {
-  BinCountsAccumulator acc(s.t0, s.t1, s.bin);
-  if (acc.counts_.size() != s.counts.size())
-    throw std::invalid_argument(
-        "BinCountsAccumulator::from_snapshot: counts/grid mismatch");
-  acc.counts_ = s.counts;
-  return acc;
-}
-
 SpeculativeBinCounts::SpeculativeBinCounts(double t0, double bin)
     : t0_(t0), bin_(bin) {
   if (!(bin > 0.0)) throw std::invalid_argument("bin_counts: bin must be > 0");
@@ -238,27 +228,6 @@ void BurstLullAccumulator::merge(const BurstLullAccumulator& other) {
   runs_.insert(runs_.end(), other.runs_.begin() + 1, other.runs_.end());
   run_ = other.run_;
   occupied_ = other.occupied_;
-}
-
-BurstLullSnapshot BurstLullAccumulator::snapshot() const {
-  BurstLullSnapshot s;
-  s.runs.reserve(runs_.size());
-  for (const Run& r : runs_)
-    s.runs.push_back({static_cast<std::uint64_t>(r.length), r.occupied});
-  s.open_length = static_cast<std::uint64_t>(run_);
-  s.open_occupied = occupied_;
-  return s;
-}
-
-BurstLullAccumulator BurstLullAccumulator::from_snapshot(
-    const BurstLullSnapshot& s) {
-  BurstLullAccumulator acc;
-  acc.runs_.reserve(s.runs.size());
-  for (const auto& r : s.runs)
-    acc.runs_.push_back({static_cast<std::size_t>(r.length), r.occupied});
-  acc.run_ = static_cast<std::size_t>(s.open_length);
-  acc.occupied_ = s.open_occupied;
-  return acc;
 }
 
 }  // namespace wan::stats

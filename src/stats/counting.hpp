@@ -15,16 +15,6 @@ namespace wan::stats {
 std::vector<double> bin_counts(std::span<const double> times, double t0,
                                double t1, double bin);
 
-/// Serializable state of a BinCountsAccumulator: its bin grid plus the
-/// counts so far. Counts are exact small integers stored as doubles, so
-/// the snapshot round-trips bit-exactly.
-struct BinCountsSnapshot {
-  double t0 = 0.0;
-  double t1 = 0.0;
-  double bin = 1.0;
-  std::vector<double> counts;
-};
-
 /// Streaming sink form of bin_counts: feed event times chunk by chunk
 /// (any order) and take the finished count series. Memory is bounded by
 /// the number of bins — duration/bin — never by the number of events,
@@ -60,9 +50,6 @@ class BinCountsAccumulator {
   /// accumulator fed every event — this is the exactness anchor the
   /// sharded pipeline's byte-identity rests on.
   void merge(const BinCountsAccumulator& other);
-
-  BinCountsSnapshot snapshot() const { return {t0_, t1_, bin_, counts_}; }
-  static BinCountsAccumulator from_snapshot(const BinCountsSnapshot& s);
 
  private:
   double t0_ = 0.0;
@@ -126,19 +113,6 @@ struct BurstLull {
 
 BurstLull burst_lull_structure(std::span<const double> counts);
 
-/// Serializable state of a BurstLullAccumulator: the closed runs in
-/// series order plus the open trailing run. Runs alternate occupancy by
-/// construction, which is what makes concatenation-merge exact.
-struct BurstLullSnapshot {
-  struct Run {
-    std::uint64_t length = 0;
-    bool occupied = false;
-  };
-  std::vector<Run> runs;          ///< closed runs, series order
-  std::uint64_t open_length = 0;  ///< 0 means no observation yet
-  bool open_occupied = false;
-};
-
 /// Online form of burst_lull_structure: push bin counts one at a time;
 /// finish() closes the open run. State between pushes is O(1); the
 /// result holds one length per run (kept in series order so that two
@@ -154,7 +128,7 @@ class BurstLullAccumulator {
   void push(std::span<const double> counts) {
     for (double c : counts) push(c);
   }
-  /// Snapshot including the currently open run; push() may continue
+  /// The runs so far, the open one included; push() may continue
   /// afterwards (finish does not mutate).
   BurstLull finish() const;
 
@@ -166,9 +140,6 @@ class BurstLullAccumulator {
   /// the same bits as one serial pass — but only when each operand saw a
   /// contiguous slice and operands arrive in series order.
   void merge(const BurstLullAccumulator& other);
-
-  BurstLullSnapshot snapshot() const;
-  static BurstLullAccumulator from_snapshot(const BurstLullSnapshot& s);
 
  private:
   struct Run {

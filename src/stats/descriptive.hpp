@@ -85,16 +85,6 @@ class InterarrivalAccumulator {
   bool has_last_ = false;
 };
 
-/// Serializable state of a MomentAccumulator — the complete Welford
-/// tuple, so an accumulator round-trips through it bit-exactly.
-struct MomentSnapshot {
-  std::uint64_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
 /// Single-pass Welford moment accumulator for streamed data: mean,
 /// variance, extrema in O(1) state. Welford's recurrence is numerically
 /// stabler than the two-pass span functions but groups the floating-point
@@ -162,20 +152,6 @@ class MomentAccumulator {
     mean_ += delta * (nb / nt);
     m2_ += other.m2_ + delta * delta * (na * nb / nt);
     n_ += other.n_;
-  }
-
-  MomentSnapshot snapshot() const {
-    return {static_cast<std::uint64_t>(n_), mean_, m2_, min_, max_};
-  }
-
-  static MomentAccumulator from_snapshot(const MomentSnapshot& s) {
-    MomentAccumulator acc;
-    acc.n_ = static_cast<std::size_t>(s.n);
-    acc.mean_ = s.mean;
-    acc.m2_ = s.m2;
-    acc.min_ = s.min;
-    acc.max_ = s.max;
-    return acc;
   }
 
  private:

@@ -87,68 +87,12 @@ VarianceTimePlot variance_time_plot(std::span<const double> counts,
   return plot;
 }
 
-void VtLevelAccumulator::merge(const VtLevelAccumulator& other) {
-  if (m_ != other.m_)
-    throw std::logic_error("VtLevelAccumulator::merge: level mismatch");
-  if (other.n_blocks_ == 0 && other.in_block_ == 0) return;  // other empty
-  if (in_block_ != 0)
-    throw std::logic_error(
-        "VtLevelAccumulator::merge: left operand mid-block — merge only on "
-        "block boundaries");
-  if (n_blocks_ == 0) {
-    *this = other;
-    return;
-  }
-  if (other.n_blocks_ != 0) {
-    // Chan's combination of the two blocks' Welford moments.
-    const double delta = other.mean_ - mean_;
-    const auto na = static_cast<double>(n_blocks_);
-    const auto nb = static_cast<double>(other.n_blocks_);
-    const double nt = na + nb;
-    mean_ += delta * (nb / nt);
-    m2_ += other.m2_ + delta * delta * (na * nb / nt);
-    n_blocks_ += other.n_blocks_;
-  }
-  // Other's open block becomes ours (ours was empty).
-  block_sum_ = other.block_sum_;
-  in_block_ = other.in_block_;
-}
-
 VtAccumulator::VtAccumulator(std::span<const std::size_t> levels) {
   levels_.reserve(levels.size());
   for (std::size_t m : levels) {
     if (m == 0) continue;
     levels_.emplace_back(m);
   }
-}
-
-void VtAccumulator::merge(const VtAccumulator& other) {
-  if (levels_.size() != other.levels_.size())
-    throw std::logic_error("VtAccumulator::merge: level set mismatch");
-  for (std::size_t i = 0; i < levels_.size(); ++i)
-    levels_[i].merge(other.levels_[i]);
-  sum_ += other.sum_;
-  n_ += other.n_;
-}
-
-VtSnapshot VtAccumulator::snapshot() const {
-  VtSnapshot s;
-  s.levels.reserve(levels_.size());
-  for (const VtLevelAccumulator& lvl : levels_)
-    s.levels.push_back(lvl.snapshot());
-  s.sum = sum_;
-  s.n = static_cast<std::uint64_t>(n_);
-  return s;
-}
-
-VtAccumulator VtAccumulator::from_snapshot(const VtSnapshot& s) {
-  VtAccumulator acc(std::span<const std::size_t>{});
-  acc.levels_.reserve(s.levels.size());
-  for (const VtLevelSnapshot& lvl : s.levels)
-    acc.levels_.push_back(VtLevelAccumulator::from_snapshot(lvl));
-  acc.sum_ = s.sum;
-  acc.n_ = static_cast<std::size_t>(s.n);
-  return acc;
 }
 
 VarianceTimePlot VtAccumulator::finish() const {

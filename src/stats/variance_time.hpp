@@ -50,16 +50,6 @@ std::vector<std::size_t> default_aggregation_levels(std::size_t n,
 VarianceTimePlot variance_time_plot(std::span<const double> counts,
                                     std::span<const std::size_t> levels = {});
 
-/// Serializable state of a VtLevelAccumulator.
-struct VtLevelSnapshot {
-  std::uint64_t m = 1;
-  double block_sum = 0.0;
-  std::uint64_t in_block = 0;
-  std::uint64_t n_blocks = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-};
-
 /// One aggregation level of a streamed variance-time analysis: folds base
 /// observations into blocks of m and maintains Welford moments of the
 /// completed block means. Both variance_time_plot and VtAccumulator feed
@@ -95,33 +85,6 @@ class VtLevelAccumulator {
     return n_blocks_ == 0 ? 0.0 : m2_ / static_cast<double>(n_blocks_);
   }
 
-  /// Appends the other level's observations to this one, as if they had
-  /// been pushed here next. Precondition (throws std::logic_error): the
-  /// levels share m, and this level's open block is empty unless the
-  /// other is — a level only merges cleanly on a block boundary, which
-  /// the sharded pipeline guarantees by splitting the series at
-  /// multiples of every level's m. Block-mean moments combine by Chan's
-  /// formula: deterministic for a fixed operand pair, bit-equal to the
-  /// serial pass only when one operand has no completed blocks.
-  void merge(const VtLevelAccumulator& other);
-
-  VtLevelSnapshot snapshot() const {
-    return {static_cast<std::uint64_t>(m_),        block_sum_,
-            static_cast<std::uint64_t>(in_block_),
-            static_cast<std::uint64_t>(n_blocks_), mean_,
-            m2_};
-  }
-
-  static VtLevelAccumulator from_snapshot(const VtLevelSnapshot& s) {
-    VtLevelAccumulator acc(static_cast<std::size_t>(s.m));
-    acc.block_sum_ = s.block_sum;
-    acc.in_block_ = static_cast<std::size_t>(s.in_block);
-    acc.n_blocks_ = static_cast<std::size_t>(s.n_blocks);
-    acc.mean_ = s.mean;
-    acc.m2_ = s.m2;
-    return acc;
-  }
-
  private:
   void push_block_mean(double bm) {
     ++n_blocks_;
@@ -136,13 +99,6 @@ class VtLevelAccumulator {
   std::size_t n_blocks_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-};
-
-/// Serializable state of a VtAccumulator.
-struct VtSnapshot {
-  std::vector<VtLevelSnapshot> levels;
-  double sum = 0.0;
-  std::uint64_t n = 0;
 };
 
 /// Multi-level streaming variance-time analysis: one pass over the count
@@ -173,16 +129,6 @@ class VtAccumulator {
 
   std::size_t count() const { return n_; }
   VarianceTimePlot finish() const;
-
-  /// Merges level by level (same level sets required; every level's
-  /// block-boundary precondition applies — see VtLevelAccumulator).
-  /// The base sum is one floating-point add per merge, so it is exact
-  /// only up to fold order: fix the reduction order (shard 0 <- 1 <- 2
-  /// ...) for reproducible bits.
-  void merge(const VtAccumulator& other);
-
-  VtSnapshot snapshot() const;
-  static VtAccumulator from_snapshot(const VtSnapshot& s);
 
  private:
   std::vector<VtLevelAccumulator> levels_;

@@ -69,36 +69,6 @@ void WindowedBinCounts::window_counts(std::vector<double>& out) const {
         ring_[static_cast<std::size_t>((completed_ - n64 + k) % ring_.size())]);
 }
 
-BinCountsSnapshot WindowedBinCounts::snapshot() const {
-  BinCountsSnapshot s;
-  const std::uint64_t n =
-      completed_ < ring_.size() ? completed_ : ring_.size();
-  s.bin = bin_;
-  s.t1 = t0_ + static_cast<double>(completed_) * bin_;
-  s.t0 = t0_ + static_cast<double>(completed_ - n) * bin_;
-  window_counts(s.counts);
-  return s;
-}
-
-void WindowedBinCounts::merge(const WindowedBinCounts& other) {
-  if (t0_ != other.t0_ || bin_ != other.bin_ ||
-      ring_.size() != other.ring_.size())
-    throw std::logic_error("WindowedBinCounts::merge: grid mismatch");
-  if (completed_ != other.completed_)
-    throw std::logic_error(
-        "WindowedBinCounts::merge: windows not advanced to the same bin "
-        "(advance_to a common time first)");
-  const std::uint64_t n =
-      completed_ < ring_.size() ? completed_ : ring_.size();
-  for (std::uint64_t k = 0; k < n; ++k) {
-    const auto slot =
-        static_cast<std::size_t>((completed_ - n + k) % ring_.size());
-    ring_[slot] += other.ring_[slot];
-  }
-  open_ += other.open_;
-  events_ += other.events_;
-}
-
 WindowedPoissonTest::WindowedPoissonTest(const PoissonTestConfig& config,
                                          double t0,
                                          std::size_t window_intervals)

@@ -9,14 +9,12 @@
 // covering a fixed span of the stream. Pushing stays O(1) amortized
 // (the open bucket absorbs observations; a full bucket closes into the
 // ring, evicting the oldest by overwrite), and the window's state is
-// the in-order merge of the resident buckets — exactly the merge
-// contract PR-7 built for sharding, reused along the time axis instead
-// of the flow-hash axis.
+// the in-order merge of the resident buckets.
 //
-// Exactness: bin counts and burst/lull runs merge by exact integer
-// arithmetic, so a windowed snapshot whose edges align with bucket
-// boundaries is bit-identical to a batch accumulator fed only the
-// window's observations. Moment buckets combine by Chan's formula —
+// Exactness: bin counts are exact integer adds and burst/lull runs
+// merge by exact concatenation, so a window whose edges align with
+// bucket boundaries is bit-identical to a batch accumulator fed only
+// the window's observations. Moment buckets combine by Chan's formula —
 // deterministic for a fixed bucket partition, equal to the serial pass
 // to rounding (like every Welford merge). The Appendix-A ring stores
 // per-interval outcomes, which are pure functions of each interval's
@@ -105,29 +103,6 @@ class BucketRing {
     return out;
   }
 
-  /// Appends the other ring's observation stream after this one's, as
-  /// if its pushes had happened here next. Requires equal bucket_size
-  /// and this ring's open bucket empty (the only state in which the
-  /// splice is a whole-bucket concatenation); throws std::logic_error
-  /// otherwise.
-  void merge(const BucketRing& other) {
-    if (bucket_size_ != other.bucket_size_)
-      throw std::logic_error("BucketRing::merge: bucket_size mismatch");
-    if (in_open_ != 0)
-      throw std::logic_error(
-          "BucketRing::merge: open bucket not on a boundary");
-    const std::size_t n = other.closed_buckets();
-    const std::size_t start =
-        other.closed_ < other.ring_.size() ? 0 : other.head_;
-    for (std::size_t k = 0; k < n; ++k) {
-      ring_[head_] = other.ring_[(start + k) % other.ring_.size()];
-      head_ = (head_ + 1) % ring_.size();
-      ++closed_;
-    }
-    open_ = other.open_;
-    in_open_ = other.in_open_;
-  }
-
  private:
   std::size_t bucket_size_ = 1;
   std::vector<Acc> ring_;
@@ -154,10 +129,9 @@ using WindowedBurstLull = BucketRing<BurstLullAccumulator>;
 /// in grid order, exactly once; completed bins older than the window
 /// are evicted by overwrite.
 ///
-/// Counts are exact small-integer adds, so window_counts()/snapshot()
-/// over aligned edges reproduce stats::bin_counts of the window's
-/// events bit-for-bit, and merge() (same grid, same current bin) is
-/// exact in any order — the windowed form of the sharding anchor.
+/// Counts are exact small-integer adds, so window_counts() over aligned
+/// edges reproduces stats::bin_counts of the window's events
+/// bit-for-bit.
 class WindowedBinCounts {
  public:
   /// Throws std::invalid_argument unless bin > 0 and window_bins >= 1.
@@ -194,17 +168,6 @@ class WindowedBinCounts {
   /// The resident window: the newest min(completed_bins, window_bins)
   /// completed bins, oldest first. out is cleared.
   void window_counts(std::vector<double>& out) const;
-
-  /// The window as a BinCountsSnapshot on the absolute grid
-  /// ([t1 - k*bin, t1) with t1 the open bin's left edge), so it loads
-  /// straight into BinCountsAccumulator::from_snapshot.
-  BinCountsSnapshot snapshot() const;
-
-  /// Adds the other window's counts bin by bin — the shard merge.
-  /// Requires the identical grid AND the identical current bin (advance
-  /// both to a common time first); throws std::logic_error otherwise.
-  /// Integer adds, so merge order cannot matter.
-  void merge(const WindowedBinCounts& other);
 
  private:
   void complete_bins_through(std::uint64_t bin_index);

@@ -242,7 +242,6 @@ std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
                                            const WindowedOptions& options) {
   PipelineOptions filters;
   filters.protocol = options.protocol;
-  filters.orig_data_only = options.orig_data_only;
   ColumnFilterStack src(source, filters);
 
   const StreamInfo info = src.info();

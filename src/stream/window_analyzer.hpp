@@ -73,9 +73,9 @@ struct WindowedOptions {
   /// Poisson test. Must divide both slide and window when set.
   double poisson_interval = 0.0;
 
-  // Filters, applied in this order (matching analyze_columns).
+  /// Restricts the stream to one protocol (the ColumnFilterStack of
+  /// analyze_columns).
   std::optional<trace::Protocol> protocol;
-  bool orig_data_only = false;
 };
 
 /// One report row, emitted at each slide boundary once the first full
@@ -187,8 +187,8 @@ WindowReport analyze_window_batch(std::span<const double> times, double t0,
                                   const WindowedOptions& options);
 
 /// Counts-form of the reference, for callers that already hold the
-/// window's count series (shard-merge tests). poisson is skipped
-/// (counts cannot reproduce arrival times).
+/// window's count series. poisson is skipped (counts cannot reproduce
+/// arrival times).
 WindowReport analyze_window_counts(std::span<const double> counts, double t0,
                                    const WindowedOptions& options,
                                    std::uint64_t packets);

@@ -1,8 +1,9 @@
 // Sharded execution pins (ctest label `shard`): the merge algebra of
-// every accumulator snapshot, and the end-to-end invariant that the
-// sharded pipeline's output is byte-identical to the serial path at
-// every tested (shard count, thread count) — for synthesized traces
-// (routed and per-shard-synthesized) and for an ingested capture.
+// the accumulators that merge (bin counts, moments, burst/lull runs),
+// and the end-to-end invariant that the sharded pipeline's output is
+// byte-identical to the serial path at every tested (shard count,
+// thread count) — for synthesized traces (routed and
+// per-shard-synthesized) and for an ingested capture.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,12 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "src/fft/periodogram.hpp"
 #include "src/ingest/sources.hpp"
 #include "src/par/parallel.hpp"
 #include "src/stats/counting.hpp"
 #include "src/stats/descriptive.hpp"
-#include "src/stats/variance_time.hpp"
 #include "src/stream/columnar.hpp"
 #include "src/stream/pipeline.hpp"
 #include "src/stream/shard.hpp"
@@ -88,18 +87,6 @@ TEST(ShardMerge, MomentMergeWithEmptyOperandsIsExact) {
   EXPECT_EQ(b.count(), serial.count());
 }
 
-TEST(ShardMerge, MomentSnapshotRoundTrips) {
-  stats::MomentAccumulator a;
-  a.push(std::span<const double>(test_series(500, 3)));
-  const stats::MomentAccumulator b =
-      stats::MomentAccumulator::from_snapshot(a.snapshot());
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.variance_sample(), b.variance_sample());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-}
-
 TEST(ShardMerge, BinCountsMergeIsExactAndOrderFree) {
   // Events split by an arbitrary hash — NOT contiguously — because bin
   // increments are exact integer adds, order-free.
@@ -127,16 +114,6 @@ TEST(ShardMerge, BinCountsMergeRejectsGridMismatch) {
   stats::BinCountsAccumulator a(0.0, 10.0, 0.1);
   stats::BinCountsAccumulator b(0.0, 10.0, 0.2);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(ShardMerge, BinCountsSnapshotRoundTrips) {
-  stats::BinCountsAccumulator a(0.0, 10.0, 0.5);
-  a.add(std::span<const double>(test_series(200, 5)));
-  const stats::BinCountsAccumulator b =
-      stats::BinCountsAccumulator::from_snapshot(a.snapshot());
-  EXPECT_EQ(a.counts(), b.counts());
-  EXPECT_EQ(a.t0(), b.t0());
-  EXPECT_EQ(a.bin(), b.bin());
 }
 
 TEST(ShardMerge, BurstLullMergeIsTrulyAssociative) {
@@ -171,131 +148,6 @@ TEST(ShardMerge, BurstLullMergeIsTrulyAssociative) {
   EXPECT_EQ(l.lull_lengths, want.lull_lengths);
   EXPECT_EQ(r.burst_lengths, want.burst_lengths);
   EXPECT_EQ(r.lull_lengths, want.lull_lengths);
-}
-
-TEST(ShardMerge, BurstLullSnapshotRoundTrips) {
-  stats::BurstLullAccumulator a;
-  a.push(std::span<const double>(test_series(300, 7)));
-  stats::BurstLullAccumulator b =
-      stats::BurstLullAccumulator::from_snapshot(a.snapshot());
-  // Continue pushing on both: round-tripped state must behave on.
-  const std::vector<double> more = test_series(100, 8);
-  a.push(std::span<const double>(more));
-  b.push(std::span<const double>(more));
-  EXPECT_EQ(a.finish().burst_lengths, b.finish().burst_lengths);
-  EXPECT_EQ(a.finish().lull_lengths, b.finish().lull_lengths);
-}
-
-TEST(ShardMerge, VtLevelMergeOnBlockBoundaryIsDeterministic) {
-  const std::vector<double> x = test_series(9000, 9);
-  stats::VtLevelAccumulator serial(10);
-  serial.push(std::span<const double>(x));
-
-  auto fold = [&] {
-    stats::VtLevelAccumulator a(10), b(10);
-    // Split at 4000 — a multiple of m=10, so a's open block is empty.
-    a.push(std::span<const double>(x).subspan(0, 4000));
-    b.push(std::span<const double>(x).subspan(4000));
-    a.merge(b);
-    return a;
-  };
-  const stats::VtLevelAccumulator m1 = fold();
-  const stats::VtLevelAccumulator m2 = fold();
-  EXPECT_EQ(m1.variance(), m2.variance());
-  EXPECT_EQ(m1.n_blocks(), serial.n_blocks());
-  EXPECT_NEAR(m1.variance(), serial.variance(), 1e-10 * serial.variance());
-}
-
-TEST(ShardMerge, VtLevelMergeRejectsMidBlockLeftOperand) {
-  stats::VtLevelAccumulator a(10), b(10);
-  a.push(std::span<const double>(test_series(15, 10)));  // 15 % 10 != 0
-  b.push(std::span<const double>(test_series(20, 11)));
-  EXPECT_THROW(a.merge(b), std::logic_error);
-
-  // ... but merging an empty right operand into a mid-block left is fine
-  // (nothing to reorder), and merging into an on-boundary left works.
-  stats::VtLevelAccumulator empty(10);
-  EXPECT_NO_THROW(a.merge(empty));
-  stats::VtLevelAccumulator c(10);
-  c.push(std::span<const double>(test_series(20, 12)));
-  EXPECT_NO_THROW(c.merge(a));  // right operand may be mid-block
-}
-
-TEST(ShardMerge, VtAccumulatorMergeMatchesSerialAndRoundTrips) {
-  // Explicit lcm-friendly levels: a split at 6000 is a block boundary
-  // for every one of them. (The default log-spaced levels share no
-  // practical common boundary — which is exactly why the sharded
-  // pipeline merges bin counts and computes VT serially on the merged
-  // series instead of merging VT state mid-stream; VtAccumulator::merge
-  // serves segment-parallel workloads that choose aligned splits.)
-  const std::vector<double> x = test_series(12000, 13);
-  const std::vector<std::size_t> levels = {1, 2, 4, 5, 10, 20, 50, 100};
-  constexpr std::size_t kSplit = 6000;
-
-  stats::VtAccumulator serial(levels);
-  serial.push(std::span<const double>(x));
-
-  stats::VtAccumulator a(levels), b(levels);
-  a.push(std::span<const double>(x).subspan(0, kSplit));
-  b.push(std::span<const double>(x).subspan(kSplit));
-  a.merge(b);
-
-  const stats::VarianceTimePlot ps = serial.finish();
-  const stats::VarianceTimePlot pm = a.finish();
-  ASSERT_EQ(pm.points.size(), ps.points.size());
-  for (std::size_t i = 0; i < ps.points.size(); ++i) {
-    EXPECT_EQ(pm.points[i].m, ps.points[i].m);
-    EXPECT_EQ(pm.points[i].n_blocks, ps.points[i].n_blocks);
-    EXPECT_NEAR(pm.points[i].variance, ps.points[i].variance,
-                1e-9 * ps.points[i].variance);
-  }
-  // Integer-valued counts: partial sums are exact, so base_mean matches
-  // bit for bit despite the different add grouping.
-  EXPECT_EQ(pm.base_mean, ps.base_mean);
-
-  // Snapshot round trip preserves finish() bits.
-  const stats::VtAccumulator c =
-      stats::VtAccumulator::from_snapshot(a.snapshot());
-  const stats::VarianceTimePlot pc = c.finish();
-  ASSERT_EQ(pc.points.size(), pm.points.size());
-  for (std::size_t i = 0; i < pm.points.size(); ++i) {
-    EXPECT_EQ(pc.points[i].variance, pm.points[i].variance);
-    EXPECT_EQ(pc.points[i].n_blocks, pm.points[i].n_blocks);
-  }
-  EXPECT_EQ(pc.base_mean, pm.base_mean);
-}
-
-TEST(ShardMerge, AveragedPeriodogramMergeIsDeterministicAndAccurate) {
-  const std::vector<double> x = test_series(4096, 14);
-  constexpr std::size_t kSeg = 1024;
-
-  fft::AveragedPeriodogram serial(kSeg);
-  for (std::size_t i = 0; i < x.size(); i += kSeg)
-    serial.push(std::span<const double>(x).subspan(i, kSeg));
-
-  auto fold = [&] {
-    fft::AveragedPeriodogram a(kSeg), b(kSeg);
-    a.push(std::span<const double>(x).subspan(0, kSeg));
-    a.push(std::span<const double>(x).subspan(kSeg, kSeg));
-    b.push(std::span<const double>(x).subspan(2 * kSeg, kSeg));
-    b.push(std::span<const double>(x).subspan(3 * kSeg, kSeg));
-    a.merge(b);
-    return a;
-  };
-  const fft::Periodogram m1 = fold().finish();
-  const fft::Periodogram m2 = fold().finish();
-  const fft::Periodogram ps = serial.finish();
-
-  EXPECT_EQ(m1.ordinate, m2.ordinate);  // fixed fold order => same bits
-  ASSERT_EQ(m1.ordinate.size(), ps.ordinate.size());
-  for (std::size_t i = 0; i < ps.ordinate.size(); ++i)
-    EXPECT_NEAR(m1.ordinate[i], ps.ordinate[i], 1e-12 * ps.ordinate[i]);
-  EXPECT_EQ(m1.frequency, ps.frequency);
-
-  // Snapshot round trip is exact.
-  fft::AveragedPeriodogram c =
-      fft::AveragedPeriodogram::from_snapshot(serial.snapshot());
-  EXPECT_EQ(c.finish().ordinate, ps.ordinate);
 }
 
 // --- Shard routing and the end-to-end byte-identity invariant -----------

@@ -1,11 +1,10 @@
 // Sliding-window estimation pins (ctest label `window`): SegmentRing
 // add/evict parity against the batch AveragedPeriodogram (bitwise),
-// bucket-boundary exactness of the windowed accumulator twins,
-// snapshot/merge round-trips, the Whittle warm-start fallback on junk
-// hints (search and refitter paths), exact-bit pins of the Whittle fits
-// and concurrent fits on one shared refitter, shard-invariance of
-// windowed state routed through ShardRouter, and the end-to-end
-// WindowedAnalyzer against the from-scratch reference.
+// bucket-boundary exactness of the windowed accumulator twins, the
+// Whittle warm-start fallback on junk hints (search and refitter
+// paths), exact-bit pins of the Whittle fits and concurrent fits on one
+// shared refitter, and the end-to-end WindowedAnalyzer against the
+// from-scratch reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 
 #include "src/fft/periodogram.hpp"
 #include "src/fft/rolling_periodogram.hpp"
-#include "src/par/parallel.hpp"
 #include "src/rng/rng.hpp"
 #include "src/stats/counting.hpp"
 #include "src/stats/descriptive.hpp"
@@ -29,8 +27,6 @@
 #include "src/stats/variance_time.hpp"
 #include "src/stats/whittle.hpp"
 #include "src/stats/window.hpp"
-#include "src/stream/columnar.hpp"
-#include "src/stream/shard.hpp"
 #include "src/stream/window_analyzer.hpp"
 
 namespace wan {
@@ -79,8 +75,7 @@ TEST(SegmentRing, EvictionMatchesBatchOverTrailingWindowBitwise) {
   ASSERT_EQ(rolled.frequency, direct.frequency);
   EXPECT_EQ(rolled.ordinate, direct.ordinate);  // bitwise, by design
 
-  // The averaged() bridge exposes the same state through the batch
-  // type's snapshot/merge contract.
+  // averaged() holds the same state as the batch accumulator.
   const fft::Periodogram bridged = ring.averaged().finish();
   EXPECT_EQ(bridged.ordinate, direct.ordinate);
 }
@@ -129,13 +124,15 @@ TEST(WindowedBinCounts, SnapshotRoundTripsThroughBatchAccumulator) {
   win.add(std::span<const double>(times));
   win.advance_to(30.5);
 
-  const stats::BinCountsSnapshot snap = win.snapshot();
-  const stats::BinCountsAccumulator loaded =
-      stats::BinCountsAccumulator::from_snapshot(snap);
+  // The window on the absolute grid: the 10 completed bins that end
+  // where the open bin starts.
+  const double t1 = static_cast<double>(win.completed_bins()) * win.bin();
+  stats::BinCountsAccumulator batch(t1 - 10.0, t1, 1.0);
+  batch.add(std::span<const double>(times));
   std::vector<double> rolled;
   win.window_counts(rolled);
-  EXPECT_EQ(loaded.counts(), rolled);
-  EXPECT_EQ(snap.t1 - snap.t0, 10.0);
+  EXPECT_EQ(batch.counts(), rolled);
+  EXPECT_EQ(t1, 30.0);
 }
 
 TEST(WindowedBurstLull, MergedIsBitIdenticalToBatchOverWindow) {
@@ -173,27 +170,6 @@ TEST(WindowedMoments, MergedMatchesSerialPassToRounding) {
   EXPECT_NEAR(merged.variance_population(), serial.variance_population(),
               1e-10 * serial.variance_population());
 }
-
-TEST(BucketRing, MergeSplicesAtBucketBoundaries) {
-  const std::vector<double> x = count_series(400, 107, 0.8);
-  constexpr std::size_t kBucket = 20, kBuckets = 10;
-
-  stats::WindowedBurstLull whole(kBucket, kBuckets);
-  whole.push(std::span<const double>(x));
-
-  stats::WindowedBurstLull left(kBucket, kBuckets),
-      right(kBucket, kBuckets);
-  left.push(std::span<const double>(x).subspan(0, 240));  // bucket boundary
-  right.push(std::span<const double>(x).subspan(240));
-  left.merge(right);
-
-  const stats::BurstLull a = left.merged().finish();
-  const stats::BurstLull b = whole.merged().finish();
-  EXPECT_EQ(a.mean_burst_bins(), b.mean_burst_bins());
-  EXPECT_EQ(a.mean_lull_bins(), b.mean_lull_bins());
-}
-
-// --- Windowed Poisson test ---------------------------------------------
 
 TEST(WindowedPoissonTest, RingMatchesBatchTestOverAlignedWindow) {
   const std::vector<double> times = poisson_arrivals(100.0, 0.08, 108);
@@ -492,63 +468,6 @@ TEST(WindowedAnalyzer, CsvAndToStringRenderEveryReport) {
     EXPECT_EQ(std::count(row.begin(), row.end(), ','), 14);
     EXPECT_NE(stream::to_string(r).find("pkts="), std::string::npos);
   }
-}
-
-// --- Shard invariance of windowed state ---------------------------------
-
-TEST(WindowedShard, RoutedWindowStateMergesToTheSerialWindow) {
-  // A columnar table with many interleaved connections.
-  const std::vector<double> times = poisson_arrivals(200.0, 0.02, 116);
-  stream::PacketColumns table;
-  std::mt19937 gen(117);
-  std::uniform_int_distribution<std::uint32_t> conn(0, 499);
-  for (double t : times) {
-    table.time.push_back(t);
-    table.protocol.push_back(trace::Protocol::kTelnet);
-    table.conn_id.push_back(conn(gen));
-    table.from_originator.push_back(1);
-    table.payload_bytes.push_back(64);
-  }
-  stream::StreamInfo info;
-  info.name = "windowed-shard";
-  info.t_begin = 0.0;
-  info.t_end = 200.0;
-
-  constexpr double kBin = 0.5;
-  constexpr std::size_t kWindowBins = 80;
-  constexpr std::size_t kShards = 4;
-
-  // Serial reference window.
-  stats::WindowedBinCounts serial(0.0, kBin, kWindowBins);
-  serial.add(std::span<const double>(times));
-  serial.advance_to(200.25);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    par::set_thread_count(threads);
-    stream::ColumnTableSource source(table, info, 256);
-    std::vector<stats::WindowedBinCounts> shards;
-    for (std::size_t s = 0; s < kShards; ++s)
-      shards.emplace_back(0.0, kBin, kWindowBins);
-
-    stream::ShardRouter router({kShards, 4});
-    router.route(source,
-                 [&](std::size_t s, const stream::PacketColumns& chunk) {
-                   shards[s].add(std::span<const double>(chunk.time));
-                 });
-
-    // Advance every shard to one common time, then fold: bin adds are
-    // exact integers, so the merged window equals the serial one
-    // bit-for-bit at any thread count.
-    for (auto& w : shards) w.advance_to(200.25);
-    for (std::size_t s = 1; s < kShards; ++s) shards[0].merge(shards[s]);
-
-    std::vector<double> merged, expect;
-    shards[0].window_counts(merged);
-    serial.window_counts(expect);
-    EXPECT_EQ(merged, expect) << threads << " threads";
-    EXPECT_EQ(shards[0].events(), serial.events());
-  }
-  par::set_thread_count(1);
 }
 
 }  // namespace
