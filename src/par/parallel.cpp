@@ -55,6 +55,7 @@ void run_chunks(std::size_t n_chunks,
   }
 
   ThreadPool& pool = global_pool();
+  pool.grow(threads - 1);  // one worker per helper submitted below
   std::atomic<std::size_t> next(0);
   std::atomic<bool> failed(false);
   std::mutex err_mu;

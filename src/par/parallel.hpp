@@ -27,7 +27,8 @@ namespace wan::par {
 std::size_t thread_count() noexcept;
 
 /// Sets the worker budget (clamped to >= 1). Takes effect on the next
-/// parallel region; the global pool grows on demand but never shrinks.
+/// parallel region; the global pool grows to the helpers a region
+/// submits (never more than the region has chunks) and never shrinks.
 void set_thread_count(std::size_t n) noexcept;
 
 /// Default chunk size for an n-element range: at most 64 chunks. A pure

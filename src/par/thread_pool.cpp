@@ -1,7 +1,5 @@
 #include "src/par/thread_pool.hpp"
 
-#include "src/par/parallel.hpp"
-
 namespace wan::par {
 
 ThreadPool::ThreadPool(std::size_t n_workers) {
@@ -68,9 +66,7 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& global_pool() {
-  static ThreadPool pool(thread_count() > 0 ? thread_count() - 1 : 0);
-  const std::size_t want = thread_count() > 0 ? thread_count() - 1 : 0;
-  if (want > pool.size()) pool.grow(want);
+  static ThreadPool pool(0);
   return pool;
 }
 

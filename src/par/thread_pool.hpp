@@ -58,7 +58,9 @@ class ThreadPool {
 };
 
 /// The process-wide pool used by parallel_for / parallel_transform_reduce.
-/// Lazily created; grows to thread_count() - 1 workers on demand.
+/// Lazily created with no workers; each parallel region grows it to the
+/// helpers that region submits (at most min(thread_count(), chunks) - 1),
+/// so a large thread count never starts threads no region uses.
 ThreadPool& global_pool();
 
 }  // namespace wan::par

@@ -15,8 +15,11 @@ std::string filter_suffix(const std::optional<trace::Protocol>& protocol,
   return s;
 }
 
-}  // namespace
-
+// The stateless filter kernel: keeps the rows of `in` that match
+// `protocol` (if set) and carry originator user data (if `orig_data`),
+// evaluated as one selection pass and one gather. Returns `in` itself
+// when no predicate is set or every row survives; otherwise gathers the
+// survivors (possibly none) into `out` and returns it. `sel` is scratch.
 const PacketColumns& filter_rows(const PacketColumns& in,
                                  const std::optional<trace::Protocol>& protocol,
                                  bool orig_data,
@@ -36,6 +39,8 @@ const PacketColumns& filter_rows(const PacketColumns& in,
   return out;
 }
 
+// The bulk-outlier removal kernel: drops the rows whose connection is in
+// `outliers`, with the same return contract as filter_rows.
 const PacketColumns& drop_outlier_rows(const PacketColumns& in,
                                        const std::set<std::uint32_t>& outliers,
                                        std::vector<std::uint32_t>& sel,
@@ -54,6 +59,8 @@ const PacketColumns& drop_outlier_rows(const PacketColumns& in,
   gather(in, sel, out);
   return out;
 }
+
+}  // namespace
 
 ColumnFilterSource::ColumnFilterSource(PacketColumnSource& inner,
                                        std::optional<trace::Protocol> protocol,
@@ -78,17 +85,13 @@ bool ColumnFilterSource::next(PacketColumns& chunk) {
   return true;
 }
 
-ColumnBulkOutlierSource::ColumnBulkOutlierSource(PacketColumnSource& inner,
-                                                 double max_bytes,
-                                                 double max_rate)
+ColumnBulkOutlierSource::ColumnBulkOutlierSource(PacketColumnSource& inner)
     : inner_(&inner),
       info_{inner.info().name + "/no-outliers", inner.info().t_begin,
-            inner.info().t_end},
-      max_bytes_(max_bytes),
-      max_rate_(max_rate) {}
+            inner.info().t_end} {}
 
 void ColumnBulkOutlierSource::scan_outliers() {
-  trace::BulkOutlierDetector det(max_bytes_, max_rate_);
+  trace::BulkOutlierDetector det;
   while (inner_->next(buf_)) {
     // The detector aggregates per connection from (time, conn, orig,
     // payload); rows are observed in order, as the row path does.

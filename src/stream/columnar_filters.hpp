@@ -4,9 +4,7 @@
 // predicate call. A filtered chunk is built in two vectorizable loops
 // (select indices, then gather columns); the record sequence each
 // source emits is identical to its row twin's, which is what keeps the
-// columnar analysis path byte-compatible with the row path. The
-// per-chunk work is two kernels, which the sharded pipeline also runs
-// on each shard's sub-chunks.
+// columnar analysis path byte-compatible with the row path.
 #pragma once
 
 #include <optional>
@@ -16,25 +14,6 @@
 #include "src/stream/columnar.hpp"
 
 namespace wan::stream {
-
-/// The stateless filter kernel: keeps the rows of `in` that match
-/// `protocol` (if set) and carry originator user data (if `orig_data`),
-/// evaluated as one selection pass and one gather. Returns `in` itself
-/// when no predicate is set or every row survives; otherwise gathers
-/// the survivors (possibly none) into `out` and returns it. `sel` is
-/// scratch.
-const PacketColumns& filter_rows(const PacketColumns& in,
-                                 const std::optional<trace::Protocol>& protocol,
-                                 bool orig_data,
-                                 std::vector<std::uint32_t>& sel,
-                                 PacketColumns& out);
-
-/// The bulk-outlier removal kernel: drops the rows whose connection is
-/// in `outliers`, with the same return contract as filter_rows.
-const PacketColumns& drop_outlier_rows(const PacketColumns& in,
-                                       const std::set<std::uint32_t>& outliers,
-                                       std::vector<std::uint32_t>& sel,
-                                       PacketColumns& out);
 
 /// Stateless columnar row filter: by protocol (if set), then
 /// originator-data (if requested) — the same predicates, order and
@@ -71,8 +50,7 @@ class ColumnFilterSource final : public PacketColumnSource {
 /// "/no-outliers".
 class ColumnBulkOutlierSource final : public PacketColumnSource {
  public:
-  ColumnBulkOutlierSource(PacketColumnSource& inner,
-                          double max_bytes = 1024.0, double max_rate = 8.0);
+  explicit ColumnBulkOutlierSource(PacketColumnSource& inner);
 
   const StreamInfo& info() const override { return info_; }
   bool next(PacketColumns& chunk) override;
@@ -83,8 +61,6 @@ class ColumnBulkOutlierSource final : public PacketColumnSource {
 
   PacketColumnSource* inner_;
   StreamInfo info_;
-  double max_bytes_;
-  double max_rate_;
   bool scanned_ = false;
   std::set<std::uint32_t> outliers_;
   PacketColumns buf_;

@@ -36,16 +36,13 @@ FilterSource originator_data_filter(PacketChunkSource& inner) {
   });
 }
 
-BulkOutlierSource::BulkOutlierSource(PacketChunkSource& inner,
-                                     double max_bytes, double max_rate)
+BulkOutlierSource::BulkOutlierSource(PacketChunkSource& inner)
     : inner_(&inner),
       info_{inner.info().name + "/no-outliers", inner.info().t_begin,
-            inner.info().t_end},
-      max_bytes_(max_bytes),
-      max_rate_(max_rate) {}
+            inner.info().t_end} {}
 
 void BulkOutlierSource::scan_outliers() {
-  trace::BulkOutlierDetector det(max_bytes_, max_rate_);
+  trace::BulkOutlierDetector det;
   while (inner_->next(buf_)) {
     for (const trace::PacketRecord& r : buf_) det.observe(r);
   }

@@ -51,8 +51,7 @@ FilterSource originator_data_filter(PacketChunkSource& inner);
 /// the filtered second pass. Name gains "/no-outliers".
 class BulkOutlierSource final : public PacketChunkSource {
  public:
-  BulkOutlierSource(PacketChunkSource& inner, double max_bytes = 1024.0,
-                    double max_rate = 8.0);
+  explicit BulkOutlierSource(PacketChunkSource& inner);
 
   const StreamInfo& info() const override { return info_; }
   bool next(std::vector<trace::PacketRecord>& chunk) override;
@@ -63,8 +62,6 @@ class BulkOutlierSource final : public PacketChunkSource {
 
   PacketChunkSource* inner_;
   StreamInfo info_;
-  double max_bytes_;
-  double max_rate_;
   bool scanned_ = false;
   std::set<std::uint32_t> outliers_;
   std::vector<trace::PacketRecord> buf_;

@@ -42,8 +42,7 @@ ColumnFilterStack::ColumnFilterStack(PacketColumnSource& inner,
     top_ = &*filter_;
   }
   if (options.remove_outliers) {
-    no_outliers_.emplace(*top_, options.outlier_max_bytes,
-                         options.outlier_max_rate);
+    no_outliers_.emplace(*top_);
     top_ = &*no_outliers_;
   }
 }
@@ -113,8 +112,7 @@ PipelineResult analyze_stream_rows(PacketChunkSource& source,
   }
   std::optional<BulkOutlierSource> no_outliers;
   if (options.remove_outliers) {
-    no_outliers.emplace(*src, options.outlier_max_bytes,
-                        options.outlier_max_rate);
+    no_outliers.emplace(*src);
     src = &*no_outliers;
   }
 
@@ -162,8 +160,7 @@ PipelineResult analyze_batch(const trace::PacketTrace& trace,
     t = &filtered;
   }
   if (options.remove_outliers) {
-    filtered = t->remove_bulk_outliers(options.outlier_max_bytes,
-                                       options.outlier_max_rate);
+    filtered = t->remove_bulk_outliers();
     t = &filtered;
   }
 

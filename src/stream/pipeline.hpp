@@ -9,7 +9,7 @@
 // BurstLull), so their results — and the figure CSVs rendered from them
 // — are byte-identical. The `stream`-labeled tests pin this.
 //
-// Every columnar entry point (analyze_columns, analyze_sharded[_sources],
+// Every columnar entry point (analyze_columns, analyze_sharded_sources,
 // analyze_pcap_onepass, analyze_windowed) filters through one
 // ColumnFilterStack, and all but the windowed one end in one CountTail.
 // analyze_stream_rows and analyze_batch stay as the independent
@@ -36,9 +36,9 @@ struct PipelineOptions {
   // Filters, applied in this order (matching the batch path).
   std::optional<trace::Protocol> protocol;
   bool orig_data_only = false;
+  /// Section IV's bulk-outlier rule, at trace::kBulkOutlierMaxBytes and
+  /// trace::kBulkOutlierMaxRate.
   bool remove_outliers = false;
-  double outlier_max_bytes = 1024.0;
-  double outlier_max_rate = 8.0;
 
   std::size_t chunk_size = kDefaultChunkSize;
 };

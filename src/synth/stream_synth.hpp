@@ -36,10 +36,9 @@
 namespace wan::synth {
 
 /// One shard of a sharded synthesis: emit only the records whose conn
-/// id lands in shard `index` of `count` under stream::shard_of — the
-/// same assignment the analysis-side ShardRouter applies, so shard s's
-/// synthesizer produces exactly the sub-stream the router would have
-/// sent to shard s. The default (count 1) is the whole trace.
+/// id lands in shard `index` of `count` under stream::shard_of, the
+/// assignment stream::analyze_sharded_sources relies on. The default
+/// (count 1) is the whole trace.
 struct SynthShard {
   std::size_t index = 0;
   std::size_t count = 1;

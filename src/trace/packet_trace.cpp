@@ -29,9 +29,8 @@ PacketTrace PacketTrace::originator_data_packets() const {
   return out;
 }
 
-PacketTrace PacketTrace::remove_bulk_outliers(double max_bytes,
-                                              double max_rate) const {
-  BulkOutlierDetector det(max_bytes, max_rate);
+PacketTrace PacketTrace::remove_bulk_outliers() const {
+  BulkOutlierDetector det;
   for (const PacketRecord& r : records_) det.observe(r);
   const std::set<std::uint32_t> outliers = det.outliers();
   PacketTrace out(name_ + "/no-outliers", t_begin_, t_end_);
@@ -57,7 +56,9 @@ std::set<std::uint32_t> BulkOutlierDetector::outliers() const {
   std::set<std::uint32_t> out;
   for (const auto& [id, a] : agg_) {
     const double span = std::max(a.last - a.first, 1.0);
-    if (a.bytes > max_bytes_ && a.bytes / span > max_rate_) out.insert(id);
+    if (a.bytes > kBulkOutlierMaxBytes &&
+        a.bytes / span > kBulkOutlierMaxRate)
+      out.insert(id);
   }
   return out;
 }

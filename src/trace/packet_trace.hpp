@@ -49,11 +49,10 @@ class PacketTrace {
   PacketTrace originator_data_packets() const;
 
   /// Section IV's outlier rule: drop connections whose originator sent
-  /// more than `max_bytes` at a sustained rate above `max_rate` bytes/s
-  /// ("anomalously large and rapid ... probably better modeled as bulk
-  /// transfer"). Defaults are the paper's 2^10 bytes at 8 bytes/s.
-  PacketTrace remove_bulk_outliers(double max_bytes = 1024.0,
-                                   double max_rate = 8.0) const;
+  /// more than kBulkOutlierMaxBytes at a sustained rate above
+  /// kBulkOutlierMaxRate ("anomalously large and rapid ... probably
+  /// better modeled as bulk transfer").
+  PacketTrace remove_bulk_outliers() const;
 
   /// Packet timestamps, sorted; optionally for a single protocol.
   std::vector<double> packet_times() const;
@@ -71,16 +70,19 @@ class PacketTrace {
   std::vector<PacketRecord> records_;
 };
 
+/// Section IV's outlier thresholds: the paper's 2^10 bytes at a
+/// sustained 8 bytes/s.
+inline constexpr double kBulkOutlierMaxBytes = 1024.0;
+inline constexpr double kBulkOutlierMaxRate = 8.0;  ///< bytes/s
+
 /// The aggregation step of the Section-IV outlier rule, factored out so
 /// a two-pass streaming source and PacketTrace::remove_bulk_outliers
 /// compute the identical outlier set: observe every record (in trace
-/// order), then ask which connections exceeded max_bytes at a sustained
-/// rate above max_rate. State is O(#connections).
+/// order), then ask which connections exceeded kBulkOutlierMaxBytes at
+/// a sustained rate above kBulkOutlierMaxRate. State is
+/// O(#connections).
 class BulkOutlierDetector {
  public:
-  BulkOutlierDetector(double max_bytes, double max_rate)
-      : max_bytes_(max_bytes), max_rate_(max_rate) {}
-
   void observe(const PacketRecord& r);
   std::set<std::uint32_t> outliers() const;
 
@@ -91,8 +93,6 @@ class BulkOutlierDetector {
     double bytes = 0.0;
     bool seen = false;
   };
-  double max_bytes_;
-  double max_rate_;
   std::map<std::uint32_t, ConnAgg> agg_;
 };
 

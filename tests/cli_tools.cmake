@@ -4,10 +4,10 @@
 #         -DWORK_DIR=<scratch dir> -P cli_tools.cmake
 # `wantraffic_synth pkt --binary` must write the same trace with the
 # default chunk and with --chunk 1000; `wantraffic_analyze pkt` the same
-# --vt-csv bytes by default, with --chunk 1000 and with --shards 3. The
-# 0.25 h seed-7 trace, binary and CSV, and the --filtered --vt-csv file
-# of each are pinned by SHA256. `wantraffic_ingest pkt`
-# the same binary trace serially, with --shards 3 and from stdin, and
+# --vt-csv bytes by default and with --chunk 1000. The 0.25 h seed-7
+# trace, binary and CSV, and the --filtered --vt-csv file of each are
+# pinned by SHA256. `wantraffic_ingest pkt` must write the same binary
+# trace serially, with --shards 3 and from stdin, and
 # `wantraffic_ingest conn` the same CSV from a file and from stdin.
 # `wantraffic_analyze conn` must reach the in-memory verdicts on a
 # synthesized day read back from its CSV, and `wantraffic_analyze pkt`
@@ -150,25 +150,24 @@ run_fails("--seed wants a non-negative integer" "${SYNTH}" pkt
 run_usage_error("unknown flag --stream" "${SYNTH}" pkt
                 --out "${WORK_DIR}/bad.bin" --binary --hours 0.1 --stream)
 
-# --- wantraffic_analyze pkt: default, --chunk 1000 and --shards 3 ------
+# --- wantraffic_analyze pkt: default and --chunk 1000 ------------------
 # A vt CSV names the trace file it was read from, so these runs take
 # the traces by their names inside WORK_DIR.
 run("${ANALYZE}" pkt pkt.bin --binary --filtered --vt-csv vt_bin.csv
     WORKING_DIRECTORY "${WORK_DIR}")
 run("${ANALYZE}" pkt pkt.bin --binary --filtered --chunk 1000
     --vt-csv vt_chunk.csv WORKING_DIRECTORY "${WORK_DIR}")
-run("${ANALYZE}" pkt pkt.bin --binary --filtered --shards 3
-    --vt-csv vt_shards.csv WORKING_DIRECTORY "${WORK_DIR}")
 run("${ANALYZE}" pkt pkt.csv --filtered --vt-csv vt_csv.csv
     WORKING_DIRECTORY "${WORK_DIR}")
 expect_sha256("${WORK_DIR}/vt_bin.csv"
   86e5b3fd6a4686159c82030c6a78f7e6f1aed729161ba71fe4278be87b86e552)
 expect_same_file("${WORK_DIR}/vt_bin.csv" "${WORK_DIR}/vt_chunk.csv")
-expect_same_file("${WORK_DIR}/vt_bin.csv" "${WORK_DIR}/vt_shards.csv")
 expect_sha256("${WORK_DIR}/vt_csv.csv"
   3da076b8921c5b0a5478db52e4d0a4400084d7ef43aa7cabc0339fd11453dcb1)
 run_usage_error("unknown flag --stream" "${ANALYZE}" pkt "${trace}"
                 --binary --stream)
+run_usage_error("unknown flag --shards" "${ANALYZE}" pkt "${trace}"
+                --binary --shards 3)
 
 # --- wantraffic_ingest pkt: serial, --shards 3 and stdin ---------------
 set(capture "${DATA_DIR}/tiny_le.pcap")

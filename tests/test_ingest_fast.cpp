@@ -381,7 +381,7 @@ TEST(PcapColumnSource, AnalysisIsByteIdenticalToLegacyRowIngest) {
 TEST(PcapColumnSource, FactoryBridgesAndNativePathAgree) {
   // The factory's native decode (serial pcap) against the row sources
   // bridged through ColumnsFromIngest: the serial mmap source, and the
-  // 3-shard source the factory opens for --shards 3.
+  // 3-shard source the factory opens for IngestOptions::shards = 3.
   const std::string path = fixture("tiny_le.pcap");
   const auto native =
       ingest::open_packet_column_source(path, ingest::IngestFormat::kPcap, {});

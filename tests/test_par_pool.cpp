@@ -4,6 +4,7 @@
 // Whittle, R/S).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <future>
@@ -108,6 +109,20 @@ TEST_F(ParallelForTest, NestedRegionsDoNotDeadlock) {
     }
   });
   EXPECT_EQ(count.load(), 8 * 64);
+}
+
+// A region starts only the helpers it can use: min(thread count,
+// chunks) - 1. A thread budget far above the chunk count (--threads
+// 5000, WAN_THREADS=5000) must not start a worker per unit of budget.
+TEST_F(ParallelForTest, PoolGrowsOnlyToTheHelpersARegionSubmits) {
+  const std::size_t before = par::global_pool().size();
+  par::set_thread_count(1000);
+  std::atomic<int> count{0};
+  par::parallel_for(0, 8, 1, [&](std::size_t b, std::size_t e) {
+    count += static_cast<int>(e - b);
+  });
+  EXPECT_EQ(count.load(), 8);
+  EXPECT_LE(par::global_pool().size(), std::max<std::size_t>(before, 7));
 }
 
 TEST_F(ParallelReduceTest, OrderedReductionIsThreadCountInvariant) {

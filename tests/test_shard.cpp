@@ -1,9 +1,9 @@
 // Sharded execution pins (ctest label `shard`): the merge algebra of
 // the accumulators that merge (bin counts, moments, burst/lull runs),
-// and the end-to-end invariant that the sharded pipeline's output is
-// byte-identical to the serial path at every tested (shard count,
-// thread count) — for synthesized traces (routed and
-// per-shard-synthesized) and for an ingested capture.
+// the end-to-end invariant that per-shard synthesis analyzed by
+// analyze_sharded_sources is byte-identical to the serial path at every
+// tested (shard count, thread count) and filter configuration, and
+// sharded flow reconstruction emitting the serial flow table's records.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -150,7 +150,7 @@ TEST(ShardMerge, BurstLullMergeIsTrulyAssociative) {
   EXPECT_EQ(r.lull_lengths, want.lull_lengths);
 }
 
-// --- Shard routing and the end-to-end byte-identity invariant -----------
+// --- Per-shard synthesis and the end-to-end byte-identity invariant -----
 
 synth::PacketDatasetConfig shard_test_config() {
   synth::PacketDatasetConfig cfg =
@@ -159,84 +159,9 @@ synth::PacketDatasetConfig shard_test_config() {
   return cfg;
 }
 
-TEST(ShardRouter, PartitionCoversEveryRowExactlyOnce) {
-  synth::StreamingPacketSynthesizer synth(shard_test_config());
-  stream::ColumnsFromRows columns(synth);
-  const stream::PacketColumns all = stream::collect_columns(columns);
-
-  std::vector<stream::PacketColumns> parts;
-  stream::partition_packets(all, 7, parts);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    for (std::size_t i = 0; i < parts[s].size(); ++i)
-      EXPECT_EQ(stream::shard_of(parts[s].conn_id[i], 7), s);
-    total += parts[s].size();
-  }
-  EXPECT_EQ(total, all.size());
-}
-
-TEST(ShardRouter, RoutedSubStreamsPreserveOrderAtAnyThreadCount) {
-  const auto cfg = shard_test_config();
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    par::set_thread_count(threads);
-    synth::StreamingPacketSynthesizer synth(cfg);
-    stream::ColumnsFromRows columns(synth);
-    stream::ShardRouter router({/*n_shards=*/4, /*queue_chunks=*/2});
-    std::vector<std::vector<double>> times(4);
-    router.route(columns,
-                 [&](std::size_t s, const stream::PacketColumns& chunk) {
-                   times[s].insert(times[s].end(), chunk.time.begin(),
-                                   chunk.time.end());
-                 });
-    // Each shard's sub-stream is time-ordered (the upstream is), and
-    // all rows arrive somewhere.
-    std::size_t total = 0;
-    for (const auto& ts : times) {
-      total += ts.size();
-      for (std::size_t i = 1; i < ts.size(); ++i)
-        ASSERT_LE(ts[i - 1], ts[i]);
-    }
-    EXPECT_GT(total, 0u);
-  }
-  par::set_thread_count(1);
-}
-
-// The tentpole invariant: sharded == serial, byte for byte, at shard
-// counts 1/4/7 and thread counts 1/4.
-TEST(ShardPipeline, SynthesizedRoutedShardingIsByteIdenticalToSerial) {
-  const auto cfg = shard_test_config();
-  stream::PipelineOptions opt;
-  opt.bin = 0.5;
-
-  synth::StreamingPacketSynthesizer serial_src(cfg);
-  const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
-  const std::string want = stream::vt_csv(serial);
-  ASSERT_GT(serial.packets, 0u);
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      synth::StreamingPacketSynthesizer src(cfg);
-      stream::ColumnsFromRows columns(src);
-      const stream::PipelineResult sharded =
-          stream::analyze_sharded(columns, opt, {shards, 2});
-      EXPECT_EQ(sharded.packets, serial.packets)
-          << shards << " shards, " << threads << " threads";
-      EXPECT_EQ(sharded.counts, serial.counts);
-      EXPECT_EQ(sharded.info.name, serial.info.name);
-      EXPECT_EQ(stream::vt_csv(sharded), want);
-      EXPECT_EQ(sharded.burst_lull.burst_lengths,
-                serial.burst_lull.burst_lengths);
-      EXPECT_EQ(sharded.count_moments.variance_sample(),
-                serial.count_moments.variance_sample());
-    }
-  }
-  par::set_thread_count(1);
-}
-
 // {protocol}, {orig-data} and {protocol + orig-data}, each with and
-// without outlier removal: every branch of the sharded filter kernel,
-// and the sharded two-pass outlier scan.
+// without outlier removal: every branch of the filter stack, and the
+// two-pass outlier scan inside each shard.
 std::vector<stream::PipelineOptions> filtered_options() {
   std::vector<stream::PipelineOptions> out;
   for (const bool outliers : {false, true}) {
@@ -252,49 +177,18 @@ std::vector<stream::PipelineOptions> filtered_options() {
   return out;
 }
 
-// The routed invariant through the filter stack, over filtered_options().
-TEST(ShardPipeline, FilteredShardingIsByteIdenticalToSerial) {
-  const auto cfg = shard_test_config();
-  for (const stream::PipelineOptions& opt : filtered_options()) {
-    synth::StreamingPacketSynthesizer serial_src(cfg);
-    const stream::PipelineResult serial =
-        stream::analyze_stream(serial_src, opt);
-    const std::string want = stream::vt_csv(serial);
-    ASSERT_GT(serial.packets, 0u) << serial.info.name;
-
-    for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
-      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        par::set_thread_count(threads);
-        synth::StreamingPacketSynthesizer src(cfg);
-        stream::ColumnsFromRows columns(src);
-        const stream::PipelineResult sharded =
-            stream::analyze_sharded(columns, opt, {shards, 2});
-        EXPECT_EQ(sharded.packets, serial.packets)
-            << serial.info.name << ", " << shards << " shards, " << threads
-            << " threads";
-        EXPECT_EQ(sharded.counts, serial.counts);
-        EXPECT_EQ(sharded.info.name, serial.info.name);
-        EXPECT_EQ(stream::vt_csv(sharded), want);
-      }
-    }
-  }
-  par::set_thread_count(1);
-}
-
 // Per-shard synthesis: shard s regenerates exactly its own connections;
-// the merged analysis matches the serial bytes without any router —
-// unfiltered, and through the full filter stack, whose outlier
-// two-pass then runs inside each shard.
+// the merged analysis matches the serial bytes — unfiltered, and through
+// every filter configuration, whose outlier two-pass then runs inside
+// each shard — at shard counts 1/4/7 and thread counts 1/4.
 TEST(ShardPipeline, PerShardSynthesisIsByteIdenticalToSerial) {
   const auto cfg = shard_test_config();
+  std::vector<stream::PipelineOptions> configs = filtered_options();
   stream::PipelineOptions plain;
   plain.bin = 0.5;
-  stream::PipelineOptions filtered = plain;
-  filtered.protocol = trace::Protocol::kFtpData;
-  filtered.orig_data_only = true;
-  filtered.remove_outliers = true;
+  configs.insert(configs.begin(), plain);
 
-  for (const stream::PipelineOptions& opt : {plain, filtered}) {
+  for (const stream::PipelineOptions& opt : configs) {
     synth::StreamingPacketSynthesizer serial_src(cfg);
     const stream::PipelineResult serial =
         stream::analyze_stream(serial_src, opt);
@@ -318,6 +212,10 @@ TEST(ShardPipeline, PerShardSynthesisIsByteIdenticalToSerial) {
         EXPECT_EQ(sharded.counts, serial.counts);
         EXPECT_EQ(sharded.info.name, serial.info.name);
         EXPECT_EQ(stream::vt_csv(sharded), want);
+        EXPECT_EQ(sharded.burst_lull.burst_lengths,
+                  serial.burst_lull.burst_lengths);
+        EXPECT_EQ(sharded.count_moments.variance_sample(),
+                  serial.count_moments.variance_sample());
       }
     }
   }
@@ -347,44 +245,24 @@ TEST(ShardSynth, ShardsPartitionTheSerialRecordSet) {
   EXPECT_EQ(total, want.size());
 }
 
-// Ingested capture, as --shards N --ingest-format pcap runs it: flow
-// reconstruction sharded across the mmap source's per-shard tables,
-// then the packet stream routed across analysis shards, reproduces the
-// serial ifstream reference's analysis bytes (the 4-tuple flow hash
-// keys the shard, via the conn ids the flow table assigned).
-TEST(ShardPipeline, IngestedPcapShardingIsByteIdenticalToSerial) {
+TEST(ShardPipeline, RejectsZeroAndOversizedShardCounts) {
+  const auto cfg = shard_test_config();
   stream::PipelineOptions opt;
-  opt.bin = 0.1;
-
-  ingest::PcapPacketSource serial_src(fixture("tiny_le.pcap"),
-                                      ingest::ParseMode::kStrict);
-  const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
-  const std::string want = stream::vt_csv(serial);
-  ASSERT_GT(serial.packets, 0u);
-
-  for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      ingest::ShardedMmapPcapPacketSource src(
-          fixture("tiny_le.pcap"), ingest::ParseMode::kStrict, shards);
-      stream::ColumnsFromRows columns(src);
-      const stream::PipelineResult sharded =
-          stream::analyze_sharded(columns, opt, {shards, 2});
-      EXPECT_EQ(sharded.packets, serial.packets)
-          << shards << " shards, " << threads << " threads";
-      EXPECT_EQ(sharded.counts, serial.counts);
-      EXPECT_EQ(sharded.info.name, serial.info.name);
-      EXPECT_EQ(stream::vt_csv(sharded), want);
-    }
-  }
-  par::set_thread_count(1);
-}
-
-TEST(ShardRouter, RejectsZeroAndOversizedShardCounts) {
-  EXPECT_THROW(stream::ShardRouter({0, 2}), std::invalid_argument);
-  EXPECT_THROW(stream::ShardRouter({stream::ShardRouter::kMaxShards + 1, 2}),
+  opt.bin = 0.5;
+  std::size_t made = 0;
+  const auto make = [&](std::size_t s)
+      -> std::unique_ptr<stream::PacketChunkSource> {
+    ++made;
+    return std::make_unique<synth::StreamingPacketSynthesizer>(
+        cfg, stream::kDefaultChunkSize, synth::SynthShard{s, 1});
+  };
+  EXPECT_THROW(stream::analyze_sharded_sources(make, 0, opt),
                std::invalid_argument);
-  EXPECT_NO_THROW(stream::ShardRouter({1, 2}));
+  EXPECT_THROW(stream::analyze_sharded_sources(make, stream::kMaxShards + 1,
+                                               opt),
+               std::invalid_argument);
+  EXPECT_EQ(made, 0u);  // rejected before any shard is opened
+  EXPECT_NO_THROW(stream::analyze_sharded_sources(make, 1, opt));
 }
 
 // --- Sharded flow reconstruction (src/ingest) ---------------------------
@@ -532,7 +410,7 @@ TEST(ShardIngest, ShardedFlowTableMatchesSerialOnSyntheticStream) {
 }
 
 // Source-level twin: the sharded mmap pcap source (the one
-// --shards N --ingest-format pcap opens) emits the serial ifstream
+// wantraffic_ingest pkt pcap --shards N opens) emits the serial ifstream
 // reference's chunk stream byte-for-byte, reports the same ledger, and
 // its per-shard record ledgers merge to the reader's record count.
 TEST(ShardIngest, ShardedPacketSourceMatchesSerialSource) {

@@ -19,18 +19,13 @@
 // pkt mode always streams: the file is read in chunks of --chunk
 // records (src/stream), so memory is bounded by the chunk size, not the
 // trace length. Every run opens one column source (native for pcap,
-// bridged for lbl-pkt, sharded ingest and this repo's binary/CSV
-// readers) and hands it to exactly one analysis: the windowed engine,
-// the sharded pipeline or analyze_columns. A trace file read twice
-// (--filtered, or a CSV without its metadata line) cannot be a pipe.
+// bridged for lbl-pkt and this repo's binary/CSV readers) and hands it
+// to exactly one analysis: the windowed engine or analyze_columns. A
+// trace file read twice (--filtered, or a CSV without its metadata
+// line) cannot be a pipe.
 //
-// --shards N (pkt mode) fans the analysis — and, with --ingest-format,
-// flow reconstruction itself — across N flow-hash shards on the
-// src/par worker pool (--threads M sizes it). Sharded output is
-// byte-identical to the serial path at every shard and thread count;
-// see src/stream/shard.hpp for the contract. --shards contradicts conn
-// mode (connection closure order is not shard-invariant), which is
-// rejected, as is --shards 0.
+// --threads N sizes the src/par worker pool the estimators run on;
+// output is byte-identical at every thread count.
 //
 // --window W (pkt mode) switches to the incremental sliding-window
 // engine (src/stream/window_analyzer.hpp): one report row per --slide S
@@ -39,9 +34,8 @@
 // rolling periodogram, optionally an aggregation sweep
 // (--sweep-levels) and a windowed Appendix-A verdict
 // (--poisson-interval I). --window-csv FILE writes the rows as a
-// figure CSV. The engine is single-stream by design, so --window
-// rejects --shards and the whole-stream-only --filtered/--vt-csv
-// outputs with reasoned messages.
+// figure CSV. --window rejects the whole-stream-only --filtered and
+// --vt-csv outputs with reasoned messages.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -57,7 +51,6 @@
 #include "src/stream/binary_chunk.hpp"
 #include "src/stream/csv_chunk.hpp"
 #include "src/stream/pipeline.hpp"
-#include "src/stream/shard.hpp"
 #include "src/stream/window_analyzer.hpp"
 #include "src/trace/burst.hpp"
 #include "src/trace/csv_io.hpp"
@@ -77,7 +70,7 @@ int usage() {
                "[--protocol NAME] [--binary]\n"
                "                         [--filtered] [--vt-csv FILE] "
                "[--chunk N]\n"
-               "                         [--shards N] [--threads N]\n"
+               "                         [--threads N]\n"
                "                         [--window SEC [--slide SEC] "
                "[--segment-bins N]\n"
                "                          [--sweep-levels N] "
@@ -121,10 +114,6 @@ void print_ingest_ledger(const ingest::IngestStats& stats) {
 }
 
 int run_conn(const std::string& path, const tools::ArgParser& args) {
-  if (args.given("--shards"))
-    throw std::invalid_argument(
-        "--shards applies to pkt mode only: connection closure order is "
-        "not shard-invariant");
   trace::ConnTrace tr;
   if (const auto format = ingest_format(args)) {
     ingest::IngestStats stats;
@@ -199,9 +188,6 @@ std::optional<stream::WindowedOptions> windowed_options(
                                     "engine: pass --window SECONDS");
     return std::nullopt;
   }
-  args.reject_together("--window", "--shards",
-                       "the sliding-window engine emits one time-ordered "
-                       "report stream from one engine");
   args.reject_together("--window", "--filtered",
                        "the windowed engine has no streaming outlier pass; "
                        "use --protocol to restrict the stream");
@@ -221,7 +207,6 @@ std::optional<stream::WindowedOptions> windowed_options(
 }
 
 int run_pkt(const std::string& path, const tools::ArgParser& args) {
-  const std::size_t shards = args.count("--shards", 1, 1);
   stream::PipelineOptions opt;
   opt.bin = args.number("--bin", opt.bin);
   if (const std::string* proto_s = args.value("--protocol")) {
@@ -245,9 +230,8 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
   std::optional<stream::ColumnsFromRows> file_columns;
   stream::PacketColumnSource* src = nullptr;
   if (const auto format = ingest_format(args)) {
-    ingest::IngestOptions iopt = ingest_options(args);
-    iopt.shards = shards;  // shard flow reconstruction too
-    ingested = ingest::open_packet_column_source(path, *format, iopt);
+    ingested = ingest::open_packet_column_source(path, *format,
+                                                 ingest_options(args));
     src = ingested.get();
   } else {
     if (args.has("--binary"))
@@ -261,9 +245,7 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
   }
 
   if (windowed) return run_windowed(*src, *windowed, args);
-  const stream::PipelineResult result =
-      shards > 1 ? stream::analyze_sharded(*src, opt, {shards})
-                 : stream::analyze_columns(*src, opt);
+  const stream::PipelineResult result = stream::analyze_columns(*src, opt);
   // A capture is named by its source, a trace file by the filtered stream.
   std::printf("%s %llu packets from %s (%s)\n",
               ingested ? "ingested" : "streamed",
@@ -304,7 +286,6 @@ int main(int argc, char** argv) {
   args.add_option("--protocol");
   args.add_option("--vt-csv");
   args.add_option("--chunk");
-  args.add_option("--shards");
   args.add_option("--threads");
   args.add_option("--window");
   args.add_option("--slide");
