@@ -31,6 +31,14 @@
 #ifndef WAN_BENCH_DEFAULT_JSON
 #define WAN_BENCH_DEFAULT_JSON "BENCH_perf.json"
 #endif
+// The build also injects the configured revision and build type, which
+// provenance() stamps on a row.
+#ifndef WAN_BENCH_REV
+#define WAN_BENCH_REV "unknown"
+#endif
+#ifndef WAN_BENCH_BUILD_TYPE
+#define WAN_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace wan::bench {
 
@@ -58,6 +66,36 @@ struct BenchResult {
 inline std::size_t cores() {
   const unsigned n = std::thread::hardware_concurrency();
   return n > 0 ? static_cast<std::size_t>(n) : 1;
+}
+
+/// Where a row was measured, as BenchResult::extra pairs: the source
+/// revision the build was configured from (git describe, "-dirty" when
+/// the tree had uncommitted changes then), the UTC date of the run, the
+/// build type and the host's CPU model.
+inline std::vector<std::pair<std::string, std::string>> provenance() {
+  const auto quoted = [](std::string v) {
+    std::string out = "\"";
+    for (char c : v)
+      if (c != '"' && c != '\\') out += c;
+    return out + "\"";
+  };
+  char date[16] = "unknown";
+  const std::time_t now = std::time(nullptr);
+  if (const std::tm* utc = std::gmtime(&now))
+    std::strftime(date, sizeof(date), "%Y-%m-%d", utc);
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size())
+      cpu = line.substr(colon + 2);
+    break;
+  }
+  return {{"rev", quoted(WAN_BENCH_REV)},
+          {"date", quoted(date)},
+          {"build_type", quoted(WAN_BENCH_BUILD_TYPE)},
+          {"cpu_model", quoted(cpu)}};
 }
 
 /// Best-of-`reps` wall time of fn, in milliseconds.

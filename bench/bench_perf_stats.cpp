@@ -1,5 +1,6 @@
 // Perf bench for the estimation machinery: variance-time, Whittle, and
-// R/S serial vs parallel, serial FFT/periodogram micro-ops, the
+// R/S serial vs parallel, the exact whole-number variance-time pass
+// against the fold it replaced, serial FFT/periodogram micro-ops, the
 // columnar-vs-row analysis pipeline, and the shared-periodogram Hurst
 // battery. Appends results to BENCH_perf.json (see bench_harness.hpp);
 // rows carry rows/sec + bytes/sec extras where the record width is
@@ -11,6 +12,7 @@
 // throughput, single-threaded) only applies to full runs.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -41,6 +43,21 @@ std::vector<double> noise(std::size_t n, std::uint64_t seed) {
   rng::Rng rng(seed);
   std::vector<double> x(n);
   for (double& v : x) v = rng.uniform(0.0, 1.0);
+  return x;
+}
+
+// Whole numbers drawn from Poisson(mean), by Knuth's product of uniforms.
+std::vector<double> poisson_counts(std::size_t n, double mean,
+                                   std::uint64_t seed) {
+  rng::Rng rng(seed);
+  const double floor = std::exp(-mean);
+  std::vector<double> x(n);
+  for (double& v : x) {
+    double k = 0.0;
+    for (double p = rng.uniform01(); p > floor; p *= rng.uniform01())
+      k += 1.0;
+    v = k;
+  }
   return x;
 }
 
@@ -154,6 +171,42 @@ int main(int argc, char** argv) {
         [&] { serial = stats::variance_time_plot(x); },
         [&] { parallel = stats::variance_time_plot(x); },
         [&] { return same_vt(serial, parallel); }, reps, kSampleBytes);
+  }
+
+  // Whole-number counts shaped like pcap_fine's 7.2M bins of 1 ms
+  // (Poisson, mean 0.016). "serial" is the VtAccumulator fold, the pass
+  // CountTail ran before; "parallel" is variance_time_plot, which takes
+  // its exact one-pass form on such a series. Both run at 1 thread and
+  // are timed in process CPU; `identical` means the plots are bit-equal.
+  {
+    const auto counts = poisson_counts(smoke ? 1 << 16 : 7200000, 0.016, 12);
+    const auto levels = stats::default_aggregation_levels(counts.size());
+    stats::VarianceTimePlot fold, exact;
+    bench::BenchResult row;
+    row.op = "variance_time_counts/" + std::to_string(counts.size());
+    row.threads = 1;
+    row.items = static_cast<double>(counts.size());
+    row.unit = "samples";
+    row.repeats = harness.repeats(reps);
+    par::set_thread_count(1);
+    row.serial_ms = bench::min_cpu_time_ms(
+        [&] {
+          stats::VtAccumulator acc(levels);
+          acc.push(counts);
+          fold = acc.finish();
+        },
+        row.repeats);
+    row.parallel_ms = bench::min_cpu_time_ms(
+        [&] { exact = stats::variance_time_plot(counts); }, row.repeats);
+    row.speedup = row.parallel_ms > 0.0 ? row.serial_ms / row.parallel_ms
+                                        : 1.0;
+    row.throughput = row.parallel_ms > 0.0
+                         ? row.items / (row.parallel_ms / 1000.0)
+                         : 0.0;
+    row.identical = same_vt(fold, exact);
+    row.extra = bench::provenance();
+    bench::Harness::add_rates(row, kSampleBytes);
+    harness.add(row);
   }
 
   // Whittle fGn estimation (chunked likelihood sums + grid search).

@@ -29,8 +29,7 @@ void report_row(const char* label, const std::vector<double>& counts,
                 std::vector<std::vector<std::string>>* rows) {
   // Aggregate long series so Whittle stays affordable and we study the
   // tens-of-seconds regime the paper focuses on.
-  std::vector<double> series = counts;
-  while (series.size() > 8192) series = stats::aggregate_mean(series, 2);
+  const std::vector<double> series = stats::aggregate_halvings(counts, 8192);
   if (series.size() < 512) return;
   const auto beran = stats::beran_fgn_test(series);
   const auto vt = stats::variance_time_plot(counts);

@@ -27,8 +27,7 @@ namespace {
 void battery(const char* name, const std::vector<double>& counts,
              std::vector<std::vector<std::string>>* rows) {
   const auto vt = stats::variance_time_plot(counts);
-  std::vector<double> series = counts;
-  while (series.size() > 8192) series = stats::aggregate_mean(series, 2);
+  const std::vector<double> series = stats::aggregate_halvings(counts, 8192);
   const auto rs = stats::rs_analysis(series);
   const auto beran = stats::beran_fgn_test(series);
   rows->push_back({name, plot::fmt(vt.hurst(4, 2000), 3),

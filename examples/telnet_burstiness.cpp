@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
     std::printf("%-8s: VT slope %+6.3f -> H %.3f", name.c_str(), fit.slope,
                 1.0 + fit.slope / 2.0);
     // Cross-check with Whittle on an aggregated version of the counts.
-    auto agg = cmp.counts.at(name);
-    while (agg.size() > 4096) agg = stats::aggregate_mean(agg, 2);
+    const auto agg = stats::aggregate_halvings(cmp.counts.at(name), 4096);
     const auto w = stats::whittle_fgn(agg);
     std::printf("   Whittle H %.3f +- %.3f\n", w.hurst, w.stderr_hurst);
   }

@@ -49,9 +49,8 @@ HurstReport hurst_report(std::span<const double> counts,
   out.vt_hurst = vt.hurst(config.vt_m_lo, config.vt_m_hi);
 
   // Aggregate for the frequency-domain and R/S estimators.
-  std::vector<double> series(counts.begin(), counts.end());
-  while (series.size() > config.max_series_length)
-    series = stats::aggregate_mean(series, 2);
+  const std::vector<double> series =
+      stats::aggregate_halvings(counts, config.max_series_length);
 
   out.rs_hurst = stats::rs_analysis(series).hurst();
 

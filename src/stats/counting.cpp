@@ -148,6 +148,41 @@ std::vector<double> aggregate_mean(std::span<const double> x, std::size_t m) {
   return out;
 }
 
+namespace {
+
+// One output of aggregate_mean(., 2), in its order of operations.
+double pair_mean(double a, double b) {
+  double s = 0.0;
+  s += a;
+  s += b;
+  return s / 2.0;
+}
+
+}  // namespace
+
+std::vector<double> aggregate_halvings(std::span<const double> x,
+                                       std::size_t max_len) {
+  unsigned k = 0;
+  while ((x.size() >> k) > max_len) ++k;
+  if (k == 0) return {x.begin(), x.end()};
+  std::vector<double> out(x.size() >> k);
+  if (out.empty()) return out;
+  const std::size_t half = std::size_t{1} << (k - 1);
+  std::vector<double> scratch(half);
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    const double* in = x.data() + j * 2 * half;
+    for (std::size_t i = 0; i < half; ++i)
+      scratch[i] = pair_mean(in[2 * i], in[2 * i + 1]);
+    // Each later level halves the scratch in place: slot i reads slots
+    // 2i and 2i+1, which no earlier slot of this level has overwritten.
+    for (std::size_t len = half / 2; len > 0; len /= 2)
+      for (std::size_t i = 0; i < len; ++i)
+        scratch[i] = pair_mean(scratch[2 * i], scratch[2 * i + 1]);
+    out[j] = scratch[0];
+  }
+  return out;
+}
+
 std::vector<double> aggregate_sum(std::span<const double> x, std::size_t m) {
   if (m == 0) throw std::invalid_argument("aggregate_sum: m must be >= 1");
   std::vector<double> out;

@@ -98,6 +98,15 @@ class SpeculativeBinCounts {
 /// level M). A trailing partial block is dropped.
 std::vector<double> aggregate_mean(std::span<const double> x, std::size_t m);
 
+/// What repeated aggregate_mean(., 2) leaves once at most max_len values
+/// remain, bit for bit. With k the fewest halvings for which
+/// (x.size() >> k) <= max_len, output j is the same pairwise tree of
+/// means over x[j·2^k, (j+1)·2^k), evaluated block by block in a
+/// 2^(k-1)-value scratch: neither a copy of x nor any intermediate level
+/// is held. A series already at most max_len long comes back as a copy.
+std::vector<double> aggregate_halvings(std::span<const double> x,
+                                       std::size_t max_len);
+
 /// Same but summing within blocks (the count view at coarser resolution).
 std::vector<double> aggregate_sum(std::span<const double> x, std::size_t m);
 

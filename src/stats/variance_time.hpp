@@ -47,14 +47,28 @@ std::vector<std::size_t> default_aggregation_levels(std::size_t n,
 
 /// Computes the variance-time plot of a count series at the given levels
 /// (or default levels if empty).
+///
+/// Two paths, chosen from the input, give the same bits. When every value
+/// is a whole number and the magnitudes sum to at most 2^53, every sum of
+/// consecutive values is an integer a double holds exactly, so one serial
+/// pass serves all levels: block sums are differences of a running prefix
+/// sum, taken kVtExactChunk values at a time. Any other series (fractional,
+/// NaN, infinite or larger) is folded level by level, the levels spread
+/// over the par pool. Both paths finish each block through
+/// VtLevelAccumulator::push_block_sum.
 VarianceTimePlot variance_time_plot(std::span<const double> counts,
                                     std::span<const std::size_t> levels = {});
 
-/// One aggregation level of a streamed variance-time analysis: folds base
+/// Prefix sums the exact whole-number pass of variance_time_plot holds at
+/// once. Public so tests can put aggregation levels on the chunk edges.
+inline constexpr std::size_t kVtExactChunk = 4096;
+
+/// One aggregation level of a variance-time analysis: folds base
 /// observations into blocks of m and maintains Welford moments of the
-/// completed block means. Both variance_time_plot and VtAccumulator feed
-/// every observation through this exact code, which is what makes the
-/// streamed and in-memory plots bit-identical.
+/// completed block means. VtAccumulator and variance_time_plot's fold
+/// push every observation through this code; the exact whole-number pass
+/// hands it whole block sums. Each path completes a block with the same
+/// push_block_sum, which is what makes the plots bit-identical.
 class VtLevelAccumulator {
  public:
   VtLevelAccumulator() = default;
@@ -63,10 +77,16 @@ class VtLevelAccumulator {
   void push(double x) {
     block_sum_ += x;
     if (++in_block_ == m_) {
-      push_block_mean(block_sum_ / static_cast<double>(m_));
+      push_block_sum(block_sum_);
       block_sum_ = 0.0;
       in_block_ = 0;
     }
+  }
+
+  /// Completes one block whose m observations sum to `block_sum`, without
+  /// touching the open block push(x) fills.
+  void push_block_sum(double block_sum) {
+    push_block_mean(block_sum / static_cast<double>(m_));
   }
 
   /// Column form: same element order, so bit-identical to push(x) per
@@ -105,7 +125,8 @@ class VtLevelAccumulator {
 /// series updates every aggregation level at once, in O(#levels) state.
 /// finish() yields the same plot variance_time_plot produces on the full
 /// series (levels with fewer than 2 completed blocks are dropped, exactly
-/// like the span version's usable-level filter).
+/// like the span version's usable-level filter). It is the fold the
+/// parity tests hold variance_time_plot's exact pass against.
 class VtAccumulator {
  public:
   /// Levels must be the final choice (e.g. default_aggregation_levels of

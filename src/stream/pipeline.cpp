@@ -64,20 +64,13 @@ PipelineResult CountTail::finish(std::uint64_t packets,
   result.bin = bin_;
   result.packets = packets;
   result.counts = std::move(counts);
-  stats::VtAccumulator vt(
-      stats::default_aggregation_levels(result.counts.size()));
+  result.vt = stats::variance_time_plot(result.counts);
   stats::BurstLullAccumulator bl;
   stats::MomentAccumulator moments;
-  // Counts are already one contiguous column; interleaving the three
-  // accumulators per element lets their independent update chains
-  // overlap (fastest measured orientation, and the row path's exact
-  // order).
   for (double c : result.counts) {
-    vt.push(c);
     bl.push(c);
     moments.push(c);
   }
-  result.vt = vt.finish();
   result.burst_lull = bl.finish();
   result.count_moments = moments;
   return result;

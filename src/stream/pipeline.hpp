@@ -4,10 +4,12 @@
 //
 // analyze_stream and analyze_batch are the two implementations of the
 // same analysis — the streamed one in bounded memory, the batch one on
-// an in-memory PacketTrace via the span-based statistics. Both feed the
-// identical accumulator arithmetic (VtLevelAccumulator, BinCounts,
-// BurstLull), so their results — and the figure CSVs rendered from them
-// — are byte-identical. The `stream`-labeled tests pin this.
+// an in-memory PacketTrace via the span-based statistics. Both bin with
+// the same BinCounts arithmetic and plot the finished count series with
+// variance_time_plot, whose exact whole-number pass gives the bits of
+// the per-observation fold (VtLevelAccumulator) that analyze_stream_rows
+// still runs; so their results — and the figure CSVs rendered from
+// them — are byte-identical. The `stream`-labeled tests pin this.
 //
 // Every columnar entry point (analyze_columns, analyze_sharded_sources,
 // analyze_pcap_onepass, analyze_windowed) filters through one
@@ -78,8 +80,10 @@ class ColumnFilterStack final : public PacketColumnSource {
 /// 16-bin guard: [info.t_begin, info.t_end) must hold at least 16 bins
 /// of `bin` seconds (variance_time_plot's floor), else it throws
 /// std::invalid_argument ("analyze_stream: series too short"), so a
-/// fixed-grid caller fails before reading a record. finish() runs the
-/// variance-time, burst-lull and moment accumulators.
+/// fixed-grid caller fails before reading a record. finish() plots the
+/// whole count series with variance_time_plot (its exact pass, counts
+/// being whole numbers) and drains it through the burst-lull and moment
+/// accumulators.
 class CountTail {
  public:
   CountTail(StreamInfo info, double bin);

@@ -1,6 +1,7 @@
 #include "src/trace/burst.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "src/trace/conn_groups.hpp"
 
@@ -46,9 +47,14 @@ std::vector<FtpBurst> find_ftp_bursts(const ConnTrace& trace, double gap,
     }
     if (open) bursts.push_back(current);
   }
+  const auto rest = [](const FtpBurst& b) {
+    return std::tie(b.end, b.bytes, b.n_connections, b.session_id);
+  };
   std::sort(bursts.begin(), bursts.end(),
-            [](const FtpBurst& a, const FtpBurst& b) {
-              return a.start < b.start;
+            [&](const FtpBurst& a, const FtpBurst& b) {
+              if (a.start < b.start) return true;
+              if (b.start < a.start) return false;
+              return rest(a) < rest(b);
             });
   return bursts;
 }

@@ -25,7 +25,9 @@ enum class SessionGrouping {
   kHostPair,   ///< group by (src, dst) host pair, as SYN/FIN analysis must
 };
 
-/// Finds FTPDATA bursts in a connection trace.
+/// Finds FTPDATA bursts in a connection trace, in start order. Equal
+/// starts are ordered by end, bytes, n_connections and session key, so
+/// the order is total.
 std::vector<FtpBurst> find_ftp_bursts(
     const ConnTrace& trace, double gap = 4.0,
     SessionGrouping grouping = SessionGrouping::kSessionId);

@@ -41,7 +41,10 @@ class ConnTrace {
   const std::vector<ConnRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
 
-  /// Sorts records by start time (analysis code assumes this).
+  /// Sorts records by start time (analysis code assumes this). Equal
+  /// starts are ordered by the remaining fields (duration, protocol,
+  /// src_host, dst_host, bytes_orig, bytes_resp, session_id), so the
+  /// order is total: the same under any sort implementation.
   void sort_by_start();
 
   /// New trace containing only `protocol` connections.

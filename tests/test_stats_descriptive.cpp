@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/stats/counting.hpp"
@@ -98,6 +100,46 @@ TEST(Counting, AggregateMeanAndSum) {
   ASSERT_EQ(s.size(), 3u);
   EXPECT_DOUBLE_EQ(s[0], 3.0);
   EXPECT_THROW(aggregate_mean(x, 0), std::invalid_argument);
+}
+
+// aggregate_halvings against the loop it replaces. The inputs are
+// fractional with widely spread magnitudes, so pairing values in any
+// other order than the iterated loop's would round differently.
+TEST(Counting, AggregateHalvingsMatchesIteratedPairMeans) {
+  const auto series = [](std::size_t n) {
+    std::vector<double> x(n);
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = std::sin(0.37 * static_cast<double>(i)) *
+             std::exp2(static_cast<double>(i % 29) - 14.0);
+    return x;
+  };
+  const auto expect_same = [&](std::size_t n, std::size_t max_len) {
+    const std::vector<double> x = series(n);
+    std::vector<double> want = x;
+    while (want.size() > max_len) want = aggregate_mean(want, 2);
+    // A vector of exactly the input's length: any read past it is an
+    // ASan report.
+    const std::vector<double> got = aggregate_halvings(x, max_len);
+    ASSERT_EQ(got.size(), want.size()) << "n=" << n << " max=" << max_len;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "n=" << n << " max=" << max_len << " i=" << i;
+  };
+  for (std::size_t n : {1u, 3u, 17u, 1001u, 12345u}) expect_same(n, 8);
+  for (std::size_t k = 0; k <= 3; ++k) {
+    const std::size_t edge = std::size_t{8192} << k;
+    for (std::size_t n : {edge - 1, edge, edge + 1}) expect_same(n, 8192);
+  }
+  // Already short enough: a plain copy.
+  expect_same(0, 8192);
+  expect_same(100, 100);
+  expect_same(8192, 8192);
+  // max_len 0 halves to nothing, 1 to a single mean of the first 2^k.
+  for (std::size_t n : {0u, 1u, 2u, 7u, 8u, 1000u}) {
+    expect_same(n, 0);
+    expect_same(n, 1);
+  }
 }
 
 TEST(Counting, BurstLullStructure) {

@@ -4,7 +4,9 @@
 // accumulators, byte for byte for files and figure CSVs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/rng/rng.hpp"
 #include "src/stats/counting.hpp"
 #include "src/stats/variance_time.hpp"
 #include "src/stream/binary_chunk.hpp"
@@ -294,26 +297,103 @@ TEST(StreamFilters, StackedFiltersMatchBatchComposition) {
 
 // --- Accumulators vs span statistics -----------------------------------
 
+// Whole numbers drawn from Poisson(mean), by Knuth's product of uniforms.
+std::vector<double> poisson_counts(std::size_t n, double mean,
+                                   std::uint64_t seed) {
+  rng::Rng rng(seed);
+  const double floor = std::exp(-mean);
+  std::vector<double> x(n);
+  for (double& v : x) {
+    double k = 0.0;
+    for (double p = rng.uniform01(); p > floor; p *= rng.uniform01())
+      k += 1.0;
+    v = k;
+  }
+  return x;
+}
+
+// variance_time_plot runs its exact one-pass form on whole-number series
+// with sum |x| <= 2^53 and its level-by-level fold on everything else;
+// VtAccumulator folds every input. Each row must give the same bits both
+// ways (NaN included, hence the bit_cast).
 TEST(StreamAccumulators, VtAccumulatorBitIdenticalToSpanPlot) {
+  struct Row {
+    std::string name;
+    std::vector<double> x;
+    std::vector<std::size_t> levels;  // empty: the default levels
+  };
+  std::vector<Row> rows;
+
   const trace::PacketTrace t = make_test_trace();
-  const std::vector<double> times = t.packet_times();
-  const std::vector<double> counts =
-      stats::bin_counts(times, t.t_begin(), t.t_end(), 0.1);
-  const auto levels = stats::default_aggregation_levels(counts.size());
+  rows.push_back({"test trace counts",
+                  stats::bin_counts(t.packet_times(), t.t_begin(),
+                                    t.t_end(), 0.1),
+                  {}});
 
-  const stats::VarianceTimePlot span =
-      stats::variance_time_plot(counts, levels);
-  stats::VtAccumulator acc(levels);
-  for (double c : counts) acc.push(c);
-  const stats::VarianceTimePlot streamed = acc.finish();
+  // pcap_fine's shape: sparse 1 ms counts, a length off the chunk grid.
+  constexpr std::size_t kChunk = stats::kVtExactChunk;
+  const std::vector<double> sparse =
+      poisson_counts((std::size_t{1} << 20) + 1234, 0.016, 1);
+  rows.push_back({"sparse counts, default levels", sparse, {}});
+  rows.push_back({"sparse counts, levels on the chunk edges",
+                  sparse,
+                  {1, kChunk - 1, kChunk, kChunk + 1, sparse.size() / 2}});
 
-  EXPECT_EQ(streamed.base_mean, span.base_mean);
-  ASSERT_EQ(streamed.points.size(), span.points.size());
-  for (std::size_t i = 0; i < span.points.size(); ++i) {
-    EXPECT_EQ(streamed.points[i].m, span.points[i].m);
-    EXPECT_EQ(streamed.points[i].variance, span.points[i].variance);
-    EXPECT_EQ(streamed.points[i].normalized, span.points[i].normalized);
-    EXPECT_EQ(streamed.points[i].n_blocks, span.points[i].n_blocks);
+  rows.push_back({"dense counts", poisson_counts(1 << 16, 50.0, 2), {}});
+
+  std::vector<double> negative = poisson_counts(50001, 3.0, 3);
+  for (double& v : negative) v = v == 5.0 ? -0.0 : v - 5.0;
+  rows.push_back({"negative whole numbers and -0", negative, {}});
+
+  // 1024 values of 2^43, the last one 2^43 + 1: sum |x| = 2^53 + 1. The
+  // last prefix sum rounds to 2^53, so prefix differences would make the
+  // last value 2^43 and every level's variance 0, where the fold's block
+  // sums (at most 2^50 at these levels) stay exact. The plot must take
+  // the fold here: loosening the 2^53 bound fails this row.
+  std::vector<double> past_exact(1024, 8796093022208.0);
+  past_exact.back() += 1.0;
+  rows.push_back({"whole numbers summing past 2^53", past_exact, {}});
+
+  // Tenths, whose prefix sums round (quarters would not).
+  std::vector<double> fractional = poisson_counts(20000, 4.0, 4);
+  for (std::size_t i = 0; i < fractional.size(); ++i)
+    fractional[i] += 0.1 * static_cast<double>(i % 7);
+  rows.push_back({"fractional series", fractional, {}});
+
+  std::vector<double> with_nan = poisson_counts(5000, 2.0, 5);
+  with_nan[1234] = std::numeric_limits<double>::quiet_NaN();
+  rows.push_back({"NaN", with_nan, {}});
+  std::vector<double> with_inf = poisson_counts(5000, 2.0, 6);
+  with_inf[99] = std::numeric_limits<double>::infinity();
+  rows.push_back({"+inf", with_inf, {}});
+  with_inf[99] = -std::numeric_limits<double>::infinity();
+  rows.push_back({"-inf", with_inf, {}});
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::vector<std::size_t> levels =
+        row.levels.empty() ? stats::default_aggregation_levels(row.x.size())
+                           : row.levels;
+    const stats::VarianceTimePlot span =
+        stats::variance_time_plot(row.x, row.levels);
+    stats::VtAccumulator acc(levels);
+    acc.push(row.x);
+    const stats::VarianceTimePlot streamed = acc.finish();
+
+    EXPECT_EQ(bits(streamed.base_mean), bits(span.base_mean));
+    ASSERT_EQ(streamed.points.size(), span.points.size());
+    ASSERT_FALSE(span.points.empty());
+    for (std::size_t i = 0; i < span.points.size(); ++i) {
+      EXPECT_EQ(streamed.points[i].m, span.points[i].m);
+      EXPECT_EQ(streamed.points[i].n_blocks, span.points[i].n_blocks);
+      EXPECT_EQ(bits(streamed.points[i].variance),
+                bits(span.points[i].variance))
+          << "m=" << span.points[i].m;
+      EXPECT_EQ(bits(streamed.points[i].normalized),
+                bits(span.points[i].normalized))
+          << "m=" << span.points[i].m;
+    }
   }
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/synth/synthesizer.hpp"
 #include "src/trace/burst.hpp"
@@ -84,6 +88,43 @@ TEST(ConnTrace, SortBYStartAndSummary) {
   EXPECT_EQ(rows[0].connections, 2u);
   EXPECT_EQ(rows[0].bytes, 300u);
   EXPECT_EQ(t.total_bytes(), 300u);
+}
+
+// Coarse timestamps make equal starts common. The sort must give them
+// one order whatever order they arrive in: 48 records over 3 start
+// values, past introsort's 16-element insertion-sort cutoff, with ties
+// on start + duration broken further down the fields.
+TEST(ConnTrace, SortByStartIsTotalOnEqualStarts) {
+  std::vector<ConnRecord> recs;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    ConnRecord r = conn(10.0 * (i % 3), 1.0 + (i % 2),
+                        i % 4 < 2 ? Protocol::kSmtp : Protocol::kTelnet,
+                        i % 5, 100 + i % 7, 1 + i % 3, 9 - i % 4);
+    r.bytes_orig = i % 6;
+    recs.push_back(r);
+  }
+  recs.push_back(recs[5]);  // equal in every field: interchangeable
+  const auto key = [](const ConnRecord& r) {
+    return std::tie(r.start, r.duration, r.protocol, r.src_host, r.dst_host,
+                    r.bytes_orig, r.bytes_resp, r.session_id);
+  };
+  std::vector<ConnRecord> first;
+  for (unsigned seed = 1; seed <= 5; ++seed) {
+    std::mt19937 gen(seed);
+    std::shuffle(recs.begin(), recs.end(), gen);
+    ConnTrace t("t", 0.0, 100.0);
+    for (const ConnRecord& r : recs) t.add(r);
+    t.sort_by_start();
+    const std::vector<ConnRecord>& got = t.records();
+    ASSERT_EQ(got.size(), recs.size());
+    for (std::size_t i = 1; i < got.size(); ++i)
+      ASSERT_FALSE(key(got[i]) < key(got[i - 1]))
+          << "seed " << seed << " record " << i;
+    if (first.empty()) first = got;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_TRUE(key(got[i]) == key(first[i]))
+          << "seed " << seed << " record " << i;
+  }
 }
 
 TEST(ConnTrace, HourlyProfileNormalized) {
@@ -188,6 +229,22 @@ TEST(Burst, NonFtpDataIgnored) {
   t.add(conn(0.0, 1.0, Protocol::kFtpCtrl, 1, 10));
   t.add(conn(0.5, 1.0, Protocol::kTelnet, 1, 10));
   EXPECT_TRUE(find_ftp_bursts(t).empty());
+}
+
+TEST(Burst, EqualStartsOrderedByTheRemainingFields) {
+  ConnTrace t("t", 0.0, 100.0);
+  // Four sessions' bursts all start at 10; session order is the reverse
+  // of (end, bytes) order.
+  t.add(conn(10.0, 5.0, Protocol::kFtpData, 1, 10));
+  t.add(conn(10.0, 3.0, Protocol::kFtpData, 2, 10));
+  t.add(conn(10.0, 3.0, Protocol::kFtpData, 3, 5));
+  t.add(conn(10.0, 1.0, Protocol::kFtpData, 4, 10));
+  const auto bursts = find_ftp_bursts(t, 4.0);
+  ASSERT_EQ(bursts.size(), 4u);
+  EXPECT_EQ(bursts[0].session_id, 4u);  // ends at 11
+  EXPECT_EQ(bursts[1].session_id, 3u);  // ends at 13, 5 bytes
+  EXPECT_EQ(bursts[2].session_id, 2u);  // ends at 13, 10 bytes
+  EXPECT_EQ(bursts[3].session_id, 1u);  // ends at 15
 }
 
 TEST(Burst, IntraSessionSpacings) {
