@@ -39,13 +39,27 @@ std::string HurstReport::to_string() const {
   return out;
 }
 
-HurstReport hurst_report(std::span<const double> counts,
-                         const HurstReportConfig& config) {
+namespace {
+
+void require_length(std::span<const double> counts) {
   if (counts.size() < 512)
     throw std::invalid_argument("hurst_report: need >= 512 observations");
+}
+
+}  // namespace
+
+HurstReport hurst_report(std::span<const double> counts,
+                         const HurstReportConfig& config) {
+  require_length(counts);
+  return hurst_report(counts, stats::variance_time_plot(counts), config);
+}
+
+HurstReport hurst_report(std::span<const double> counts,
+                         const stats::VarianceTimePlot& vt,
+                         const HurstReportConfig& config) {
+  require_length(counts);
 
   HurstReport out;
-  const auto vt = stats::variance_time_plot(counts);
   out.vt_hurst = vt.hurst(config.vt_m_lo, config.vt_m_hi);
 
   // Aggregate for the frequency-domain and R/S estimators.

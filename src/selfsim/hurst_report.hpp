@@ -67,4 +67,11 @@ struct HurstReportConfig {
 HurstReport hurst_report(std::span<const double> counts,
                          const HurstReportConfig& config = {});
 
+/// Same, with `vt` the variance_time_plot(counts) the caller already
+/// holds (stream::PipelineResult::vt is one), so the series is not
+/// plotted a second time.
+HurstReport hurst_report(std::span<const double> counts,
+                         const stats::VarianceTimePlot& vt,
+                         const HurstReportConfig& config = {});
+
 }  // namespace wan::selfsim

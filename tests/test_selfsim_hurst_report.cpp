@@ -98,6 +98,19 @@ TEST(HurstReport, RenderingMentionsEveryEstimator) {
 TEST(HurstReport, Validation) {
   std::vector<double> tiny(100, 1.0);
   EXPECT_THROW(hurst_report(tiny), std::invalid_argument);
+  EXPECT_THROW(hurst_report(tiny, stats::variance_time_plot(tiny)),
+               std::invalid_argument);
+}
+
+TEST(HurstReport, ReusedPlotGivesTheSameReport) {
+  rng::Rng rng(6);
+  const auto x = generate_fgn(rng, 4096, 0.75);
+  const HurstReport fresh = hurst_report(x);
+  const HurstReport reused = hurst_report(x, stats::variance_time_plot(x));
+  EXPECT_EQ(reused.vt_hurst, fresh.vt_hurst);
+  EXPECT_EQ(reused.whittle_fgn_hurst, fresh.whittle_fgn_hurst);
+  EXPECT_EQ(reused.beran_p_value, fresh.beran_p_value);
+  EXPECT_EQ(reused.to_string(), fresh.to_string());
 }
 
 TEST(HurstReport, WhittleSweepIsStableForExactFgn) {

@@ -266,7 +266,7 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
     os << stream::vt_csv(result);
     std::printf("wrote variance-time CSV to %s\n", out->c_str());
   }
-  const auto report = selfsim::hurst_report(result.counts);
+  const auto report = selfsim::hurst_report(result.counts, result.vt);
   std::printf("\ncount process: %zu bins of %.3g s\n%s\n",
               result.counts.size(), result.bin, report.to_string().c_str());
   return 0;
