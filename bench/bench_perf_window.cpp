@@ -3,7 +3,7 @@
 //
 // Usage: bench_perf_window [JSON_PATH] [--smoke] [--repeat N]
 //
-// Three phases, all single-thread (the windowed engine is a serial
+// Four phases, all single-thread (the windowed engine is a serial
 // monitor loop by design):
 //
 //  1. parity — the rolling engine's reports against analyze_window_batch
@@ -26,17 +26,25 @@
 //     through the engine) may not grow peak RSS beyond ~2x a 4 h run:
 //     the engine's state is rings sized by the window, never by stream
 //     length. Measured via VmHWM like bench_perf_stream.
+//  4. refit kernel — a fresh WhittleRefitter plus one monitor engine's
+//     fits on the daemon's grid (150-bin segments, 74 ordinates): 1 cold
+//     and 35 hinted level-0 fits and their 36 level-1 fits, in process
+//     CPU time. `identical` records that the fresh refitter gives the
+//     bits of one whose rows were all read before.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "bench/bench_harness.hpp"
 #include "src/fft/periodogram.hpp"
 #include "src/fft/rolling_periodogram.hpp"
+#include "src/stats/whittle.hpp"
 #include "src/stream/window_analyzer.hpp"
 #include "src/synth/stream_synth.hpp"
 #include "src/synth/synthesizer.hpp"
@@ -242,6 +250,53 @@ RssPhase run_rss_phase(double hours, const stream::WindowedOptions& opt) {
   return r;
 }
 
+/// The periodograms one monitor engine fits over a 4 h replay at the
+/// daemon's geometry (1 s bins, 3600 s window, 300 s slide, sweep level
+/// 1): per report, the level-0 and level-1 rings of a cascade of
+/// 150-bin segments, here over Poisson counts of mean 5.
+struct EngineFits {
+  std::vector<fft::Periodogram> level0, level1;
+};
+
+EngineFits engine_fits() {
+  constexpr std::size_t kSegment = 150, kWindow = 3600, kSlide = 300,
+                        kReports = 36;
+  std::mt19937 gen(29);
+  std::poisson_distribution<int> pois(5.0);
+  std::vector<double> counts(kWindow + (kReports - 1) * kSlide);
+  for (double& c : counts) c = static_cast<double>(pois(gen));
+  fft::SegmentRingCascade cascade(kSegment, kWindow / kSegment, 1);
+  EngineFits fits;
+  const std::span<const double> all(counts);
+  cascade.push_samples(all.first(kWindow));
+  for (std::size_t r = 0;; ++r) {
+    fits.level0.push_back(cascade.ring(0).finish());
+    fits.level1.push_back(cascade.ring(1).finish());
+    if (r + 1 == kReports) break;
+    cascade.push_samples(all.subspan(kWindow + r * kSlide, kSlide));
+  }
+  return fits;
+}
+
+/// The engine's fit sequence: each level-0 fit hinted by the previous
+/// report's, each level-1 fit by its level-0 fit. Returns the H bits.
+std::vector<double> run_engine_fits(const stats::WhittleRefitter& refitter,
+                                    const EngineFits& fits) {
+  std::vector<double> hurst;
+  std::optional<double> last;
+  for (std::size_t r = 0; r < fits.level0.size(); ++r) {
+    stats::WhittleOptions o0;
+    o0.hurst_hint = last;
+    const double h0 = refitter.fit(fits.level0[r], o0).hurst;
+    stats::WhittleOptions o1;
+    o1.hurst_hint = h0;
+    hurst.push_back(h0);
+    hurst.push_back(refitter.fit(fits.level1[r], o1).hurst);
+    last = h0;
+  }
+  return hurst;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -343,6 +398,42 @@ int main(int argc, char** argv) {
         {"rss_bounded", rss_bounded ? "true" : "false"},
     };
     harness.add(r);
+  }
+
+  // Phase 4: the refit kernel, a fresh refitter per rep.
+  {
+    const EngineFits fits = engine_fits();
+    const std::vector<double> grid = fits.level0.front().frequency;
+    const stats::WhittleRefitter warm(grid);
+    run_engine_fits(warm, fits);  // reads every row the sequence reads
+    const std::vector<double> reference = run_engine_fits(warm, fits);
+    std::vector<double> fresh_bits;
+    std::size_t rows_built = 0;
+    par::set_thread_count(1);
+    bench::BenchResult r;
+    r.op = std::string("whittle_refit_engine/74") + (smoke ? "/smoke" : "");
+    r.threads = 1;
+    r.items = static_cast<double>(2 * fits.level0.size());
+    r.unit = "fits";
+    r.repeats = harness.repeats(7);
+    r.serial_ms = bench::min_cpu_time_ms(
+        [&] {
+          const stats::WhittleRefitter fresh(grid);
+          fresh_bits = run_engine_fits(fresh, fits);
+          rows_built = fresh.rows_built();
+        },
+        r.repeats);
+    r.parallel_ms = r.serial_ms;
+    r.throughput = r.serial_ms > 0.0 ? r.items / (r.serial_ms / 1000.0) : 0.0;
+    r.identical = fresh_bits == reference;
+    r.extra = bench::provenance();
+    r.extra.emplace_back("rows_built", std::to_string(rows_built));
+    std::printf("refit kernel: fresh refitter + %zu fits %.2f ms CPU, %zu "
+                "rows built -> %s\n",
+                2 * fits.level0.size(), r.serial_ms, rows_built,
+                r.identical ? "PASS" : "FAIL");
+    harness.add(r);
+    if (!r.identical) return 1;
   }
 
   if (!(parity_ok && pg_ok)) return 1;
