@@ -24,9 +24,9 @@ EngineMux::EngineMux(const stream::WindowedOptions& options,
   const stream::WindowGeometry geometry =
       stream::window_geometry(options_);  // validate once, loudly
 
-  // Built here, on the calling thread, so it is built exactly once: left
-  // to the engines, every engine would build its own at its first
-  // report, all together inside push()'s parallel region.
+  // One refitter for every engine, so each table row is built once for
+  // all of them: left to the engines, every engine would make its own at
+  // its first report and build the rows it reads for itself.
   const std::shared_ptr<const stats::WhittleRefitter> refitter =
       std::make_shared<stats::WhittleRefitter>(
           fft::fourier_frequencies(geometry.segment_bins));

@@ -16,19 +16,21 @@
 // The engines share one stats::WhittleRefitter. One slide geometry means
 // one Welch segment length, hence one periodogram grid,
 // fft::fourier_frequencies(segment_bins), so one set of density tables
-// serves every engine and every sweep level. The constructor builds it
-// once, serially, and hands each engine a shared pointer to it; built
-// per engine instead, the tables would cost one build per engine, all
-// at the first report.
+// serves every engine and every sweep level. The constructor sets up
+// the refitter's lattice (no density work) and hands each engine a
+// shared pointer to it; the engines' fits then build each table row
+// once, the first time any of them reads it. Per engine instead, every
+// row an engine reads would be built once per engine.
 //
 // Engines update in parallel on the src/par pool — they share no
-// mutable state (each engine's sink appends to its own pending queue,
-// and WhittleRefitter::fit only reads the shared tables), and every
-// engine consumes a pre-partitioned time span, so the result is
-// independent of scheduling. Reports drain in rounds — because all
-// engines advance through the same boundaries they emit in lockstep,
-// and a round is one report per engine in fixed engine order — which
-// makes the drained sequence deterministic.
+// mutable state they can observe (each engine's sink appends to its
+// own pending queue, and a table row WhittleRefitter::fit builds is
+// built once under its own once-flag and has the same bits whichever
+// engine builds it), and every engine consumes a pre-partitioned time
+// span, so the result is independent of scheduling. Reports drain in
+// rounds — because all engines advance through the same boundaries
+// they emit in lockstep, and a round is one report per engine in fixed
+// engine order — which makes the drained sequence deterministic.
 #pragma once
 
 #include <cstddef>
@@ -56,8 +58,8 @@ class EngineMux {
   /// own protocol filter must be unset (the mux partitions by protocol
   /// itself) — throws std::invalid_argument otherwise, and
   /// when the segment length gives the Whittle fit fewer than 8
-  /// periodogram ordinates. Builds the shared Whittle tables (~0.2 CPU s
-  /// at the daemon's default geometry).
+  /// periodogram ordinates. Sets up the shared Whittle refitter, whose
+  /// table rows the engines' fits build on first read.
   EngineMux(const stream::WindowedOptions& options,
             const std::vector<trace::Protocol>& protocols, double t_begin);
 

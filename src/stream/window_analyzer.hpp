@@ -14,13 +14,14 @@
 //     segment (fft::SegmentRing / SegmentRingCascade), never a
 //     window-wide recompute;
 //   * the Whittle refit is a block update: the frequency grid never
-//     changes, so a WhittleRefitter holds precomputed density tables
-//     over an H lattice, and each refit is a hint-windowed lattice scan
-//     plus one exact density pass — microseconds-to-a-millisecond
-//     instead of a from-scratch search (the previous window's H is
-//     still the warm-start hint). Engines on one geometry can share one
-//     refitter, handed in at construction (the monitor's EngineMux
-//     does); an engine given none builds its own at its first report;
+//     changes, so a WhittleRefitter holds density tables over an H
+//     lattice, each row built the first time a fit reads it, and each
+//     refit is a hint-windowed lattice scan plus a stencil refinement
+//     read off the table rows — microseconds instead of a from-scratch
+//     search (the previous window's H is still the warm-start hint).
+//     Engines on one geometry can share one refitter, handed in at
+//     construction (the monitor's EngineMux does); an engine given none
+//     makes its own at its first report;
 //   * burst/lull state is a bucket ring merged in O(window/slide);
 //   * Appendix-A outcomes ride a ring, each interval tested once.
 // The only O(window) terms per slide are the materialization of the
