@@ -10,7 +10,8 @@
 # trace serially, with --shards 3 and from stdin, and
 # `wantraffic_ingest conn` the same CSV from a file and from stdin.
 # `wantraffic_analyze conn` must reach the in-memory verdicts on a
-# synthesized day read back from its CSV, and `wantraffic_analyze pkt`
+# synthesized day read back from its CSV; that CSV and the day's
+# --deperiodic report are pinned by SHA256. And `wantraffic_analyze pkt`
 # must analyze a packet CSV without its metadata line from its first
 # packet on, a CRLF copy of it alike, and a piped binary trace as its
 # file (refusing a pipe when it reads the input twice). Invalid counts,
@@ -88,9 +89,25 @@ function(expect_same_file a b)
   endif()
 endfunction()
 
-# `file`'s SHA256 must be `want`. The pinned values were taken from
-# the tools' former batch mode, so they show that the one streamed
-# path writes the bytes batch mode wrote.
+# Runs one command (after `want`; options such as WORKING_DIRECTORY ride
+# along) that must exit 0 with a stdout whose SHA256 is `want`.
+function(expect_stdout_sha256 want)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  string(REPLACE ";" " " cmd "${ARGN}")
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "exit ${rc}: ${cmd}\n${out}\n${err}")
+  endif()
+  string(SHA256 got "${out}")
+  if(NOT got STREQUAL want)
+    message(FATAL_ERROR "stdout of ${cmd}: SHA256 ${got}, want ${want}\n"
+            "${out}")
+  endif()
+endfunction()
+
+# `file`'s SHA256 must be `want`. The packet pins were taken from the
+# tools' former batch mode, so they show that the one streamed path
+# writes the bytes batch mode wrote.
 function(expect_sha256 file want)
   file(SHA256 "${file}" got)
   if(NOT got STREQUAL want)
@@ -198,6 +215,15 @@ set(day "${WORK_DIR}/day.csv")
 run("${SYNTH}" conn --days 1 --seed 1 --out "${day}")
 run_matches(PATTERNS "removed 72 periodic" "TELNET +[^\n]* POISSON"
             COMMAND "${ANALYZE}" conn "${day}" --deperiodic)
+# The day's CSV and the whole report are pinned too. The report names
+# the trace by the path it was given, so it reads day.csv from inside
+# WORK_DIR. Like ConnAnalysisPins.SynthesizedDay, both pins hold on an
+# FMA-capable glibc only (ROADMAP item 7).
+expect_sha256("${day}"
+  107a8eb95c06fee6b8b37ad619d72d81e6839390d1c4376bb288effef6e97fe9)
+expect_stdout_sha256(
+  524ec892e5e690a0dd740f78c20c24f8df886e6053e3d9a68e1e25d19aaa9763
+  "${ANALYZE}" conn day.csv --deperiodic WORKING_DIRECTORY "${WORK_DIR}")
 file(WRITE "${WORK_DIR}/nan.csv"
      "# t_begin=0 t_end=100 name=nan\n"
      "start,duration,protocol,src,dst,bytes_orig,bytes_resp,session\n"
