@@ -87,10 +87,11 @@ namespace {
 
 // FULL-TEL, both directions. The eager phase burns through the same
 // draws generate_connections makes, checkpointing the RNG before each
-// connection so activation can replay exactly that connection's size
-// and packet times; the responder stream (which the batch path consumes
-// *after* all originator draws) is then walked lazily, one connection
-// per activation, in the same order.
+// connection and skipping its packet times through the Tcplib walk, so
+// activation can replay exactly that connection's size and packet
+// times; the responder stream (which the batch path consumes *after*
+// all originator draws) is then walked lazily, one connection per
+// activation, in the same order.
 class TelnetGen final : public StreamingPacketSynthesizer::Generator {
  public:
   TelnetGen(const TelnetConfig& cfg, rng::Rng r, double t0, double t1,
@@ -106,7 +107,7 @@ class TelnetGen final : public StreamingPacketSynthesizer::Generator {
     for (double s : starts_) {
       checkpoints_.push_back(r);
       const std::size_t n = src_.sample_size_packets(r);
-      (void)src_.generate_packet_times(r, s, n, InterarrivalScheme::kTcplib);
+      (void)src_.tcplib_last_packet_time(r, s, n);
     }
     responder_rng_ = r;
   }

@@ -44,6 +44,18 @@ std::vector<double> TelnetSource::generate_packet_times(
   return {};
 }
 
+double TelnetSource::tcplib_last_packet_time(rng::Rng& rng, double start,
+                                             std::size_t n) const {
+  // renewal_arrivals_count's loop, keeping only the last time it pushes.
+  double t = start;
+  double last = start;
+  for (std::size_t i = 0; i < n; ++i) {
+    last = t;
+    t += tcplib_dist_.sample(rng);
+  }
+  return last;
+}
+
 std::vector<TelnetConnection> TelnetSource::generate_connections(
     rng::Rng& rng, double t0, double t1, InterarrivalScheme scheme) const {
   const auto starts =
@@ -59,6 +71,21 @@ std::vector<TelnetConnection> TelnetSource::generate_connections(
     conns.push_back(std::move(c));
   }
   return conns;
+}
+
+std::vector<ConnSkeleton> TelnetSource::generate_skeletons(rng::Rng& rng,
+                                                          double t0,
+                                                          double t1) const {
+  const auto starts =
+      poisson_arrivals_hourly(rng, config_.profile, config_.conns_per_day,
+                              t0, t1);
+  std::vector<ConnSkeleton> skeletons;
+  skeletons.reserve(starts.size());
+  for (double s : starts) {
+    const std::size_t n = sample_size_packets(rng);
+    skeletons.push_back({s, n, tcplib_last_packet_time(rng, s, n) - s});
+  }
+  return skeletons;
 }
 
 std::vector<TelnetConnection> TelnetSource::generate_from_skeletons(
@@ -163,16 +190,16 @@ trace::PacketTrace TelnetSource::to_packet_trace_with_responder(
 }
 
 void TelnetSource::append_conn_records(
-    rng::Rng& rng, const std::vector<TelnetConnection>& conns,
+    rng::Rng& rng, const std::vector<ConnSkeleton>& skeletons,
     const HostModel& hosts, trace::ConnTrace& out) const {
-  for (const TelnetConnection& c : conns) {
+  for (const ConnSkeleton& c : skeletons) {
     trace::ConnRecord r;
     r.start = c.start;
-    r.duration = c.duration();
+    r.duration = c.duration;
     r.protocol = config_.protocol;
     r.src_host = hosts.sample_local(rng);
     r.dst_host = hosts.sample_remote(rng);
-    const auto pkts = static_cast<double>(c.packet_times.size());
+    const auto pkts = static_cast<double>(c.packets);
     r.bytes_orig = static_cast<std::uint64_t>(pkts * 1.6);
     // The responder echoes keystrokes and adds command output.
     r.bytes_resp = static_cast<std::uint64_t>(

@@ -26,11 +26,14 @@ namespace wan::synth {
 enum class InterarrivalScheme { kTcplib, kExponential, kVarExp };
 
 /// Skeleton of a connection: what the paper keeps fixed when comparing
-/// schemes (start time and size, plus the observed duration for VAR-EXP).
+/// schemes (start time and size, plus the observed duration for
+/// VAR-EXP), and all a SYN/FIN connection record reads of it.
 struct ConnSkeleton {
   double start = 0.0;
   std::size_t packets = 0;
-  double duration = 0.0;  ///< only used by kVarExp
+  /// Last packet time minus start; generate_from_skeletons reads it
+  /// only for kVarExp.
+  double duration = 0.0;
 };
 
 /// The TELNET *responder* side — the paper models only the originator
@@ -86,11 +89,30 @@ class TelnetSource {
                                             InterarrivalScheme scheme,
                                             double duration = 0.0) const;
 
+  /// The Tcplib walk: the last packet time of an n-packet connection
+  /// starting at `start`, without its packet times. It takes the n gaps
+  /// generate_packet_times(rng, start, n, kTcplib) takes, the last one
+  /// drawn and discarded, and adds the first n - 1 in the same order, so
+  /// the result is that vector's back() bit for bit and rng ends where
+  /// that call leaves it. With n == 0 it draws nothing and returns
+  /// `start`.
+  double tcplib_last_packet_time(rng::Rng& rng, double start,
+                                 std::size_t n) const;
+
   /// Full FULL-TEL synthesis over [t0, t1): Poisson-hourly connection
   /// arrivals, log-normal sizes, per-scheme packet times.
   std::vector<TelnetConnection> generate_connections(
       rng::Rng& rng, double t0, double t1,
       InterarrivalScheme scheme = InterarrivalScheme::kTcplib) const;
+
+  /// skeletons_of(generate_connections(rng, t0, t1, kTcplib)) without
+  /// the packet times: the same draws in the same order (the hourly
+  /// Poisson starts, then per connection its size and its Tcplib walk),
+  /// so the skeletons match field for field and rng ends where
+  /// generate_connections leaves it. What connection records are built
+  /// from.
+  std::vector<ConnSkeleton> generate_skeletons(rng::Rng& rng, double t0,
+                                               double t1) const;
 
   /// Re-synthesis from fixed skeletons (the Fig. 5 comparison): same
   /// starts and sizes, scheme-specific timing.
@@ -129,11 +151,13 @@ class TelnetSource {
                                 const ResponderConfig& responder,
                                 trace::PacketTrace& out) const;
 
-  /// Appends SYN/FIN-style connection records to `out` (for ConnTrace
-  /// synthesis). Bytes are ~1.6 per originator packet (Section V notes
-  /// 85k packets carried 139k bytes).
+  /// Appends one SYN/FIN-style connection record per skeleton to `out`
+  /// (for ConnTrace synthesis): its start and duration, hosts drawn from
+  /// `hosts`, and bytes from its packet count, ~1.6 per originator
+  /// packet (Section V notes 85k packets carried 139k bytes). Draws two
+  /// hosts and one uniform per record.
   void append_conn_records(rng::Rng& rng,
-                           const std::vector<TelnetConnection>& conns,
+                           const std::vector<ConnSkeleton>& skeletons,
                            const HostModel& hosts,
                            trace::ConnTrace& out) const;
 

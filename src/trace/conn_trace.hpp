@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/trace/records.hpp"
@@ -39,6 +40,11 @@ class ConnTrace {
   void add(const ConnRecord& rec) { records_.push_back(rec); }
   void reserve(std::size_t n) { records_.reserve(n); }
   const std::vector<ConnRecord>& records() const { return records_; }
+  /// Hands the records out by move, leaving the trace its name and
+  /// window but no records: std::move(trace).take_records().
+  std::vector<ConnRecord> take_records() && {
+    return std::exchange(records_, {});
+  }
   std::size_t size() const { return records_.size(); }
 
   /// Sorts records by start time (analysis code assumes this). Equal

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/rng/rng.hpp"
 #include "src/stats/counting.hpp"
 #include "src/stats/descriptive.hpp"
+#include "src/synth/synthesizer.hpp"
 #include "src/synth/telnet_source.hpp"
 
 namespace wan::synth {
@@ -91,6 +95,67 @@ TEST(TelnetSource, SkeletonRoundtripPreservesStartAndSize) {
   }
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The Tcplib walk against the packet times it skips: the skeletons are
+// skeletons_of(generate_connections(...)) field for field, durations by
+// their bits, and the Rng ends where generate_connections leaves it, so
+// the draws that follow are equal too. Returns the skeletons.
+std::vector<ConnSkeleton> expect_walk_matches_connections(
+    const TelnetConfig& cfg, std::uint64_t seed, double t1) {
+  const TelnetSource src(cfg);
+  rng::Rng walk_rng(seed);
+  rng::Rng full_rng(seed);
+  const auto walked = src.generate_skeletons(walk_rng, 0.0, t1);
+  const auto full = TelnetSource::skeletons_of(src.generate_connections(
+      full_rng, 0.0, t1, InterarrivalScheme::kTcplib));
+  EXPECT_FALSE(walked.empty());
+  EXPECT_EQ(walked.size(), full.size());
+  for (std::size_t i = 0; i < std::min(walked.size(), full.size()); ++i) {
+    EXPECT_EQ(bits(walked[i].start), bits(full[i].start)) << i;
+    EXPECT_EQ(walked[i].packets, full[i].packets) << i;
+    EXPECT_EQ(bits(walked[i].duration), bits(full[i].duration)) << i;
+  }
+  for (int k = 0; k < 4; ++k)
+    EXPECT_EQ(walk_rng.next_u64(), full_rng.next_u64()) << k;
+  return walked;
+}
+
+TEST(TelnetWalk, TelnetDefaultsMatchGeneratedConnections) {
+  expect_walk_matches_connections(TelnetConfig{}, 11, 6.0 * 3600.0);
+}
+
+TEST(TelnetWalk, RloginDatasetConfigMatchesGeneratedConnections) {
+  const ConnDatasetConfig dataset;
+  ASSERT_EQ(dataset.rlogin.protocol, trace::Protocol::kRlogin);
+  expect_walk_matches_connections(dataset.rlogin, 12, 6.0 * 3600.0);
+}
+
+TEST(TelnetWalk, BindingSizeClampMatchesGeneratedConnections) {
+  TelnetConfig cfg = flat_config(4800.0);
+  cfg.max_packets = 40;  // below the 100-packet median: the clamp binds
+  const auto walked = expect_walk_matches_connections(cfg, 13, 3600.0);
+  std::size_t clamped = 0;
+  for (const ConnSkeleton& sk : walked) {
+    EXPECT_LE(sk.packets, 40u);
+    clamped += sk.packets == 40 ? 1 : 0;
+  }
+  EXPECT_GT(clamped, walked.size() / 2);
+}
+
+TEST(TelnetWalk, LastTimeOfEverySizeTakesThePacketTimesDraws) {
+  const TelnetSource src(flat_config());
+  for (std::size_t n : {0u, 1u, 2u, 3u, 57u}) {
+    rng::Rng walk_rng(20 + n);
+    rng::Rng full_rng(20 + n);
+    const double last = src.tcplib_last_packet_time(walk_rng, 5.0, n);
+    const auto times = src.generate_packet_times(full_rng, 5.0, n,
+                                                 InterarrivalScheme::kTcplib);
+    EXPECT_EQ(bits(last), bits(times.empty() ? 5.0 : times.back())) << n;
+    EXPECT_EQ(walk_rng.next_u64(), full_rng.next_u64()) << n;
+  }
+}
+
 TEST(TelnetSource, PacketTraceClipsAndTagsProtocol) {
   TelnetConfig cfg = flat_config();
   cfg.protocol = trace::Protocol::kRlogin;
@@ -116,7 +181,7 @@ TEST(TelnetSource, ConnRecordsHaveRealisticBytes) {
   rng::Rng rng(8);
   const auto conns = src.generate_connections(rng, 0.0, 1800.0);
   trace::ConnTrace out("t", 0.0, 1800.0);
-  src.append_conn_records(rng, conns, hosts, out);
+  src.append_conn_records(rng, TelnetSource::skeletons_of(conns), hosts, out);
   ASSERT_EQ(out.size(), conns.size());
   for (const auto& r : out.records()) {
     EXPECT_EQ(r.protocol, trace::Protocol::kTelnet);
