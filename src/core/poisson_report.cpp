@@ -7,6 +7,15 @@ namespace wan::core {
 
 std::vector<ProtocolVerdict> poisson_report(
     const trace::ConnTrace& tr, const PoissonReportConfig& config) {
+  return poisson_report(
+      tr, config,
+      config.include_ftp_bursts ? trace::find_ftp_bursts(tr, config.burst_gap)
+                                : std::vector<trace::FtpBurst>{});
+}
+
+std::vector<ProtocolVerdict> poisson_report(
+    const trace::ConnTrace& tr, const PoissonReportConfig& config,
+    const std::vector<trace::FtpBurst>& bursts) {
   stats::PoissonTestConfig test = config.test;
   test.interval_length = config.interval_length;
 
@@ -29,7 +38,6 @@ std::vector<ProtocolVerdict> poisson_report(
   }
 
   if (config.include_ftp_bursts) {
-    const auto bursts = trace::find_ftp_bursts(tr, config.burst_gap);
     const auto times = trace::burst_start_times(bursts);
     if (times.size() >= 2 * test.min_interarrivals) {
       ProtocolVerdict v;

@@ -36,6 +36,13 @@ struct PoissonReportConfig {
 std::vector<ProtocolVerdict> poisson_report(const trace::ConnTrace& tr,
                                             const PoissonReportConfig& config);
 
+/// Same, with `bursts` the find_ftp_bursts(tr, config.burst_gap) the
+/// caller already holds, so the trace is not burst a second time.
+/// Unread when !config.include_ftp_bursts.
+std::vector<ProtocolVerdict> poisson_report(
+    const trace::ConnTrace& tr, const PoissonReportConfig& config,
+    const std::vector<trace::FtpBurst>& bursts);
+
 /// Renders verdicts as a Fig. 2-style table (pass rates, consistency,
 /// sign annotations).
 std::string render_poisson_report(const std::vector<ProtocolVerdict>& rows);

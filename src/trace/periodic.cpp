@@ -51,26 +51,25 @@ std::vector<PeriodicStream> detect_periodic_streams(
   return detect(ConnGroups(trace, stream_key), config, nullptr);
 }
 
-ConnTrace remove_periodic_streams(const ConnTrace& trace,
+ConnTrace remove_periodic_streams(ConnTrace trace,
                                   const PeriodicDetectionConfig& config) {
   std::vector<char> doomed(trace.size(), 0);
-  std::size_t n_doomed = 0;
   {
     const ConnGroups streams(trace, stream_key);
     std::vector<std::size_t> groups;
     detect(streams, config, &groups);
     for (const std::size_t g : groups) {
       for (const std::uint32_t i : streams.members(g)) doomed[i] = 1;
-      n_doomed += streams.members(g).size();
     }
   }
-  std::vector<ConnRecord> kept;
-  kept.reserve(trace.size() - n_doomed);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (!doomed[i]) kept.push_back(trace.records()[i]);
+  std::vector<ConnRecord> records = std::move(trace).take_records();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (!doomed[i]) records[kept++] = records[i];
   }
+  records.resize(kept);
   return ConnTrace(trace.name() + "/deperiodic", trace.t_begin(),
-                   trace.t_end(), std::move(kept));
+                   trace.t_end(), std::move(records));
 }
 
 }  // namespace wan::trace

@@ -36,11 +36,13 @@ struct PeriodicDetectionConfig {
 std::vector<PeriodicStream> detect_periodic_streams(
     const ConnTrace& trace, const PeriodicDetectionConfig& config = {});
 
-/// Returns a copy of the trace with every connection belonging to a
-/// detected periodic stream removed (both the FTPDATA and control legs
-/// of a weather-map-style job disappear because both streams are
-/// periodic).
-ConnTrace remove_periodic_streams(const ConnTrace& trace,
+/// Returns the trace with every connection belonging to a detected
+/// periodic stream removed (both the FTPDATA and control legs of a
+/// weather-map-style job disappear because both streams are periodic),
+/// named "<name>/deperiodic". The trace is compacted in place, so a
+/// caller done with its input moves it in and pays no copy; an lvalue
+/// argument is copied.
+ConnTrace remove_periodic_streams(ConnTrace trace,
                                   const PeriodicDetectionConfig& config = {});
 
 }  // namespace wan::trace

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/poisson_report.hpp"
@@ -157,16 +158,24 @@ struct Pins {
 
 // Runs every analysis the way `wantraffic_analyze conn --deperiodic`
 // chains them: detect and remove periodic streams, then report, burst
-// and space the rest. Arrivals are taken from the input itself.
+// and space the rest. Arrivals are taken from the input itself. The
+// removal is pinned on a copy and on a trace moved in, and the hourly
+// report with its bursts found inside and handed in.
 void expect_pins(const ConnTrace& tr, const Pins& pin) {
   EXPECT_EQ(describe(trace::detect_periodic_streams(tr)), pin.periodic);
   const ConnTrace kept = trace::remove_periodic_streams(tr);
   EXPECT_EQ(describe(kept), pin.deperiodic);
+  ConnTrace moved = tr;
+  EXPECT_EQ(describe(trace::remove_periodic_streams(std::move(moved))),
+            pin.deperiodic);
 
   core::PoissonReportConfig hour;
   const auto hourly = core::poisson_report(kept, hour);
   EXPECT_EQ(describe(hourly), pin.report_hour);
   EXPECT_EQ(core::render_poisson_report(hourly), pin.table_hour);
+  EXPECT_EQ(describe(core::poisson_report(
+                kept, hour, trace::find_ftp_bursts(kept, hour.burst_gap))),
+            pin.report_hour);
   core::PoissonReportConfig ten_min;
   ten_min.interval_length = 600.0;
   const auto fine = core::poisson_report(kept, ten_min);

@@ -42,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/core/poisson_report.hpp"
 #include "src/ingest/ingest.hpp"
@@ -127,16 +128,16 @@ int run_conn(const std::string& path, const tools::ArgParser& args) {
               path.c_str());
   if (args.has("--deperiodic")) {
     const auto before = tr.size();
-    tr = trace::remove_periodic_streams(tr);
+    tr = trace::remove_periodic_streams(std::move(tr));
     std::printf("removed %zu periodic (weather-map-like) records\n",
                 before - tr.size());
   }
   core::PoissonReportConfig cfg;
   cfg.interval_length = args.number("--interval", cfg.interval_length);
-  const auto rows = core::poisson_report(tr, cfg);
+  const auto bursts = trace::find_ftp_bursts(tr, cfg.burst_gap);
+  const auto rows = core::poisson_report(tr, cfg, bursts);
   std::printf("\n%s\n", core::render_poisson_report(rows).c_str());
 
-  const auto bursts = trace::find_ftp_bursts(tr, 4.0);
   if (bursts.size() >= 100) {
     const auto bytes = trace::burst_bytes(bursts);
     std::printf("FTPDATA bursts: %zu; top 0.5%% of bursts hold %.1f%% "
