@@ -32,7 +32,7 @@
 #define WAN_BENCH_DEFAULT_JSON "BENCH_perf.json"
 #endif
 // The build also injects the configured revision and build type, which
-// provenance() stamps on a row.
+// provenance() stamps on every row.
 #ifndef WAN_BENCH_REV
 #define WAN_BENCH_REV "unknown"
 #endif
@@ -55,7 +55,8 @@ struct BenchResult {
   int repeats = 1;            ///< timed runs behind the recorded times
   /// Extra key → raw-JSON-value pairs appended verbatim to the record
   /// (e.g. {"peak_rss_kb", "12345"} or {"rss_bounded", "true"}), for
-  /// benches that measure more than wall time.
+  /// benches that measure more than wall time. provenance()'s keys are
+  /// stamped on every row already.
   std::vector<std::pair<std::string, std::string>> extra;
 };
 
@@ -68,10 +69,11 @@ inline std::size_t cores() {
   return n > 0 ? static_cast<std::size_t>(n) : 1;
 }
 
-/// Where a row was measured, as BenchResult::extra pairs: the source
-/// revision the build was configured from (git describe, "-dirty" when
-/// the tree had uncommitted changes then), the UTC date of the run, the
-/// build type and the host's CPU model.
+/// Where a row was measured, as key → raw-JSON-value pairs that
+/// Harness::write stamps on every row: the source revision the build
+/// was configured from (git describe, "-dirty" when the tree had
+/// uncommitted changes then), the UTC date of the run, the build type
+/// and the host's CPU model.
 inline std::vector<std::pair<std::string, std::string>> provenance() {
   const auto quoted = [](std::string v) {
     std::string out = "\"";
@@ -296,8 +298,9 @@ class Harness {
     } else {
       out << "[";
     }
+    const auto stamp = provenance();
     for (const BenchResult& r : results_) {
-      out << (appending ? "," : "") << "\n  " << to_json(r);
+      out << (appending ? "," : "") << "\n  " << to_json(r, stamp);
       appending = true;
     }
     out << "\n]\n";
@@ -308,7 +311,9 @@ class Harness {
   }
 
  private:
-  static std::string to_json(const BenchResult& r) {
+  static std::string to_json(
+      const BenchResult& r,
+      const std::vector<std::pair<std::string, std::string>>& stamp) {
     std::ostringstream j;
     j << "{\"op\": \"" << r.op << "\", \"threads\": " << r.threads
       << ", \"cores\": " << cores() << ", \"items\": " << r.items
@@ -319,6 +324,8 @@ class Harness {
       << ", \"throughput_per_s\": " << r.throughput
       << ", \"identical\": " << (r.identical ? "true" : "false")
       << ", \"repeats\": " << r.repeats;
+    for (const auto& [key, value] : stamp)
+      j << ", \"" << key << "\": " << value;
     for (const auto& [key, value] : r.extra)
       j << ", \"" << key << "\": " << value;
     j << "}";

@@ -204,7 +204,6 @@ int main(int argc, char** argv) {
                          ? row.items / (row.parallel_ms / 1000.0)
                          : 0.0;
     row.identical = same_vt(fold, exact);
-    row.extra = bench::provenance();
     bench::Harness::add_rates(row, kSampleBytes);
     harness.add(row);
   }

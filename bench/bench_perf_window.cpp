@@ -426,7 +426,6 @@ int main(int argc, char** argv) {
     r.parallel_ms = r.serial_ms;
     r.throughput = r.serial_ms > 0.0 ? r.items / (r.serial_ms / 1000.0) : 0.0;
     r.identical = fresh_bits == reference;
-    r.extra = bench::provenance();
     r.extra.emplace_back("rows_built", std::to_string(rows_built));
     std::printf("refit kernel: fresh refitter + %zu fits %.2f ms CPU, %zu "
                 "rows built -> %s\n",
