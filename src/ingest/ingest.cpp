@@ -43,15 +43,9 @@ std::unique_ptr<IngestPacketSource> open_packet_source(
   check_stdin_support(path, format);
   switch (format) {
     case IngestFormat::kPcap:
-      if (opt.shards > 1)
-        return std::make_unique<ShardedMmapPcapPacketSource>(
-            path, opt.mode, opt.shards, opt.flow, opt.chunk_size);
       return std::make_unique<MmapPcapPacketSource>(path, opt.mode, opt.flow,
                                                     opt.chunk_size);
     case IngestFormat::kLblPkt:
-      if (opt.shards > 1)
-        return std::make_unique<ShardedLblPktPacketSource>(
-            path, opt.mode, opt.shards, opt.flow, opt.chunk_size);
       return std::make_unique<LblPktPacketSource>(path, opt.mode, opt.flow,
                                                   opt.chunk_size);
     case IngestFormat::kLblConn:
@@ -65,9 +59,9 @@ std::unique_ptr<IngestPacketSource> open_packet_source(
 std::unique_ptr<IngestColumnSource> open_packet_column_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt) {
   check_stdin_support(path, format);
-  // Native columnar decode exists only for serial pcap; the other
-  // packet configurations keep their row sources and transpose.
-  if (format == IngestFormat::kPcap && opt.shards == 1)
+  // Native columnar decode exists only for pcap; lbl-pkt keeps its row
+  // source and transposes.
+  if (format == IngestFormat::kPcap)
     return std::make_unique<PcapColumnSource>(path, opt.mode, opt.flow,
                                               opt.chunk_size);
   return std::make_unique<ColumnsFromIngest>(

@@ -31,12 +31,6 @@ struct IngestOptions {
   /// Records per chunk of a packet source. Connection traces load whole.
   std::size_t chunk_size = stream::kDefaultChunkSize;
   FlowTableConfig flow;  ///< idle timeout for flow reconstruction
-  /// Flow-hash shards for packet-level reconstruction. 1 = the serial
-  /// FlowTable; > 1 fans the table work across the src/par pool with
-  /// byte-identical output (see shard_ingest.hpp). Connection traces
-  /// ignore this — closure order is not shard-invariant, so tools
-  /// reject --shards in conn mode instead.
-  std::size_t shards = 1;
 };
 
 /// Packet-level source for the packet formats (pcap, lbl-pkt).
@@ -45,12 +39,12 @@ struct IngestOptions {
 std::unique_ptr<IngestPacketSource> open_packet_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt);
 
-/// Columnar packet-level source: serial pcap decodes straight into
+/// Columnar packet-level source: pcap decodes straight into
 /// PacketColumns (PcapColumnSource: mmap + flat table, no row chunk —
-/// the zero-copy fast path analyze_columns drains); lbl-pkt and
-/// sharded ingest are the row source bridged through a transpose
-/// (ColumnsFromIngest). Rows are identical to open_packet_source's in
-/// every configuration. Throws std::invalid_argument for kLblConn.
+/// the zero-copy fast path analyze_columns drains); lbl-pkt is the row
+/// source bridged through a transpose (ColumnsFromIngest). Rows are
+/// identical to open_packet_source's. Throws std::invalid_argument for
+/// kLblConn.
 std::unique_ptr<IngestColumnSource> open_packet_column_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt);
 

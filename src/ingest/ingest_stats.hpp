@@ -77,27 +77,6 @@ struct IngestStats {
   /// Multi-line human-readable ledger (only non-zero rows).
   std::string to_string() const;
 
-  /// Folds another ledger into this one (plain counter adds, so the
-  /// merge is associative and commutative). Sharded ingestion keeps one
-  /// ledger per shard and merges them into the single ledger it
-  /// reports, per the repo-wide merge contract.
-  void merge(const IngestStats& other) {
-    records += other.records;
-    bytes += other.bytes;
-    bad_headers += other.bad_headers;
-    truncated_records += other.truncated_records;
-    oversized_records += other.oversized_records;
-    bad_lines += other.bad_lines;
-    out_of_order += other.out_of_order;
-    io_errors += other.io_errors;
-    skipped_frames += other.skipped_frames;
-    vlan_frames += other.vlan_frames;
-    short_captures += other.short_captures;
-    unknown_transports += other.unknown_transports;
-    unknown_protocols += other.unknown_protocols;
-    missing_fields += other.missing_fields;
-  }
-
   void clear() { *this = IngestStats{}; }
 };
 

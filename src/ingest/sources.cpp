@@ -105,37 +105,6 @@ template class PacketSourceImpl<PcapReader>;
 template class PacketSourceImpl<LblPktReader>;
 template class PacketSourceImpl<PcapReader, NodeFlowTable>;
 
-// ----------------------------------------------- ShardedPacketSourceImpl
-
-template <typename Reader>
-ShardedPacketSourceImpl<Reader>::ShardedPacketSourceImpl(
-    const std::string& path, ParseMode mode, std::size_t n_shards,
-    FlowTableConfig flow, std::size_t chunk_size)
-    : reader_(path, mode),
-      table_(n_shards, packet_flow_config(flow)),
-      chunk_size_(chunk_size) {
-  info_ = prescan_packets(reader_, path);
-}
-
-template <typename Reader>
-bool ShardedPacketSourceImpl<Reader>::next(
-    std::vector<trace::PacketRecord>& chunk) {
-  raw_.clear();
-  RawPacket pkt;
-  while (raw_.size() < chunk_size_ && reader_.next(pkt)) raw_.push_back(pkt);
-  table_.add_batch(raw_, chunk);
-  return !chunk.empty();
-}
-
-template <typename Reader>
-void ShardedPacketSourceImpl<Reader>::reset() {
-  reader_.reset();
-  table_.clear();  // identical conn ids on the second pass
-}
-
-template class ShardedPacketSourceImpl<MmapPcapReader>;
-template class ShardedPacketSourceImpl<LblPktReader>;
-
 // ------------------------------------------------------ PcapColumnSource
 
 PcapColumnSource::PcapColumnSource(const std::string& path, ParseMode mode,

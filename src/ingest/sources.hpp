@@ -34,7 +34,6 @@
 #include "src/ingest/ingest_stats.hpp"
 #include "src/ingest/mmap_source.hpp"
 #include "src/ingest/node_flow_table.hpp"
-#include "src/ingest/shard_ingest.hpp"
 #include "src/ingest/ita_ascii.hpp"
 #include "src/ingest/pcap_reader.hpp"
 #include "src/stream/chunk.hpp"
@@ -90,39 +89,6 @@ using LblPktPacketSource = PacketSourceImpl<LblPktReader>;
 /// The pre-fast-path configuration (ifstream reader + node table),
 /// instantiated so benches can measure the fast path against it.
 using NodePcapPacketSource = PacketSourceImpl<PcapReader, NodeFlowTable>;
-
-/// Sharded twin of PacketSourceImpl: one reader (a capture is a single
-/// byte stream), flow reconstruction fanned across per-shard tables on
-/// the src/par pool, records re-emitted in capture order with serial
-/// conn-id numbering. Chunks are byte-identical to PacketSourceImpl's
-/// at every (shard count, thread count) — see shard_ingest.hpp for the
-/// argument. stats() is the reader's ledger (parse defects happen
-/// before routing); the table's per-shard record ledgers merge into one
-/// via flow_table().merged_ledger().
-template <typename Reader>
-class ShardedPacketSourceImpl final : public IngestPacketSource {
- public:
-  ShardedPacketSourceImpl(const std::string& path, ParseMode mode,
-                          std::size_t n_shards, FlowTableConfig flow = {},
-                          std::size_t chunk_size = stream::kDefaultChunkSize);
-
-  const stream::StreamInfo& info() const override { return info_; }
-  bool next(std::vector<trace::PacketRecord>& chunk) override;
-  void reset() override;
-
-  const IngestStats& stats() const override { return reader_.stats(); }
-  const ShardedFlowTable& flow_table() const { return table_; }
-
- private:
-  Reader reader_;
-  ShardedFlowTable table_;
-  stream::StreamInfo info_;
-  std::size_t chunk_size_;
-  std::vector<RawPacket> raw_;  ///< batch scratch, one chunk's packets
-};
-
-using ShardedMmapPcapPacketSource = ShardedPacketSourceImpl<MmapPcapReader>;
-using ShardedLblPktPacketSource = ShardedPacketSourceImpl<LblPktReader>;
 
 /// Whether a source's constructor runs the prescan pass (the default)
 /// or defers it for the speculative single-pass analysis.
@@ -188,8 +154,8 @@ class PcapColumnSource final : public IngestColumnSource {
 };
 
 /// Owning rows->columns bridge: any IngestPacketSource behind the
-/// columnar ledger contract, for the configurations (lbl-pkt, sharded
-/// ingest) that have no native columnar decode. The transpose is
+/// columnar ledger contract. open_packet_column_source opens lbl-pkt,
+/// which has no native columnar decode, through it. The transpose is
 /// stream::ColumnsFromRows.
 class ColumnsFromIngest final : public IngestColumnSource {
  public:

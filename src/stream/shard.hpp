@@ -46,20 +46,6 @@ inline std::size_t shard_of(std::uint32_t conn_id,
                                   static_cast<std::uint64_t>(n_shards));
 }
 
-/// Shard of a host pair, unordered, so both directions — and every
-/// connection of one host pair, e.g. an FTP session's control and data
-/// connections — land together. Sharded flow reconstruction
-/// (src/ingest/shard_ingest.hpp) routes raw packets by it.
-inline std::size_t shard_of_hosts(std::uint32_t a, std::uint32_t b,
-                                  std::size_t n_shards) noexcept {
-  const std::uint32_t lo = a < b ? a : b;
-  const std::uint32_t hi = a < b ? b : a;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(lo) << 32) | static_cast<std::uint64_t>(hi);
-  return static_cast<std::size_t>(shard_mix(key) %
-                                  static_cast<std::uint64_t>(n_shards));
-}
-
 /// The largest shard count analyze_sharded_sources accepts.
 inline constexpr std::size_t kMaxShards = 1024;
 

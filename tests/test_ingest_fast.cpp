@@ -379,9 +379,8 @@ TEST(PcapColumnSource, AnalysisIsByteIdenticalToLegacyRowIngest) {
 }
 
 TEST(PcapColumnSource, FactoryBridgesAndNativePathAgree) {
-  // The factory's native decode (serial pcap) against the row sources
-  // bridged through ColumnsFromIngest: the serial mmap source, and the
-  // 3-shard source the factory opens for IngestOptions::shards = 3.
+  // The factory's native pcap decode against the serial mmap row source
+  // bridged through ColumnsFromIngest.
   const std::string path = fixture("tiny_le.pcap");
   const auto native =
       ingest::open_packet_column_source(path, ingest::IngestFormat::kPcap, {});
@@ -390,27 +389,20 @@ TEST(PcapColumnSource, FactoryBridgesAndNativePathAgree) {
   const auto want = stream::collect_columns(*native);
   ASSERT_GT(want.size(), 0u);
 
-  ingest::IngestOptions sharded;
-  sharded.shards = 3;
-  std::vector<std::unique_ptr<ingest::IngestColumnSource>> bridged;
-  bridged.push_back(std::make_unique<ingest::ColumnsFromIngest>(
+  ingest::ColumnsFromIngest bridged(
       std::make_unique<ingest::MmapPcapPacketSource>(path,
-                                                     ParseMode::kStrict)));
-  bridged.push_back(ingest::open_packet_column_source(
-      path, ingest::IngestFormat::kPcap, sharded));
-  for (const auto& b : bridged) {
-    EXPECT_EQ(b->info().name, native->info().name);
-    EXPECT_EQ(b->info().t_begin, native->info().t_begin);
-    EXPECT_EQ(b->info().t_end, native->info().t_end);
-    const auto got = stream::collect_columns(*b);
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_EQ(got.time, want.time);
-    EXPECT_EQ(got.protocol, want.protocol);
-    EXPECT_EQ(got.conn_id, want.conn_id);
-    EXPECT_EQ(got.from_originator, want.from_originator);
-    EXPECT_EQ(got.payload_bytes, want.payload_bytes);
-    expect_same_stats(b->stats(), native->stats());
-  }
+                                                     ParseMode::kStrict));
+  EXPECT_EQ(bridged.info().name, native->info().name);
+  EXPECT_EQ(bridged.info().t_begin, native->info().t_begin);
+  EXPECT_EQ(bridged.info().t_end, native->info().t_end);
+  const auto got = stream::collect_columns(bridged);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.time, want.time);
+  EXPECT_EQ(got.protocol, want.protocol);
+  EXPECT_EQ(got.conn_id, want.conn_id);
+  EXPECT_EQ(got.from_originator, want.from_originator);
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+  expect_same_stats(bridged.stats(), native->stats());
 }
 
 // ------------------------------------- one-pass == two-pass analysis

@@ -1,9 +1,8 @@
 // Sharded execution pins (ctest label `shard`): the merge algebra of
 // the accumulators that merge (bin counts, moments, burst/lull runs),
-// the end-to-end invariant that per-shard synthesis analyzed by
+// and the end-to-end invariant that per-shard synthesis analyzed by
 // analyze_sharded_sources is byte-identical to the serial path at every
-// tested (shard count, thread count) and filter configuration, and
-// sharded flow reconstruction emitting the serial flow table's records.
+// tested (shard count, thread count) and filter configuration.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ingest/sources.hpp"
 #include "src/par/parallel.hpp"
 #include "src/stats/counting.hpp"
 #include "src/stats/descriptive.hpp"
@@ -23,10 +21,6 @@
 
 namespace wan {
 namespace {
-
-std::string fixture(const std::string& name) {
-  return std::string(WAN_TEST_DATA_DIR) + "/" + name;
-}
 
 std::vector<double> test_series(std::size_t n, unsigned seed) {
   std::mt19937 gen(seed);
@@ -263,195 +257,6 @@ TEST(ShardPipeline, RejectsZeroAndOversizedShardCounts) {
                std::invalid_argument);
   EXPECT_EQ(made, 0u);  // rejected before any shard is opened
   EXPECT_NO_THROW(stream::analyze_sharded_sources(make, 1, opt));
-}
-
-// --- Sharded flow reconstruction (src/ingest) ---------------------------
-
-bool same_record(const trace::PacketRecord& a, const trace::PacketRecord& b) {
-  return a.time == b.time && a.protocol == b.protocol &&
-         a.conn_id == b.conn_id && a.from_originator == b.from_originator &&
-         a.payload_bytes == b.payload_bytes;
-}
-
-ingest::RawPacket raw_pkt(double t, std::uint32_t src, std::uint32_t dst,
-                          std::uint16_t sport, std::uint16_t dport, bool tcp,
-                          std::uint8_t flags, std::uint32_t payload) {
-  ingest::RawPacket p;
-  p.time = t;
-  p.src_ip = src;
-  p.dst_ip = dst;
-  p.src_port = sport;
-  p.dst_port = dport;
-  p.tcp = tcp;
-  p.tcp_flags = flags;
-  p.payload_bytes = payload;
-  return p;
-}
-
-// A synthetic capture exercising the flow-table state machine across
-// many host pairs: SYN/FIN teardown, RST, UDP, an FTP control+data
-// session, and an idle-timeout reopen of the same 4-tuple.
-std::vector<ingest::RawPacket> synthetic_capture() {
-  std::vector<ingest::RawPacket> pkts;
-  std::mt19937_64 rng(99);
-  std::uniform_int_distribution<std::uint32_t> host(1, 40);
-  std::uniform_int_distribution<std::uint16_t> port(1024, 60000);
-  double t = 0.0;
-  // Background TCP conversations, several packets each.
-  for (int c = 0; c < 120; ++c) {
-    const std::uint32_t a = host(rng), b = host(rng) + 100;
-    const std::uint16_t pa = port(rng);
-    const std::uint16_t pb = static_cast<std::uint16_t>(23 + (c % 5));
-    pkts.push_back(raw_pkt(t += 0.01, a, b, pa, pb, true, ingest::kTcpSyn, 0));
-    for (int k = 0; k < 4; ++k) {
-      pkts.push_back(raw_pkt(t += 0.01, a, b, pa, pb, true, ingest::kTcpAck,
-                             40 + 10 * k));
-      pkts.push_back(
-          raw_pkt(t += 0.01, b, a, pb, pa, true, ingest::kTcpAck, 200));
-    }
-    const std::uint8_t finack = ingest::kTcpFin | ingest::kTcpAck;
-    if (c % 7 == 0) {
-      pkts.push_back(raw_pkt(t += 0.01, b, a, pb, pa, true, ingest::kTcpRst, 0));
-    } else {
-      pkts.push_back(raw_pkt(t += 0.01, a, b, pa, pb, true, finack, 0));
-      pkts.push_back(raw_pkt(t += 0.01, b, a, pb, pa, true, finack, 0));
-    }
-    // Sprinkle UDP between other pairs.
-    pkts.push_back(raw_pkt(t += 0.01, host(rng), host(rng) + 200, port(rng),
-                           53, false, 0, 64));
-  }
-  // FTP control + data between one host pair (same-shard by routing).
-  pkts.push_back(raw_pkt(t += 0.5, 7, 300, 4000, 21, true, ingest::kTcpSyn, 0));
-  pkts.push_back(raw_pkt(t += 0.1, 300, 7, 20, 4001, true, ingest::kTcpSyn, 0));
-  pkts.push_back(raw_pkt(t += 0.1, 300, 7, 20, 4001, true, ingest::kTcpAck,
-                         1460));
-  // Idle-timeout reopen: the same 4-tuple comes back two hours later
-  // and must get a fresh conn id in serial and sharded tables alike.
-  pkts.push_back(raw_pkt(t += 0.1, 8, 301, 5000, 79, true, ingest::kTcpAck,
-                         100));
-  pkts.push_back(raw_pkt(t + 7200.0, 8, 301, 5000, 79, true, ingest::kTcpAck,
-                         100));
-  return pkts;
-}
-
-TEST(ShardIngest, IngestStatsMergeAddsEveryCounter) {
-  ingest::IngestStats a;
-  a.records = 1;
-  a.bytes = 2;
-  a.bad_headers = 3;
-  a.truncated_records = 4;
-  a.oversized_records = 5;
-  a.bad_lines = 6;
-  a.out_of_order = 7;
-  a.skipped_frames = 8;
-  a.short_captures = 9;
-  a.unknown_transports = 10;
-  a.unknown_protocols = 11;
-  a.missing_fields = 12;
-  ingest::IngestStats b = a;
-  b.records = 100;
-  a.merge(b);
-  EXPECT_EQ(a.records, 101u);
-  EXPECT_EQ(a.bytes, 4u);
-  EXPECT_EQ(a.bad_headers, 6u);
-  EXPECT_EQ(a.truncated_records, 8u);
-  EXPECT_EQ(a.oversized_records, 10u);
-  EXPECT_EQ(a.bad_lines, 12u);
-  EXPECT_EQ(a.out_of_order, 14u);
-  EXPECT_EQ(a.skipped_frames, 16u);
-  EXPECT_EQ(a.short_captures, 18u);
-  EXPECT_EQ(a.unknown_transports, 20u);
-  EXPECT_EQ(a.unknown_protocols, 22u);
-  EXPECT_EQ(a.missing_fields, 24u);
-  EXPECT_EQ(a.structural_errors(), 6u + 8 + 10 + 12 + 14);
-}
-
-// The ingest-side tentpole invariant: per-shard flow tables emit the
-// serial table's records bit-for-bit — same conn ids, same protocol
-// classification, same reopen decisions — at any shard count, thread
-// count, and batch boundary placement.
-TEST(ShardIngest, ShardedFlowTableMatchesSerialOnSyntheticStream) {
-  const std::vector<ingest::RawPacket> pkts = synthetic_capture();
-
-  ingest::FlowTableConfig cfg;
-  cfg.collect_connections = false;
-  ingest::FlowTable serial(cfg);
-  std::vector<trace::PacketRecord> want;
-  want.reserve(pkts.size());
-  for (const ingest::RawPacket& p : pkts) want.push_back(serial.add(p));
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch : {pkts.size(), std::size_t{37}}) {
-        par::set_thread_count(threads);
-        ingest::ShardedFlowTable table(shards, cfg);
-        std::vector<trace::PacketRecord> got, chunk;
-        for (std::size_t at = 0; at < pkts.size(); at += batch) {
-          const std::size_t len = std::min(batch, pkts.size() - at);
-          table.add_batch({pkts.data() + at, len}, chunk);
-          got.insert(got.end(), chunk.begin(), chunk.end());
-        }
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < want.size(); ++i)
-          ASSERT_TRUE(same_record(got[i], want[i]))
-              << "record " << i << " at " << shards << " shards, " << threads
-              << " threads, batch " << batch;
-        EXPECT_EQ(table.connections_seen(), serial.connections_seen());
-        // open_flows is a monitoring count, not part of the output
-        // contract: a shard's idle sweep runs on its own clock, so
-        // shards that saw no recent packets keep idle flows open
-        // longer than the serial table would.
-        EXPECT_GE(table.open_flows(), serial.open_flows());
-        EXPECT_EQ(table.merged_ledger().records, pkts.size());
-      }
-    }
-  }
-  par::set_thread_count(1);
-}
-
-// Source-level twin: the sharded mmap pcap source (the one
-// wantraffic_ingest pkt pcap --shards N opens) emits the serial ifstream
-// reference's chunk stream byte-for-byte, reports the same ledger, and
-// its per-shard record ledgers merge to the reader's record count.
-TEST(ShardIngest, ShardedPacketSourceMatchesSerialSource) {
-  ingest::PcapPacketSource serial(fixture("tiny_le.pcap"),
-                                  ingest::ParseMode::kStrict);
-  const trace::PacketTrace want = stream::collect(serial);
-  ASSERT_GT(want.size(), 0u);
-
-  for (std::size_t shards : {std::size_t{2}, std::size_t{5}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      ingest::ShardedMmapPcapPacketSource src(
-          fixture("tiny_le.pcap"), ingest::ParseMode::kStrict, shards);
-      EXPECT_EQ(src.info().name, serial.info().name);
-      const trace::PacketTrace got = stream::collect(src);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_TRUE(same_record(got.records()[i], want.records()[i]))
-            << "record " << i << " at " << shards << " shards";
-      EXPECT_EQ(src.stats().records, serial.stats().records);
-      EXPECT_EQ(src.flow_table().merged_ledger().records,
-                src.stats().records);
-      EXPECT_EQ(src.flow_table().shard_ledgers().size(), shards);
-
-      // reset() rebuilds identical ids, like the serial source.
-      src.reset();
-      const trace::PacketTrace again = stream::collect(src);
-      ASSERT_EQ(again.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_TRUE(same_record(again.records()[i], want.records()[i]));
-    }
-  }
-  par::set_thread_count(1);
-}
-
-TEST(ShardIngest, RejectsBadShardCounts) {
-  EXPECT_THROW(ingest::ShardedFlowTable(0), std::invalid_argument);
-  EXPECT_THROW(
-      ingest::ShardedFlowTable(ingest::ShardedFlowTable::kMaxShards + 1),
-      std::invalid_argument);
-  EXPECT_NO_THROW(ingest::ShardedFlowTable(1));
 }
 
 TEST(ShardSynth, RejectsInvalidShardSpec) {

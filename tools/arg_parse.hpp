@@ -8,9 +8,9 @@
 // loudly so the caller can print usage.
 //
 // Numeric values are strict too: number() and count() require the whole
-// string to parse ("--bin fast" and "--shards 2.5" used to atof to 0
+// string to parse ("--bin fast" and "--chunk 2.5" used to atof to 0
 // and silently reconfigure the run), and count() enforces a lower
-// bound so "--shards 0" is an error, not a surprise. Contradictory
+// bound so "--chunk 0" is an error, not a surprise. Contradictory
 // flag combinations are rejected through reject_together with a
 // message naming both spellings.
 #pragma once
@@ -94,7 +94,7 @@ class ArgParser {
 
   /// Strict integer count with a lower bound: fractional, negative,
   /// non-numeric, out-of-range and below-minimum values (e.g.
-  /// "--shards 0" with min_value 1) all throw std::invalid_argument.
+  /// "--chunk 0" with min_value 1) all throw std::invalid_argument.
   std::size_t count(const std::string& name, std::size_t fallback,
                     std::size_t min_value = 0) const {
     const std::string* v = value(name);

@@ -24,12 +24,8 @@
 // run. --lenient salvages what the file still holds and prints the
 // error ledger of everything that was dropped or repaired.
 //
-// --shards N (pkt mode only) fans flow reconstruction across N
-// flow-hash shards on the src/par pool (--threads M sizes it); the
-// written records are byte-identical to the serial table's — see
-// src/ingest/shard_ingest.hpp. conn mode rejects --shards because
-// connection closure order is not shard-invariant; --shards 0 is
-// rejected outright.
+// Packets, in either mode, fold through one flow table
+// (src/ingest/flow_table.hpp) on the calling thread.
 //
 // The binary output is byte-identical to what write_binary_file would
 // produce from the same records, so every downstream tool (and the
@@ -39,7 +35,6 @@
 #include <string>
 
 #include "src/ingest/ingest.hpp"
-#include "src/par/parallel.hpp"
 #include "src/stream/binary_chunk.hpp"
 #include "src/stream/csv_chunk.hpp"
 #include "src/trace/csv_io.hpp"
@@ -56,7 +51,6 @@ int usage() {
       "  wantraffic_ingest pkt  FORMAT INPUT --out FILE [--csv]\n"
       "                         [--lenient] [--chunk N] [--idle-timeout "
       "SEC]\n"
-      "                         [--shards N] [--threads N]\n"
       "  wantraffic_ingest conn FORMAT INPUT [--out FILE] [--lenient]\n"
       "                         [--idle-timeout SEC]\n"
       "  FORMAT: pcap | lbl-conn | lbl-pkt\n"
@@ -71,7 +65,6 @@ ingest::IngestOptions make_options(const tools::ArgParser& args) {
   opt.chunk_size = args.count("--chunk", opt.chunk_size, 1);
   opt.flow.idle_timeout =
       args.number("--idle-timeout", opt.flow.idle_timeout);
-  opt.shards = args.count("--shards", 1, 1);
   return opt;
 }
 
@@ -109,10 +102,6 @@ int run_pkt(ingest::IngestFormat format, const std::string& input,
 
 int run_conn(ingest::IngestFormat format, const std::string& input,
              const tools::ArgParser& args) {
-  if (args.given("--shards"))
-    throw std::invalid_argument(
-        "--shards applies to pkt mode only: connection closure order is "
-        "not shard-invariant");
   if (args.given("--chunk"))
     throw std::invalid_argument(
         "--chunk applies to pkt mode only: connections load whole, in one "
@@ -145,8 +134,6 @@ int main(int argc, char** argv) {
   args.add_option("--out");
   args.add_option("--chunk");
   args.add_option("--idle-timeout");
-  args.add_option("--shards");
-  args.add_option("--threads");
 
   std::string error;
   if (!args.parse(&error)) {
@@ -163,8 +150,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (const std::size_t threads = args.count("--threads", 0, 1))
-      par::set_thread_count(threads);
     if (mode == "pkt") return run_pkt(*format, input, args);
     if (mode == "conn") return run_conn(*format, input, args);
     return usage();
