@@ -1,5 +1,5 @@
-// bench_perf_shard — the shard-parallel pipeline against ROADMAP item
-// 3's month-scale target: a 30-day trace at ~1e5 connections/hour,
+// bench_perf_shard — the shard-parallel pipeline against the
+// month-scale target: a 30-day trace at ~1e5 connections/hour,
 // synthesized and analyzed end-to-end, with 1/2/4/8-thread
 // scaling-efficiency rows appended to BENCH_perf.json.
 //
