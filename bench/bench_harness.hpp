@@ -16,6 +16,7 @@
 #include <ctime>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -259,6 +260,29 @@ class Harness {
         r.serial_ms > 0.0 ? items / (r.serial_ms / 1000.0) : 0.0;
     if (bytes_per_item > 0.0) add_rates(r, bytes_per_item);
     add(r);
+  }
+
+  /// serial_ms of the latest row already in the target JSON with this
+  /// op and this run's cpu_model and build_type (as provenance() stamps
+  /// them); nullopt when there is none. write() puts one row per line,
+  /// so rows are matched line by line.
+  std::optional<double> previous_ms(const std::string& op) const {
+    std::vector<std::string> want = {"{\"op\": \"" + op + "\","};
+    for (const auto& [key, value] : provenance())
+      if (key == "cpu_model" || key == "build_type")
+        want.push_back("\"" + key + "\": " + value);
+    const std::string ms_key = "\"serial_ms\": ";
+    std::optional<double> found;
+    std::ifstream in(path_);
+    for (std::string line; std::getline(in, line);) {
+      const std::size_t ms = line.find(ms_key);
+      if (ms == std::string::npos) continue;
+      if (std::all_of(want.begin(), want.end(), [&](const std::string& w) {
+            return line.find(w) != std::string::npos;
+          }))
+        found = std::strtod(line.c_str() + ms + ms_key.size(), nullptr);
+    }
+    return found;
   }
 
   void add(BenchResult r) {
