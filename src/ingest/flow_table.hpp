@@ -25,15 +25,13 @@
 //
 // Storage: open addressing with linear probing over a flat bucket
 // array, flows in a stable slot vector, and an intrusive array-indexed
-// LRU — one cache line of probing replaces the node allocation, pointer
-// chase and list splice per packet that the original
-// unordered_map+std::list table paid (that table survives as
-// NodeFlowTable, the pinned A/B reference). Deletion is backward-shift,
-// so probe chains stay gap-free without tombstones; slot indices are
-// stable across growth because only the bucket array rebuilds. Every
+// LRU — one cache line of probing per packet, with no node allocation,
+// pointer chase or list splice. Deletion is backward-shift, so probe
+// chains stay gap-free without tombstones; slot indices are stable
+// across growth because only the bucket array rebuilds. Every
 // observable decision — conn ids, host ids, eviction and reincarnation
-// order, ConnRecords — is byte-identical to NodeFlowTable, enforced by
-// the `ingest`-labeled tests.
+// order, ConnRecords — is pinned by the `ingest`-labeled tests
+// (FlowTableGoldenPins and the fixture pins).
 //
 // Memory is O(open flows + hosts), never O(packets) — the table is what
 // lets week-scale captures stream through in bounded memory.

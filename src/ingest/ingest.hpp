@@ -41,7 +41,7 @@ std::unique_ptr<IngestPacketSource> open_packet_source(
 
 /// Columnar packet-level source: pcap decodes straight into
 /// PacketColumns (PcapColumnSource: mmap + flat table, no row chunk —
-/// the zero-copy fast path analyze_columns drains); lbl-pkt is the row
+/// the zero-copy path analyze_columns drains); lbl-pkt is the row
 /// source bridged through a transpose (ColumnsFromIngest). Rows are
 /// identical to open_packet_source's. Throws std::invalid_argument for
 /// kLblConn.

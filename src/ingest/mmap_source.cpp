@@ -55,7 +55,7 @@ MmapByteSource::MmapByteSource(const std::string& path) {
     ::madvise(const_cast<unsigned char*>(base_), size_, MADV_SEQUENTIAL);
   }
   // An empty regular file maps to an empty window — the reader then
-  // reports a truncated global header exactly like the ifstream path.
+  // reports a truncated global header, as the buffered source does.
   ::close(fd);  // the mapping holds its own reference
 }
 

@@ -60,7 +60,7 @@ bool decode_pcap_frame(const PcapHeader& header, const unsigned char* data,
                        std::size_t len, RawPacket& out, IngestStats& stats,
                        ParseMode mode, const std::string& path) {
   // One implementation only: the inline body in pcap_decode.hpp. This
-  // out-of-line wrapper is what the ifstream PcapReader links against.
+  // out-of-line wrapper is what MmapPcapReader::read_record calls.
   return decode_pcap_frame_inline(header, data, len, out, stats, mode, path);
 }
 

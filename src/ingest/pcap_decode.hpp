@@ -1,10 +1,9 @@
-// Shared pcap parsing primitives: the global-header fields, the
-// endian helpers, and the frame/IP/transport decode that turns one
-// captured record into a RawPacket. Both pcap readers — the buffered
-// std::ifstream PcapReader and the zero-copy MmapPcapReader — call
-// these same functions on the same bytes, which is what makes their
-// record streams and error ledgers identical by construction rather
-// than by parallel maintenance.
+// pcap parsing primitives: the global-header fields, the endian
+// helpers, and the frame/IP/transport decode that turns one captured
+// record into a RawPacket. MmapPcapReader calls them from both of its
+// record paths — the inline decode in its mapped walk and the
+// out-of-line one in read_record — so the two accept the same frames
+// and write the same ledger.
 #pragma once
 
 #include <cstddef>

@@ -9,19 +9,14 @@ namespace {
 
 // One timestamp tick past the last packet puts it inside the half-open
 // analysis window [t_begin, t_end).
-double source_tick(const PcapReader& r) { return r.tick(); }
 double source_tick(const MmapPcapReader& r) { return r.tick(); }
 double source_tick(const LblPktReader&) { return 1e-6; }  // μs timestamps
 
-// Both pcap readers produce the same stream from the same file, so they
-// share the tag — a source's info().name must not depend on which
-// reader served it.
-const char* format_tag(const PcapReader&) { return "pcap:"; }
 const char* format_tag(const MmapPcapReader&) { return "pcap:"; }
 const char* format_tag(const LblPktReader&) { return "lbl-pkt:"; }
 const char* format_tag(const LblConnReader&) { return "lbl-conn:"; }
 
-/// Prescan pass: the packet time range, with the reader left rewound.
+/// The prescan pass: the packet time range, with the reader left rewound.
 template <typename Reader>
 stream::StreamInfo prescan_packets(Reader& reader, const std::string& path) {
   RawPacket pkt;
@@ -72,20 +67,19 @@ FlowTableConfig packet_flow_config(FlowTableConfig flow) {
 
 // ------------------------------------------------------ PacketSourceImpl
 
-template <typename Reader, typename Table>
-PacketSourceImpl<Reader, Table>::PacketSourceImpl(const std::string& path,
-                                                  ParseMode mode,
-                                                  FlowTableConfig flow,
-                                                  std::size_t chunk_size)
+template <typename Reader>
+PacketSourceImpl<Reader>::PacketSourceImpl(const std::string& path,
+                                           ParseMode mode,
+                                           FlowTableConfig flow,
+                                           std::size_t chunk_size)
     : reader_(path, mode),
       table_(packet_flow_config(flow)),
       chunk_size_(chunk_size) {
   info_ = prescan_packets(reader_, path);
 }
 
-template <typename Reader, typename Table>
-bool PacketSourceImpl<Reader, Table>::next(
-    std::vector<trace::PacketRecord>& chunk) {
+template <typename Reader>
+bool PacketSourceImpl<Reader>::next(std::vector<trace::PacketRecord>& chunk) {
   chunk.clear();
   RawPacket pkt;
   while (chunk.size() < chunk_size_ && reader_.next(pkt)) {
@@ -94,33 +88,24 @@ bool PacketSourceImpl<Reader, Table>::next(
   return !chunk.empty();
 }
 
-template <typename Reader, typename Table>
-void PacketSourceImpl<Reader, Table>::reset() {
+template <typename Reader>
+void PacketSourceImpl<Reader>::reset() {
   reader_.reset();
   table_.clear();  // identical conn ids on the second pass
 }
 
 template class PacketSourceImpl<MmapPcapReader>;
-template class PacketSourceImpl<PcapReader>;
 template class PacketSourceImpl<LblPktReader>;
-template class PacketSourceImpl<PcapReader, NodeFlowTable>;
 
 // ------------------------------------------------------ PcapColumnSource
 
 PcapColumnSource::PcapColumnSource(const std::string& path, ParseMode mode,
                                    FlowTableConfig flow,
-                                   std::size_t chunk_size, Prescan prescan)
+                                   std::size_t chunk_size)
     : reader_(path, mode),
       table_(packet_flow_config(flow)),
-      chunk_size_(chunk_size),
-      deferred_(prescan == Prescan::kDeferred) {
-  if (deferred_) {
-    // Name now, time range only if ensure_eager_info() is ever needed.
-    info_.name = std::string("pcap:") + path;
-    path_ = path;
-  } else {
-    info_ = prescan_packets(reader_, path);
-  }
+      chunk_size_(chunk_size) {
+  info_ = prescan_packets(reader_, path);
 }
 
 bool PcapColumnSource::next(stream::PacketColumns& chunk) {
@@ -132,25 +117,12 @@ bool PcapColumnSource::next(stream::PacketColumns& chunk) {
   reader_.fold_packets(chunk_size_, [&](const RawPacket& pkt) {
     table_.add_append(pkt, chunk);
   });
-  if (!first_time_set_ && !chunk.empty()) {
-    first_time_ = chunk.time.front();
-    first_time_set_ = true;
-  }
   return !chunk.empty();
 }
 
 void PcapColumnSource::reset() {
   reader_.reset();
   table_.clear();  // identical conn ids on the second pass
-  first_time_set_ = false;
-  first_time_ = 0.0;
-}
-
-void PcapColumnSource::ensure_eager_info() {
-  if (!deferred_) return;
-  reset();
-  info_ = prescan_packets(reader_, path_);
-  deferred_ = false;
 }
 
 // ------------------------------------------------------- read_conn_trace

@@ -73,69 +73,6 @@ void BinCountsAccumulator::merge(const BinCountsAccumulator& other) {
     counts_[i] += other.counts_[i];
 }
 
-SpeculativeBinCounts::SpeculativeBinCounts(double t0, double bin)
-    : t0_(t0), bin_(bin) {
-  if (!(bin > 0.0)) throw std::invalid_argument("bin_counts: bin must be > 0");
-}
-
-void SpeculativeBinCounts::add(std::span<const double> times) {
-  if (times.empty()) return;
-  // One growth step per chunk: the chunk's max time bounds every index
-  // this chunk can produce, so the per-element loops below never have
-  // to re-check capacity.
-  double mx = times[0];
-  for (std::size_t i = 1; i < times.size(); ++i)
-    mx = times[i] > mx ? times[i] : mx;
-  const double hi_q = (mx - t0_) / bin_;
-  if (!(hi_q >= 0.0) || hi_q >= static_cast<double>(INT32_MAX - 1)) {
-    // Chunk max before t0 (wildly out of order), NaN, or a grid the
-    // fixed accumulator's int32 scratch could not index either. Don't
-    // bin (or allocate for) what finish() is going to disown.
-    poisoned_ = true;
-    return;
-  }
-  const std::size_t need = static_cast<std::size_t>(hi_q) + 1;
-  if (need > counts_.size()) counts_.resize(need, 0.0);
-
-  // The two phases mirror BinCountsAccumulator::add(span) exactly —
-  // same quotient, same clamp-then-truncate — so every event at or
-  // after t0 lands in the identical bin. Events below t0 poison the
-  // speculation instead of being dropped: the 0 they bin into here is
-  // never observed, because finish() returns nullopt.
-  const double t0 = t0_;
-  const double bin = bin_;
-  const double last = static_cast<double>(counts_.size() - 1);
-  idx_scratch_.resize(times.size());
-  std::int32_t* idx = idx_scratch_.data();
-  int below = 0;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    const double t = times[i];
-    below |= static_cast<int>(t < t0);
-    double q = (t - t0) / bin;
-    q = q > last ? last : q;
-    q = q > 0.0 ? q : 0.0;
-    idx[i] = static_cast<std::int32_t>(q);
-  }
-  if (below != 0) poisoned_ = true;
-  double* counts = counts_.data();
-  for (std::size_t i = 0; i < times.size(); ++i) counts[idx[i]] += 1.0;
-}
-
-std::optional<std::vector<double>> SpeculativeBinCounts::finish(double t1) {
-  if (poisoned_ || !(t1 > t0_)) return std::nullopt;
-  // The fixed accumulator covering [t0, t1) has exactly this many bins.
-  const std::size_t final_len =
-      static_cast<std::size_t>(std::ceil((t1 - t0_) / bin_));
-  // Grown past the fixed grid: some event would have been dropped
-  // (t >= t1) or edge-clamped into the last bin by the fixed
-  // accumulator. The caller feeds only events strictly below t1, so in
-  // practice this is the floating-point grid edge — rare enough to
-  // just redo exactly.
-  if (counts_.size() > final_len) return std::nullopt;
-  counts_.resize(final_len, 0.0);  // trailing empty bins
-  return std::move(counts_);
-}
-
 std::vector<double> aggregate_mean(std::span<const double> x, std::size_t m) {
   if (m == 0) throw std::invalid_argument("aggregate_mean: m must be >= 1");
   std::vector<double> out;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -57,40 +56,6 @@ class BinCountsAccumulator {
   double bin_ = 1.0;
   std::vector<double> counts_;
   std::vector<std::int32_t> idx_scratch_;  ///< add(span) phase-1 output
-};
-
-/// BinCountsAccumulator for a grid whose END is not known yet: same t0,
-/// same bin width, same per-element quotient arithmetic, but the count
-/// vector grows as later events arrive instead of being sized from a
-/// known t1. The single-pass ingest path speculates that the stream is
-/// in time order (so t0 = the first event) and bins as it goes; once
-/// the true end is known, finish(t1) either returns counts identical —
-/// bin for bin, bit for bit — to what BinCountsAccumulator(t0, t1, bin)
-/// fed the same events would hold, or returns nullopt when it cannot
-/// prove that (an event before t0, or a floating-point grid edge where
-/// the fixed accumulator would have dropped or clamped an event this
-/// one binned). nullopt means "redo the two-pass way", never "wrong".
-class SpeculativeBinCounts {
- public:
-  /// Throws std::invalid_argument unless bin > 0 (t1 is not needed).
-  SpeculativeBinCounts(double t0, double bin);
-
-  /// Bins every event, growing the vector to reach the latest one. An
-  /// event below t0 — possible only for out-of-order input, which the
-  /// caller's speculation already rules out — poisons the speculation:
-  /// finish() will return nullopt.
-  void add(std::span<const double> times);
-
-  /// The counts, iff they are bit-identical to the fixed-grid
-  /// accumulator's over [t0, t1). The object is spent afterwards.
-  std::optional<std::vector<double>> finish(double t1);
-
- private:
-  double t0_ = 0.0;
-  double bin_ = 1.0;
-  bool poisoned_ = false;  ///< saw an event the fixed grid treats differently
-  std::vector<double> counts_;
-  std::vector<std::int32_t> idx_scratch_;
 };
 
 /// Aggregates a count series by non-overlapping blocks of m, *averaging*

@@ -12,8 +12,8 @@
 // them — are byte-identical. The `stream`-labeled tests pin this.
 //
 // Every columnar entry point (analyze_columns, analyze_sharded_sources,
-// analyze_pcap_onepass, analyze_windowed) filters through one
-// ColumnFilterStack, and all but the windowed one end in one CountTail.
+// analyze_windowed) filters through one ColumnFilterStack, and all but
+// the windowed one end in one CountTail.
 // analyze_stream_rows and analyze_batch stay as the independent
 // references the parity tests compare that path against.
 #pragma once

@@ -380,20 +380,28 @@ TEST(ColumnarPipeline, UnfilteredAnalysisByteIdenticalAcrossAllThreePaths) {
 
 TEST(ColumnarPipeline, IngestedPcapFixtureByteIdenticalToRowPath) {
   // The capture fixture exercises the real ingestion front end (pcap
-  // decode + flow reconstruction) feeding both layouts.
-  ingest::PcapPacketSource src(fixture("tiny_le.pcap"),
-                               ingest::ParseMode::kStrict);
+  // decode + flow reconstruction) feeding both layouts: the row source,
+  // analyzed bridged to columns and row by row, and the native column
+  // source the tools open.
+  ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
+                                   ingest::ParseMode::kStrict);
   stream::PipelineOptions opt;
   opt.bin = 0.1;  // the ~5 s fixture span comfortably exceeds 16 bins
 
   const stream::PipelineResult columnar = stream::analyze_stream(src, opt);
   src.reset();
   const stream::PipelineResult rowed = stream::analyze_stream_rows(src, opt);
+  ingest::PcapColumnSource native(fixture("tiny_le.pcap"),
+                                  ingest::ParseMode::kStrict);
+  const stream::PipelineResult direct = stream::analyze_columns(native, opt);
 
   ASSERT_GT(columnar.packets, 0u);
-  EXPECT_EQ(columnar.packets, rowed.packets);
-  EXPECT_EQ(columnar.counts, rowed.counts);
-  EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(rowed));
+  for (const stream::PipelineResult* r : {&columnar, &direct}) {
+    EXPECT_EQ(r->packets, rowed.packets);
+    EXPECT_EQ(r->bin, rowed.bin);
+    EXPECT_EQ(r->counts, rowed.counts);
+    EXPECT_EQ(stream::vt_csv(*r), stream::vt_csv(rowed));
+  }
 }
 
 }  // namespace

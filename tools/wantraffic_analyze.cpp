@@ -13,8 +13,8 @@
 // through flow reconstruction (src/ingest) on the way in, so the
 // analyses below see the same record types either way. Ingestion is
 // strict by default; --lenient salvages damaged captures and prints the
-// error ledger. pcap ingestion takes the zero-copy fast path (mmap'd
-// decode, flat flow table, direct columnar emission — DESIGN.md §14).
+// error ledger. pcap ingestion is zero-copy (mmap'd decode, flat flow
+// table, direct columnar emission — DESIGN.md §14).
 //
 // pkt mode always streams: the file is read in chunks of --chunk
 // records (src/stream), so memory is bounded by the chunk size, not the
