@@ -10,7 +10,10 @@ std::string filter_suffix(const std::optional<trace::Protocol>& protocol,
                           bool orig_data) {
   // The suffixes the row filters would stack, in their stacking order.
   std::string s;
-  if (protocol) s += "/" + std::string(trace::to_string(*protocol));
+  if (protocol) {
+    s += '/';
+    s += trace::to_string(*protocol);
+  }
   if (orig_data) s += "/orig-data";
   return s;
 }

@@ -109,8 +109,9 @@ void expect_report_eq(const stream::WindowReport& a,
   EXPECT_EQ(a.mean_burst_bins, b.mean_burst_bins);
   EXPECT_EQ(a.mean_lull_bins, b.mean_lull_bins);
   // NaN == NaN must count as equal (too-sparse windows).
-  if (a.vt_hurst == a.vt_hurst || b.vt_hurst == b.vt_hurst)
+  if (a.vt_hurst == a.vt_hurst || b.vt_hurst == b.vt_hurst) {
     EXPECT_EQ(a.vt_hurst, b.vt_hurst);
+  }
   EXPECT_EQ(a.whittle.hurst, b.whittle.hurst);
   EXPECT_EQ(a.whittle.stderr_hurst, b.whittle.stderr_hurst);
   EXPECT_EQ(a.whittle_warm, b.whittle_warm);
