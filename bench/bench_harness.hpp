@@ -285,6 +285,12 @@ class Harness {
     return found;
   }
 
+  /// True when every row added so far reads identical.
+  bool all_identical() const {
+    return std::all_of(results_.begin(), results_.end(),
+                       [](const BenchResult& r) { return r.identical; });
+  }
+
   void add(BenchResult r) {
     std::printf("%-34s %10.3f %10.3f %7.2fx %8s %10.0f %s/s\n",
                 r.op.c_str(), r.serial_ms, r.parallel_ms, r.speedup,

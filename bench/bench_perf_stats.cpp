@@ -8,8 +8,9 @@
 //
 // Usage: bench_perf_stats [JSON_PATH] [--smoke]
 // --smoke shrinks every input (and runs one rep) so CI can exercise the
-// full bench in seconds; the acceptance gate below (columnar >= 3x row
-// throughput, single-threaded) only applies to full runs.
+// full bench in seconds. The run fails (exit 1) when any row reads
+// `identical: NO`, smoke or full; the acceptance gate below (columnar
+// >= 3x row throughput, single-threaded) only applies to full runs.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -439,6 +440,10 @@ int main(int argc, char** argv) {
     if (s > best_speedup) best_speedup = s;
   }
 
+  if (!harness.all_identical()) {
+    std::fprintf(stderr, "FAIL: a row's outputs differ (identical: NO)\n");
+    return 1;
+  }
   // Speedup gates only bite on multi-core hosts: a 1-core container
   // cannot beat serial, so its ~1x row is information, not failure.
   if (!smoke && bench::cores() > 1 && best_speedup < 3.0) {

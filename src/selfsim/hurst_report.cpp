@@ -51,7 +51,15 @@ void require_length(std::span<const double> counts) {
 HurstReport hurst_report(std::span<const double> counts,
                          const HurstReportConfig& config) {
   require_length(counts);
-  return hurst_report(counts, stats::variance_time_plot(counts), config);
+  // vt_hurst fits only the levels in [vt_m_lo, vt_m_hi], and a level's
+  // point does not depend on which other levels are plotted, so only
+  // those are plotted. (If none is in range, the empty list plots the
+  // default levels, and the fit throws as it would on the full plot.)
+  std::vector<std::size_t> levels;
+  for (std::size_t m : stats::default_aggregation_levels(counts.size()))
+    if (m >= config.vt_m_lo && m <= config.vt_m_hi) levels.push_back(m);
+  return hurst_report(counts, stats::variance_time_plot(counts, levels),
+                      config);
 }
 
 HurstReport hurst_report(std::span<const double> counts,

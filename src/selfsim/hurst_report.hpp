@@ -63,7 +63,10 @@ struct HurstReportConfig {
   std::size_t whittle_sweep_levels = 3;
 };
 
-/// Runs the battery on a count series (length >= 512).
+/// Runs the battery on a count series (length >= 512). It plots only the
+/// default variance-time levels in [vt_m_lo, vt_m_hi], the ones vt_hurst
+/// fits, and reports the same bits as the two-argument form given the
+/// full variance_time_plot(counts).
 HurstReport hurst_report(std::span<const double> counts,
                          const HurstReportConfig& config = {});
 
