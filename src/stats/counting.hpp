@@ -10,9 +10,15 @@
 namespace wan::stats {
 
 /// Number of events in each bin of width `bin` covering [t0, t1).
-/// Events outside [t0, t1) are ignored. times need not be sorted.
+/// Events outside [t0, t1), NaN included, are ignored. times need not
+/// be sorted.
 std::vector<double> bin_counts(std::span<const double> times, double t0,
                                double t1, double bin);
+
+/// ceil((t1 - t0) / bin), the number of bins of that grid. Throws
+/// std::invalid_argument, naming bin and span, unless the quotient is
+/// finite, nonnegative and fits in size_t.
+std::size_t bin_grid_size(double t0, double t1, double bin);
 
 /// Streaming sink form of bin_counts: feed event times chunk by chunk
 /// (any order) and take the finished count series. Memory is bounded by
@@ -21,7 +27,8 @@ std::vector<double> bin_counts(std::span<const double> times, double t0,
 /// (bin increments are exact integer adds, so order cannot matter).
 class BinCountsAccumulator {
  public:
-  /// Throws std::invalid_argument unless bin > 0 and t1 > t0.
+  /// Throws std::invalid_argument unless bin > 0, t1 > t0 and the grid
+  /// size is representable (bin_grid_size).
   BinCountsAccumulator(double t0, double t1, double bin);
 
   void add(double t);

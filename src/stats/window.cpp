@@ -41,6 +41,8 @@ void WindowedBinCounts::complete_bins_through(std::uint64_t bin_index) {
 }
 
 void WindowedBinCounts::add(double t) {
+  if (!std::isfinite(t))  // no grid index; a NaN passes the t0 check
+    throw std::invalid_argument("WindowedBinCounts::add: non-finite time");
   if (t < t0_)
     throw std::invalid_argument("WindowedBinCounts::add: time before t0");
   const std::uint64_t idx = grid_index(t, t0_, bin_);

@@ -145,7 +145,7 @@ class WindowedBinCounts {
   }
 
   /// Counts the event into its bin; throws std::invalid_argument when
-  /// t precedes t0 or an already-completed bin.
+  /// t is not finite or precedes t0 or an already-completed bin.
   void add(double t);
   void add(std::span<const double> times) {
     for (double t : times) add(t);

@@ -1,6 +1,5 @@
 #include "src/stream/pipeline.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -15,12 +14,6 @@ std::string fmt_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::size_t expected_bins(const StreamInfo& info, double bin) {
-  if (bin <= 0.0 || info.t_end <= info.t_begin) return 0;
-  return static_cast<std::size_t>(
-      std::ceil((info.t_end - info.t_begin) / bin));
 }
 
 }  // namespace
@@ -49,7 +42,8 @@ ColumnFilterStack::ColumnFilterStack(PacketColumnSource& inner,
 
 CountTail::CountTail(StreamInfo info, double bin)
     : info_(std::move(info)), bin_(bin) {
-  if (expected_bins(info_, bin_) < 16)
+  if (bin <= 0.0 || info_.t_end <= info_.t_begin ||
+      stats::bin_grid_size(info_.t_begin, info_.t_end, bin) < 16)
     throw std::invalid_argument("analyze_stream: series too short");
 }
 
@@ -65,14 +59,6 @@ PipelineResult CountTail::finish(std::uint64_t packets,
   result.packets = packets;
   result.counts = std::move(counts);
   result.vt = stats::variance_time_plot(result.counts);
-  stats::BurstLullAccumulator bl;
-  stats::MomentAccumulator moments;
-  for (double c : result.counts) {
-    bl.push(c);
-    moments.push(c);
-  }
-  result.burst_lull = bl.finish();
-  result.count_moments = moments;
   return result;
 }
 
@@ -110,15 +96,9 @@ PipelineResult analyze_stream_rows(PacketChunkSource& source,
   }
 
   const StreamInfo info = src->info();
-  if (expected_bins(info, options.bin) < 16)
-    throw std::invalid_argument("analyze_stream: series too short");
-
-  stats::BinCountsAccumulator bins(info.t_begin, info.t_end, options.bin);
+  stats::BinCountsAccumulator bins = CountTail(info, options.bin).grid();
   std::uint64_t packets = 0;
-  stats::VtAccumulator vt(
-      stats::default_aggregation_levels(bins.bins()));
-  stats::BurstLullAccumulator bl;
-  stats::MomentAccumulator moments;
+  stats::VtAccumulator vt(stats::default_aggregation_levels(bins.bins()));
   for_each_packet(*src, [&](const trace::PacketRecord& r) {
     ++packets;
     bins.add(r.time);
@@ -129,14 +109,8 @@ PipelineResult analyze_stream_rows(PacketChunkSource& source,
   result.bin = options.bin;
   result.packets = packets;
   result.counts = bins.take();
-  for (double c : result.counts) {
-    vt.push(c);
-    bl.push(c);
-    moments.push(c);
-  }
+  vt.push(std::span<const double>(result.counts));
   result.vt = vt.finish();
-  result.burst_lull = bl.finish();
-  result.count_moments = moments;
   return result;
 }
 
@@ -168,8 +142,6 @@ PipelineResult analyze_batch(const trace::PacketTrace& trace,
   result.counts = stats::bin_counts(times, result.info.t_begin,
                                     result.info.t_end, options.bin);
   result.vt = stats::variance_time_plot(result.counts);
-  result.burst_lull = stats::burst_lull_structure(result.counts);
-  for (double c : result.counts) result.count_moments.push(c);
   return result;
 }
 

@@ -324,10 +324,11 @@ WindowReport analyze_window_batch(std::span<const double> times, double t0,
   std::vector<double> counts(geometry.window_bins, 0.0);
   std::uint64_t packets = 0;
   for (double t : times) {
-    if (t < t0) continue;
-    const auto idx = static_cast<std::size_t>((t - t0) / options.bin);
-    if (idx >= counts.size()) continue;
-    counts[idx] += 1.0;
+    // Negated compares: NaN and +inf are skipped, never converted.
+    if (!(t >= t0)) continue;
+    const double q = (t - t0) / options.bin;
+    if (!(q < static_cast<double>(counts.size()))) continue;
+    counts[static_cast<std::size_t>(q)] += 1.0;
     ++packets;
   }
   WindowReport report = analyze_window_counts(counts, t0, options, packets);

@@ -179,7 +179,8 @@ std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
                                            const WindowedOptions& options);
 
 /// From-scratch reference for ONE window: `times` are the post-filter
-/// events in [t0, t0 + window), in time order. Bins, then runs the
+/// events in [t0, t0 + window), in time order (the binning skips any
+/// other time, NaN and infinities included). Bins, then runs the
 /// batch estimators (AveragedPeriodogram segment loop, cold Whittle,
 /// variance_time_plot, burst_lull_structure, serial moments,
 /// test_poisson_arrivals). This is what the rolling engine is pinned

@@ -1,6 +1,7 @@
 #include "src/trace/binary_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -112,6 +113,8 @@ void read_packet_records(std::istream& is, std::size_t n,
       std::memcpy(&orig, p + 9, 1);
       std::memcpy(&r.payload_bytes, p + 10, 2);
       std::memcpy(&r.conn_id, p + 12, 4);
+      if (!std::isfinite(r.time))
+        throw std::runtime_error("binary_io: non-finite packet time");
       if (proto > kMaxProtocol)
         throw std::runtime_error("binary_io: unknown protocol byte");
       r.protocol = static_cast<Protocol>(proto);

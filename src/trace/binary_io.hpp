@@ -66,8 +66,8 @@ void write_packet_records(std::ostream& os,
                           std::span<const PacketRecord> records);
 
 /// Appends `n` records to `out`, read into an 8 KiB stack buffer, one
-/// is.read per buffer. Throws std::runtime_error on truncation or an
-/// unknown protocol byte.
+/// is.read per buffer. Throws std::runtime_error on truncation, a
+/// non-finite time or an unknown protocol byte.
 void read_packet_records(std::istream& is, std::size_t n,
                          std::vector<PacketRecord>& out);
 

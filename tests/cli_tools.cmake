@@ -16,8 +16,9 @@
 # must analyze a packet CSV without its metadata line from its first
 # packet on, a CRLF copy of it alike, and a piped binary trace as its
 # file (refusing a pipe when it reads the input twice). Invalid counts,
-# mode-foreign and removed flags, malformed and non-finite CSV fields
-# and non-finite ITA numbers must be rejected.
+# mode-foreign and removed flags, malformed and non-finite CSV fields,
+# non-finite ITA numbers and a bin grid too fine to count must be
+# rejected.
 
 if(NOT SYNTH OR NOT ANALYZE OR NOT INGEST OR NOT DATA_DIR OR NOT WORK_DIR)
   message(FATAL_ERROR "cli_tools.cmake: pass every -D variable above")
@@ -186,6 +187,8 @@ run_usage_error("unknown flag --stream" "${ANALYZE}" pkt "${trace}"
                 --binary --stream)
 run_usage_error("unknown flag --shards" "${ANALYZE}" pkt "${trace}"
                 --binary --shards 3)
+run_fails("bin 1e-300 s over a" "${ANALYZE}" pkt "${trace}" --binary
+          --bin 1e-300)
 
 # --- wantraffic_ingest pkt: pinned, and stdin; removed flags ------------
 # The runs read copies of the fixtures by their names inside WORK_DIR,

@@ -5,6 +5,7 @@
 // traces and for an ingested capture fixture.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -253,9 +254,10 @@ TEST(SpanAccumulators, BinCountsSpanBitIdenticalIncludingEdges) {
   const double t0 = 2.0, t1 = 12.0, bin = 0.7;
   // Every edge the scalar predicate distinguishes: below range, exactly
   // t0, interior, exactly on a bin edge, just under t1, exactly t1
-  // (excluded), above range.
+  // (excluded), above range, and NaN (excluded).
   std::vector<double> times = {1.9, 2.0,  2.69, 2.7,  5.3,
-                               t1 - 1e-9, 12.0, 13.5, 2.0};
+                               t1 - 1e-9, 12.0, 13.5, 2.0,
+                               std::numeric_limits<double>::quiet_NaN()};
   for (int i = 0; i < 1000; ++i)
     times.push_back(t0 + 0.01 * static_cast<double>(i));
 
@@ -267,6 +269,10 @@ TEST(SpanAccumulators, BinCountsSpanBitIdenticalIncludingEdges) {
 
   EXPECT_EQ(spanned.counts(), scalar.counts());
   EXPECT_EQ(stats::bin_counts(times, t0, t1, bin), scalar.counts());
+  // Six listed times and the 1000 generated ones are in range.
+  double total = 0.0;
+  for (double c : scalar.counts()) total += c;
+  EXPECT_EQ(total, 1006.0);
 }
 
 TEST(SpanAccumulators, BinCountsSpanMatchesAcrossChunkSplits) {
@@ -371,11 +377,6 @@ TEST(ColumnarPipeline, UnfilteredAnalysisByteIdenticalAcrossAllThreePaths) {
 
   EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(rowed));
   EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(batch));
-  EXPECT_EQ(columnar.burst_lull.burst_lengths, rowed.burst_lull.burst_lengths);
-  EXPECT_EQ(columnar.burst_lull.lull_lengths, rowed.burst_lull.lull_lengths);
-  EXPECT_EQ(columnar.count_moments.mean(), rowed.count_moments.mean());
-  EXPECT_EQ(columnar.count_moments.variance_sample(),
-            rowed.count_moments.variance_sample());
 }
 
 TEST(ColumnarPipeline, IngestedPcapFixtureByteIdenticalToRowPath) {

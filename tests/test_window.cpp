@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <latch>
+#include <limits>
 #include <random>
 #include <span>
 #include <string>
@@ -119,6 +120,18 @@ TEST(WindowedBinCounts, AlignedWindowMatchesBatchBinCountsExactly) {
       times, 100.0 - kBin * kWindowBins, 100.0, kBin);
   EXPECT_EQ(rolled, batch);
   EXPECT_EQ(win.completed_bins(), 200u);
+}
+
+TEST(WindowedBinCounts, NonFiniteTimeThrows) {
+  // A NaN passes the t0 check and has no grid index; converted anyway,
+  // it would close about 2^63 bins.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  stats::WindowedBinCounts win(0.0, 1.0, 10);
+  win.add(0.5);
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf})
+    EXPECT_THROW(win.add(t), std::invalid_argument) << t;
+  EXPECT_EQ(win.events(), 1u);
+  EXPECT_EQ(win.completed_bins(), 0u);
 }
 
 TEST(WindowedBinCounts, SnapshotRoundTripsThroughBatchAccumulator) {
@@ -666,6 +679,23 @@ TEST(WindowedAnalyzer, ReportsMatchBatchRecomputationPerWindow) {
     EXPECT_EQ(r.poisson->n_pass_independence,
               batch.poisson->n_pass_independence);
   }
+}
+
+TEST(WindowedAnalyzer, BatchReferenceSkipsNonFiniteTimes) {
+  stream::WindowedOptions opt = small_options();
+  opt.poisson_interval = 0.0;  // the binning alone
+  const std::vector<double> times = poisson_arrivals(60.0, 0.04, 115);
+  std::vector<double> with_bad = times;
+  with_bad.push_back(std::numeric_limits<double>::quiet_NaN());
+  with_bad.push_back(std::numeric_limits<double>::infinity());
+  const stream::WindowReport want =
+      stream::analyze_window_batch(times, 0.0, opt);
+  const stream::WindowReport got =
+      stream::analyze_window_batch(with_bad, 0.0, opt);
+  EXPECT_EQ(got.packets, want.packets);
+  EXPECT_EQ(got.mean_count, want.mean_count);
+  EXPECT_EQ(got.var_count, want.var_count);
+  EXPECT_EQ(got.vt_hurst, want.vt_hurst);
 }
 
 TEST(WindowedAnalyzer, CsvAndToStringRenderEveryReport) {
