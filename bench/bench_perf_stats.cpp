@@ -1,6 +1,7 @@
 // Perf bench for the estimation machinery: variance-time, Whittle, and
 // R/S serial vs parallel, the exact whole-number variance-time pass
-// against the fold it replaced, serial FFT/periodogram micro-ops, the
+// against the fold it replaced, the Appendix-A A^2 test against its
+// comparison-sort reference, serial FFT/periodogram micro-ops, the
 // columnar-vs-row analysis pipeline, and the shared-periodogram Hurst
 // battery. Appends results to BENCH_perf.json (see bench_harness.hpp);
 // rows carry rows/sec + bytes/sec extras where the record width is
@@ -12,10 +13,12 @@
 // `identical: NO`, smoke or full; the acceptance gate below (columnar
 // >= 3x row throughput, single-threaded) only applies to full runs.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,8 +28,10 @@
 #include "src/par/parallel.hpp"
 #include "src/rng/rng.hpp"
 #include "src/selfsim/fgn.hpp"
+#include "src/stats/anderson_darling.hpp"
 #include "src/stats/beran.hpp"
 #include "src/stats/counting.hpp"
+#include "src/stats/descriptive.hpp"
 #include "src/stats/gph.hpp"
 #include "src/stats/rs_analysis.hpp"
 #include "src/stats/variance_time.hpp"
@@ -60,6 +65,19 @@ std::vector<double> poisson_counts(std::size_t n, double mean,
     v = k;
   }
   return x;
+}
+
+// The A^2 exponentiality test as it was before its probabilities were
+// bucket-sorted: std::sort on a copy, then the shared statistic.
+stats::AdResult ad_exponential_reference(std::span<const double> x) {
+  const double m = stats::mean(x);
+  std::vector<double> p(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) p[i] = -std::expm1(-x[i] / m);
+  std::sort(p.begin(), p.end());
+  stats::AdResult r;
+  r.a2 = stats::anderson_darling_from_sorted_probs(p);
+  r.a2_modified = r.a2 * (1.0 + 0.6 / static_cast<double>(x.size()));
+  return r;
 }
 
 bool same_vt(const stats::VarianceTimePlot& a,
@@ -205,6 +223,56 @@ int main(int argc, char** argv) {
                          ? row.items / (row.parallel_ms / 1000.0)
                          : 0.0;
     row.identical = same_vt(fold, exact);
+    bench::Harness::add_rates(row, kSampleBytes);
+    harness.add(row);
+  }
+
+  // The Appendix-A interval test's A^2 kernel at three interval sizes:
+  // 60 gaps, 1,556 (the monitor's mean tested interval) and 4,000 (its
+  // ALL engine's 60 s interval), on exponential gaps, the test's null.
+  // "serial" is ad_exponential_reference, "parallel" ad_test_exponential
+  // (bucket sort); each pass tests about a million gaps, at 1 thread,
+  // in process CPU. `identical` means every sample's a2 and a2_modified
+  // are bit-equal.
+  for (const std::size_t n : {60, 1556, 4000}) {
+    const std::size_t samples = (smoke ? 20000 : 1000000) / n;
+    rng::Rng rng(13);
+    std::vector<std::vector<double>> gaps(samples, std::vector<double>(n));
+    for (auto& x : gaps)
+      for (double& v : x) v = -std::log(rng.uniform01_open_below());
+    std::vector<stats::AdResult> ref(samples), got(samples);
+    bench::BenchResult row;
+    row.op = "ad_test_exponential/" + std::to_string(n);
+    row.threads = 1;
+    row.items = static_cast<double>(samples * n);
+    row.unit = "gaps";
+    row.repeats = harness.repeats(reps);
+    par::set_thread_count(1);
+    row.serial_ms = bench::min_cpu_time_ms(
+        [&] {
+          for (std::size_t k = 0; k < samples; ++k)
+            ref[k] = ad_exponential_reference(gaps[k]);
+        },
+        row.repeats);
+    row.parallel_ms = bench::min_cpu_time_ms(
+        [&] {
+          for (std::size_t k = 0; k < samples; ++k)
+            got[k] = stats::ad_test_exponential(gaps[k]);
+        },
+        row.repeats);
+    row.speedup = row.parallel_ms > 0.0 ? row.serial_ms / row.parallel_ms
+                                        : 1.0;
+    row.throughput = row.parallel_ms > 0.0
+                         ? row.items / (row.parallel_ms / 1000.0)
+                         : 0.0;
+    row.identical = true;
+    for (std::size_t k = 0; k < samples; ++k)
+      row.identical = row.identical &&
+                      std::bit_cast<std::uint64_t>(ref[k].a2) ==
+                          std::bit_cast<std::uint64_t>(got[k].a2) &&
+                      std::bit_cast<std::uint64_t>(ref[k].a2_modified) ==
+                          std::bit_cast<std::uint64_t>(got[k].a2_modified);
+    row.extra.emplace_back("samples", std::to_string(samples));
     bench::Harness::add_rates(row, kSampleBytes);
     harness.add(row);
   }

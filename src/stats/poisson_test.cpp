@@ -21,18 +21,21 @@ IntervalOutcome test_poisson_interval(std::span<const double> sorted_times,
     gaps.reserve(sorted_times.size() - 1);
     for (std::size_t i = 1; i < sorted_times.size(); ++i)
       gaps.push_back(sorted_times[i] - sorted_times[i - 1]);
-    oc.n_interarrivals = gaps.size();
-    if (gaps.size() >= config.min_interarrivals && mean(gaps) > 0.0) {
+    const std::size_t n = gaps.size();
+    oc.n_interarrivals = n;
+    if (n >= config.min_interarrivals && mean(gaps) > 0.0) {
       oc.tested = true;
-      const AdResult ad = ad_test_exponential(gaps, config.significance);
-      oc.a2_modified = ad.a2_modified;
-      oc.pass_exponential = ad.pass;
+      // Lag-1 first: the A^2 test then takes the gaps over and leaves
+      // them holding its probabilities.
       oc.lag1 = lag1_autocorrelation(gaps);
       // Center on the i.i.d. small-sample bias E[r(1)] = -1/n so both
       // the magnitude and the sign test are calibrated.
-      const double centered = oc.lag1 - lag1_bias(gaps.size());
-      oc.pass_independence =
-          std::abs(centered) <= lag1_threshold(gaps.size());
+      const double centered = oc.lag1 - lag1_bias(n);
+      oc.pass_independence = std::abs(centered) <= lag1_threshold(n);
+      const AdResult ad =
+          ad_test_exponential_in_place(gaps, config.significance);
+      oc.a2_modified = ad.a2_modified;
+      oc.pass_exponential = ad.pass;
     }
   }
   return oc;

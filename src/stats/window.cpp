@@ -1,18 +1,23 @@
 #include "src/stats/window.hpp"
 
 #include <cmath>
+#include <cstdio>
 
 namespace wan::stats {
 
-namespace {
-
-/// Grid index of time t on the absolute grid anchored at t0 — the same
-/// floor((t - t0) / width) BinCountsAccumulator::add computes.
-std::uint64_t grid_index(double t, double t0, double width) {
-  return static_cast<std::uint64_t>((t - t0) / width);
+std::uint64_t grid_index(double t, double t0, double width,
+                         double tolerance) {
+  // The same floor((t - t0) / width) BinCountsAccumulator::add computes,
+  // converted only where a uint64_t holds it (NaN fails both compares).
+  const double q = (t - t0) / width + tolerance;
+  if (q >= 0.0 && q < 0x1p64) return static_cast<std::uint64_t>(q);  // 2^64
+  char msg[192];
+  std::snprintf(msg, sizeof(msg),
+                "grid index: time %.17g lies %g cells of %g s from %.17g, "
+                "not a count in [0, 2^64)",
+                t, q, width, t0);
+  throw std::invalid_argument(msg);
 }
-
-}  // namespace
 
 WindowedBinCounts::WindowedBinCounts(double t0, double bin,
                                      std::size_t window_bins)
@@ -96,6 +101,8 @@ void WindowedPoissonTest::complete_through(std::uint64_t interval_index) {
 }
 
 void WindowedPoissonTest::push(double t) {
+  if (!std::isfinite(t))  // no grid index; a NaN passes the t0 check
+    throw std::invalid_argument("WindowedPoissonTest::push: non-finite time");
   if (t < t0_)
     throw std::invalid_argument("WindowedPoissonTest::push: time before t0");
   const std::uint64_t idx = grid_index(t, t0_, config_.interval_length);

@@ -119,6 +119,14 @@ using WindowedMoments = BucketRing<MomentAccumulator>;
 /// is bit-identical to a batch BurstLullAccumulator over the window.
 using WindowedBurstLull = BucketRing<BurstLullAccumulator>;
 
+/// Index of the cell of the grid anchored at t0 with cells `width` wide
+/// that holds t: floor((t - t0) / width + tolerance), tolerance in cells.
+/// Throws std::invalid_argument, naming t, t0 and width, unless that
+/// quotient is finite, >= 0 and below 2^64, the range a uint64_t index
+/// holds.
+std::uint64_t grid_index(double t, double t0, double width,
+                         double tolerance = 0.0);
+
 /// Sliding-window twin of BinCountsAccumulator: a ring of per-bin
 /// counts covering the most recent `window_bins` COMPLETED bins of a
 /// fixed absolute grid anchored at t0, plus the open (current) bin.
@@ -145,7 +153,8 @@ class WindowedBinCounts {
   }
 
   /// Counts the event into its bin; throws std::invalid_argument when
-  /// t is not finite or precedes t0 or an already-completed bin.
+  /// t is not finite, precedes t0 or an already-completed bin, or lies
+  /// 2^64 or more bins past t0 (grid_index).
   void add(double t);
   void add(std::span<const double> times) {
     for (double t : times) add(t);
@@ -197,8 +206,9 @@ class WindowedPoissonTest {
   WindowedPoissonTest(const PoissonTestConfig& config, double t0,
                       std::size_t window_intervals);
 
-  /// Throws std::invalid_argument when t goes backwards across an
-  /// already-completed interval.
+  /// Throws std::invalid_argument when t is not finite, precedes t0,
+  /// goes backwards across an already-completed interval, or lies 2^64
+  /// or more intervals past t0 (grid_index).
   void push(double t);
   void push(std::span<const double> times) {
     for (double t : times) push(t);

@@ -158,10 +158,11 @@ void WindowedAnalyzer::push_times(std::span<const double> times) {
 void WindowedAnalyzer::finish(double t_end) {
   // Complete every whole bin the stream span covers. The +1e-9 bin
   // tolerance keeps a t_end sitting a rounding error below a bin edge
-  // from dropping the final bin (and with it the final report).
-  const double whole = (t_end - t_begin_) / options_.bin + 1e-9;
-  if (whole < 0.0) return;
-  const auto idx = static_cast<std::uint64_t>(whole);
+  // from dropping the final bin (and with it the final report). A
+  // non-finite t_end, or one 2^64 bins out, throws (stats::grid_index).
+  if (t_end < t_begin_) return;
+  const std::uint64_t idx =
+      stats::grid_index(t_end, t_begin_, options_.bin, 1e-9);
   // Midpoint of bin idx: advance_to completes bins [0, idx) and cannot
   // itself fall foul of edge rounding.
   counts_.advance_to(t_begin_ +
@@ -246,9 +247,10 @@ std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
 
   const StreamInfo info = src.info();
   const WindowGeometry geometry = window_geometry(options);
-  const double whole = (info.t_end - info.t_begin) / options.bin + 1e-9;
-  const auto stream_bins =
-      whole < 0.0 ? std::uint64_t{0} : static_cast<std::uint64_t>(whole);
+  const std::uint64_t stream_bins =
+      info.t_end < info.t_begin
+          ? 0
+          : stats::grid_index(info.t_end, info.t_begin, options.bin, 1e-9);
   if (stream_bins < geometry.window_bins) {
     char buf[192];
     std::snprintf(buf, sizeof(buf),

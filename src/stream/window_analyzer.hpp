@@ -139,7 +139,8 @@ class WindowedAnalyzer {
   void push_times(std::span<const double> times);
 
   /// Completes bins/intervals through t_end (emitting any boundary
-  /// reports). Call once at end of stream.
+  /// reports). Call once at end of stream. Throws std::invalid_argument
+  /// when t_end is not finite or lies 2^64 bins out (stats::grid_index).
   void finish(double t_end);
 
   const WindowGeometry& geometry() const { return geometry_; }
@@ -172,7 +173,8 @@ class WindowedAnalyzer {
 /// Drains the column source through the configured filters (the
 /// pipeline's ColumnFilterStack) and the incremental engine; returns
 /// every report in slide order. Throws std::invalid_argument when the
-/// stream is shorter than one window. Row readers reach it through
+/// stream is shorter than one window or its info() span has no whole
+/// bin count (a non-finite t_end, say). Row readers reach it through
 /// ColumnsFromRows — the windowed path is columnar-only, like the
 /// sharded one.
 std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,

@@ -65,6 +65,8 @@ PacketFileHeader read_packet_header(std::istream& is) {
   PacketFileHeader h;
   h.t_begin = get<double>(is);
   h.t_end = get<double>(is);
+  if (!std::isfinite(h.t_begin) || !std::isfinite(h.t_end))
+    throw std::runtime_error("binary_io: non-finite header time");
   const auto name_len = get<std::uint32_t>(is);
   if (name_len > 4096)
     throw std::runtime_error("binary_io: implausible name length");

@@ -57,7 +57,7 @@ std::uint64_t write_packet_header(std::ostream& os,
                                   const PacketFileHeader& header);
 
 /// Reads and validates magic/version; throws std::runtime_error on a
-/// malformed header.
+/// malformed header or a non-finite t_begin or t_end.
 PacketFileHeader read_packet_header(std::istream& is);
 
 /// Encodes the records into an 8 KiB stack buffer, one os.write per

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "src/dist/exponential.hpp"
@@ -108,6 +113,46 @@ TEST(AndersonDarling, TemplateOverloadMatchesUniformPath) {
   std::vector<double> z(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) z[i] = e.cdf(x[i]);
   EXPECT_NEAR(via_template, anderson_darling_uniform(z), 1e-12);
+}
+
+TEST(SortProbabilities, BitIdenticalToStdSortOnSeededArrays) {
+  // 10,000 arrays of 0 to 199 values (every 100th up to 4,999): uniform
+  // draws with ties, exact 0 and 1, and in one array in five a cluster
+  // 1e-3 wide, whose values share a few large buckets. Every tenth array
+  // also holds one value the buckets refuse (-0, a NaN, or one outside
+  // [0, 1]), which sends it to std::sort.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double refused[] = {-0.0, std::numeric_limits<double>::quiet_NaN(),
+                            -1e-300, std::nextafter(1.0, 2.0), 2.0, kInf,
+                            -kInf};
+  rng::Rng rng(26);
+  std::vector<double> p, want, scratch;
+  std::size_t bucketed = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const std::size_t n = rng.uniform_int(trial % 100 == 0 ? 5000 : 200);
+    const double width = rng.bernoulli(0.2) ? 1e-3 : 1.0;
+    const double ties[] = {rng.uniform01(), rng.uniform01()};
+    p.resize(n);
+    for (double& v : p) {
+      const double u = rng.uniform01();
+      v = u < 0.1    ? ties[u < 0.05 ? 0 : 1]
+          : u < 0.12 ? 0.0
+          : u < 0.14 ? 1.0
+                     : width * rng.uniform01();
+    }
+    if (trial % 10 == 0 && n > 0)
+      p[rng.uniform_int(n)] = refused[rng.uniform_int(std::size(refused))];
+    want = p;
+    std::sort(want.begin(), want.end());
+    const std::span<const double> got = sort_probabilities(p, scratch);
+    if (got.data() == scratch.data()) ++bucketed;
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "trial " << trial << ", n " << n << ", index " << i;
+  }
+  EXPECT_GT(bucketed, 7000u);  // most arrays took the bucket path
 }
 
 // ---------------------------------------------------------- binomial

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "src/rng/rng.hpp"
 #include "src/trace/binary_io.hpp"
@@ -93,6 +96,30 @@ TEST(BinaryIo, CorruptProtocolByteRejected) {
   data[data.size() - 8] = static_cast<char>(0xFF);
   std::stringstream bad(data);
   EXPECT_THROW(read_packet_binary(bad), std::runtime_error);
+}
+
+TEST(BinaryIo, NonFiniteHeaderTimeRejected) {
+  // t_begin sits at bytes 8-15 of the header and t_end at 16-23, after
+  // the magic and the version. A NaN t_end used to pass, and a windowed
+  // analysis of the file then ran without end.
+  const auto tr = sample_trace(10);
+  std::stringstream ss;
+  write_binary(tr, ss);
+  const std::string good = ss.str();
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const std::size_t offset : {8u, 16u}) {
+    for (const double v : bad) {
+      std::string data = good;
+      std::memcpy(data.data() + offset, &v, sizeof v);
+      std::stringstream in(data);
+      EXPECT_THROW(read_packet_header(in), std::runtime_error)
+          << "offset " << offset << ", " << v;
+    }
+  }
+  std::stringstream in(good);
+  EXPECT_EQ(read_packet_header(in).t_end, tr.t_end());
 }
 
 }  // namespace
