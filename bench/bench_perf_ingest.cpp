@@ -3,7 +3,7 @@
 //
 // The bench writes its own synthetic captures (raw-IP pcap and lbl-pkt
 // ASCII, a fixed population of interleaved TCP flows, deterministic) and
-// emits six rows into BENCH_perf.json:
+// emits seven rows into BENCH_perf.json:
 //
 //   * ingest_pcap_stream        — MB/s + the bounded-RSS criterion:
 //     peak RSS growth is set by chunk size and open-flow population, not
@@ -22,6 +22,10 @@
 //     also fails when it is more than 10% slower than the latest earlier
 //     row of the same op, CPU model and build type in the target JSON
 //     (with no such row, it records the first one).
+//   * ingest_e2e_filtered       — the same path with the --filtered
+//     options (originator data, bulk outliers removed), min of 9
+//     process-CPU reps; every run fails when the result's digest differs
+//     from the pinned one. It has no bound against an earlier row.
 //   * ingest_lbl_pkt_ascii      — ITA ASCII parse throughput on the
 //     std::from_chars tokenizer.
 //
@@ -344,6 +348,10 @@ std::uint64_t result_digest(const stream::PipelineResult& r) {
 /// table + row pipeline all gave it.
 constexpr std::uint64_t kSmokeDigest = 0x046ef62be5c609f4ull;
 constexpr std::uint64_t kFullDigest = 0x81db9b437dc595aeull;
+/// The same for the --filtered options, taken where the outlier stage
+/// read its input twice.
+constexpr std::uint64_t kFilteredSmokeDigest = 0x9dfc1a62e05e00c5ull;
+constexpr std::uint64_t kFilteredFullDigest = 0xd4189b90e1b15536ull;
 
 }  // namespace
 
@@ -492,7 +500,42 @@ int main(int argc, char** argv) {
   std::printf(", digest %s -> %s\n\n", e2e_ok ? "ok" : "WRONG",
               gate_ok ? "PASS" : "FAIL");
 
-  // --- Row 6: ITA ASCII parse throughput (std::from_chars tokenizer).
+  // --- Row 6: the same path with `wantraffic_analyze --filtered`'s
+  // options (originator data, then the bulk-outlier stage). Every flow
+  // of the capture is a bulk transfer (512 bytes every 25.6 ms), so the
+  // stage drops every row and the digest pins an all-zero count series.
+  // Every run fails when its digest differs from the pinned one; it has
+  // no bound against an earlier row.
+  stream::PipelineOptions fopt = popt;
+  fopt.orig_data_only = true;
+  fopt.remove_outliers = true;
+  stream::PipelineResult filtered;
+  const double filtered_ms = bench::min_cpu_time_ms(
+      [&] {
+        const auto src = ingest::open_packet_column_source(
+            large_path, ingest::IngestFormat::kPcap, ingest::IngestOptions{});
+        filtered = stream::analyze_columns(*src, fopt);
+      },
+      kE2eReps);
+  const std::uint64_t filtered_digest = result_digest(filtered);
+  const bool filtered_ok =
+      filtered_digest ==
+      (smoke ? kFilteredSmokeDigest : kFilteredFullDigest);
+  {
+    bench::BenchResult r =
+        make_row(std::string("ingest_e2e_filtered/") + tag, large_mb, "MB",
+                 filtered_ms, filtered_ms, filtered_ok);
+    r.repeats = kE2eReps;
+    r.extra = {{"clock", "\"process_cpu\""},
+               {"kept_packets", std::to_string(filtered.packets)}};
+    harness.add(r);
+  }
+  std::printf("filtered e2e: %.1f ms, %llu packets kept, digest %016llx %s\n\n",
+              filtered_ms, static_cast<unsigned long long>(filtered.packets),
+              static_cast<unsigned long long>(filtered_digest),
+              filtered_ok ? "ok" : "WRONG");
+
+  // --- Row 7: ITA ASCII parse throughput (std::from_chars tokenizer).
   const std::uint64_t ascii_bytes =
       write_lbl_pkt(ascii_path, large_n, kFlows);
   const double ascii_mb = static_cast<double>(ascii_bytes) / (1024.0 * 1024.0);
@@ -514,6 +557,7 @@ int main(int argc, char** argv) {
   std::remove(large_path.c_str());
   std::remove(ascii_path.c_str());
 
-  const bool all_identical = clean && rd_ok && ft_ok && dc_ok && ascii_ok;
+  const bool all_identical =
+      clean && rd_ok && ft_ok && dc_ok && filtered_ok && ascii_ok;
   return all_identical && rss_bounded && gate_ok ? 0 : 1;
 }

@@ -1,7 +1,9 @@
 #include "src/ingest/sources.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 namespace wan::ingest {
 
@@ -16,9 +18,18 @@ const char* format_tag(const MmapPcapReader&) { return "pcap:"; }
 const char* format_tag(const LblPktReader&) { return "lbl-pkt:"; }
 const char* format_tag(const LblConnReader&) { return "lbl-conn:"; }
 
+/// The info of a packet input whose decoded times fold to [lo, hi]:
+/// [lo, hi + one tick), or [0, 0) when `any` is false (none decoded).
+template <typename Reader>
+stream::StreamInfo packet_info(const Reader& reader, std::string name,
+                               bool any, double lo, double hi) {
+  return {std::move(name), any ? lo : 0.0,
+          any ? hi + source_tick(reader) : 0.0};
+}
+
 /// The prescan pass: the packet time range, with the reader left rewound.
 template <typename Reader>
-stream::StreamInfo prescan_packets(Reader& reader, const std::string& path) {
+stream::StreamInfo prescan_packets(Reader& reader, std::string name) {
   RawPacket pkt;
   bool any = false;
   double lo = 0.0, hi = 0.0;
@@ -32,28 +43,19 @@ stream::StreamInfo prescan_packets(Reader& reader, const std::string& path) {
     }
   }
   reader.reset();  // discards the prescan's ledger
-  stream::StreamInfo info;
-  info.name = format_tag(reader) + path;
-  info.t_begin = any ? lo : 0.0;
-  info.t_end = any ? hi + source_tick(reader) : 0.0;
-  return info;
+  return packet_info(reader, std::move(name), any, lo, hi);
 }
 
 /// MmapPcapReader prescans through scan_times — the same records and
 /// the same fold (the overload is preferred over the template), minus
 /// the per-record call overhead and the batch buffer stores: the
 /// prescan only ever needs the time range, never the packets.
-stream::StreamInfo prescan_packets(MmapPcapReader& reader,
-                                   const std::string& path) {
+stream::StreamInfo prescan_packets(MmapPcapReader& reader, std::string name) {
   bool any = false;
   double lo = 0.0, hi = 0.0;
   reader.scan_times(&any, &lo, &hi);
   reader.reset();
-  stream::StreamInfo info;
-  info.name = format_tag(reader) + path;
-  info.t_begin = any ? lo : 0.0;
-  info.t_end = any ? hi + source_tick(reader) : 0.0;
-  return info;
+  return packet_info(reader, std::move(name), any, lo, hi);
 }
 
 /// Packet consumers never drain closed-connection records; keep the
@@ -75,7 +77,7 @@ PacketSourceImpl<Reader>::PacketSourceImpl(const std::string& path,
     : reader_(path, mode),
       table_(packet_flow_config(flow)),
       chunk_size_(chunk_size) {
-  info_ = prescan_packets(reader_, path);
+  info_ = prescan_packets(reader_, format_tag(reader_) + path);
 }
 
 template <typename Reader>
@@ -105,7 +107,20 @@ PcapColumnSource::PcapColumnSource(const std::string& path, ParseMode mode,
     : reader_(path, mode),
       table_(packet_flow_config(flow)),
       chunk_size_(chunk_size) {
-  info_ = prescan_packets(reader_, path);
+  info_.name = format_tag(reader_) + path;
+}
+
+const stream::StreamInfo& PcapColumnSource::info() const {
+  if (range_ == Range::kLearning)
+    throw std::logic_error(
+        "PcapColumnSource: info() in the middle of the pass that learns "
+        "the range: " +
+        info_.name);
+  if (range_ == Range::kUnknown) {
+    info_ = prescan_packets(reader_, info_.name);
+    range_ = Range::kKnown;
+  }
+  return info_;
 }
 
 bool PcapColumnSource::next(stream::PacketColumns& chunk) {
@@ -117,12 +132,36 @@ bool PcapColumnSource::next(stream::PacketColumns& chunk) {
   reader_.fold_packets(chunk_size_, [&](const RawPacket& pkt) {
     table_.add_append(pkt, chunk);
   });
-  return !chunk.empty();
+  if (range_ == Range::kKnown) return !chunk.empty();
+
+  // Learning the range: every decoded packet is one row with its time,
+  // so this is scan_times's fold (the first time seeds it; strict
+  // comparisons keep the earlier of equal values). The end of input
+  // completes it.
+  range_ = Range::kLearning;
+  if (chunk.empty()) {
+    info_ = packet_info(reader_, info_.name, any_, lo_, hi_);
+    range_ = Range::kKnown;
+    return false;
+  }
+  if (!any_) {
+    lo_ = hi_ = chunk.time.front();
+    any_ = true;
+  }
+  for (const double t : chunk.time) {
+    if (t < lo_) lo_ = t;
+    if (t > hi_) hi_ = t;
+  }
+  return true;
 }
 
 void PcapColumnSource::reset() {
   reader_.reset();
   table_.clear();  // identical conn ids on the second pass
+  if (range_ == Range::kLearning) {  // forget the unfinished fold
+    range_ = Range::kUnknown;
+    any_ = false;
+  }
 }
 
 // ------------------------------------------------------- read_conn_trace

@@ -2,11 +2,12 @@
 // captures flow through the same src/stream pipeline as synthesized
 // traces, in chunk-bounded memory.
 //
-// Packet sources are two-pass: the constructor prescans the file once
-// to learn the trace's time range (analyze_stream reads info() before
-// any records flow), then rewinds. The prescan's ledger is discarded on
-// the rewind — stats() reflects the emission pass only, so callers see
-// each defect counted exactly once.
+// A packet source learns its trace's time range, info(), by a prescan
+// that decodes the file and rewinds: the row sources in their
+// constructor, PcapColumnSource only when asked before its first record
+// (see there). The prescan's ledger is discarded on the rewind —
+// stats() reflects the emission pass only, so callers see each defect
+// counted exactly once.
 //
 //   * PcapColumnSource — the pcap path: mmap'd batch decode folded
 //     through the FlowTable straight into PacketColumns, no
@@ -85,13 +86,27 @@ using LblPktPacketSource = PacketSourceImpl<LblPktReader>;
 /// PacketRecord row chunk is ever materialized. Emits the exact rows
 /// MmapPcapPacketSource does (pinned by the `ingest` tests);
 /// analyze_columns drains it without the ColumnsFromRows transpose.
+///
+/// The constructor reads only the global header (strict mode throws
+/// IngestError on a bad one); record defects surface at the first
+/// info() or next(). info()'s range is [min packet time, max + one
+/// tick), learned one of two ways, with the same bits:
+///   * a pass that runs to the end folds the decoded times as it emits,
+///     so info() after it costs nothing — the filtered analysis decodes
+///     its capture once;
+///   * info() before the first next() (or after reset() of an
+///     unfinished pass) prescans every record and rewinds, discarding
+///     the prescan's ledger — the unfiltered and windowed analyses and
+///     the monitor replay need the range first.
+/// info() in the middle of the pass that learns it throws
+/// std::logic_error.
 class PcapColumnSource final : public IngestColumnSource {
  public:
   PcapColumnSource(const std::string& path, ParseMode mode,
                    FlowTableConfig flow = {},
                    std::size_t chunk_size = stream::kDefaultChunkSize);
 
-  const stream::StreamInfo& info() const override { return info_; }
+  const stream::StreamInfo& info() const override;
   bool next(stream::PacketColumns& chunk) override;
   void reset() override;
 
@@ -99,9 +114,15 @@ class PcapColumnSource final : public IngestColumnSource {
   const FlowTable& flow_table() const { return table_; }
 
  private:
-  MmapPcapReader reader_;
+  enum class Range { kUnknown, kLearning, kKnown };
+
+  mutable MmapPcapReader reader_;  // info() may prescan and rewind it
   FlowTable table_;
-  stream::StreamInfo info_;
+  mutable stream::StreamInfo info_;
+  mutable Range range_ = Range::kUnknown;
+  bool any_ = false;  // the learning pass's fold so far
+  double lo_ = 0.0;
+  double hi_ = 0.0;
   std::size_t chunk_size_;
 };
 

@@ -10,7 +10,9 @@ ReplaySource::ReplaySource(const std::string& path, ingest::ParseMode mode,
                            double speed, ingest::FlowTableConfig flow,
                            std::size_t chunk_size,
                            const std::atomic<bool>* stop)
-    : inner_(path, mode, flow, chunk_size), speed_(speed), stop_(stop) {}
+    : inner_(path, mode, flow, chunk_size), speed_(speed), stop_(stop) {
+  inner_.info();  // the prescan: the range is known before the first chunk
+}
 
 bool ReplaySource::next(stream::PacketColumns& chunk) {
   if (!inner_.next(chunk)) return false;

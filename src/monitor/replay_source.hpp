@@ -33,7 +33,8 @@ class ReplaySource {
   /// Opens and prescans the capture (so info() carries the full time
   /// range up front — the replay knows its own end, unlike a tail).
   /// `stop` may be null; when set, pacing sleeps abort early once the
-  /// flag goes true. Throws what PcapColumnSource's constructor throws.
+  /// flag goes true. Throws what PcapColumnSource's constructor and its
+  /// prescan throw (strict mode: the first defect in the capture).
   ReplaySource(const std::string& path, ingest::ParseMode mode, double speed,
                ingest::FlowTableConfig flow = {},
                std::size_t chunk_size = stream::kDefaultChunkSize,

@@ -20,6 +20,14 @@ void PacketColumns::reserve(std::size_t n) {
   payload_bytes.reserve(n);
 }
 
+void PacketColumns::shrink_to_fit() {
+  time.shrink_to_fit();
+  protocol.shrink_to_fit();
+  conn_id.shrink_to_fit();
+  from_originator.shrink_to_fit();
+  payload_bytes.shrink_to_fit();
+}
+
 void PacketColumns::append_rows(std::span<const trace::PacketRecord> rows) {
   const std::size_t base = size();
   const std::size_t n = rows.size();
@@ -37,6 +45,16 @@ void PacketColumns::append_rows(std::span<const trace::PacketRecord> rows) {
     from_originator[base + i] = rows[i].from_originator ? 1 : 0;
   for (std::size_t i = 0; i < n; ++i)
     payload_bytes[base + i] = rows[i].payload_bytes;
+}
+
+void PacketColumns::append(const PacketColumns& rows) {
+  time.insert(time.end(), rows.time.begin(), rows.time.end());
+  protocol.insert(protocol.end(), rows.protocol.begin(), rows.protocol.end());
+  conn_id.insert(conn_id.end(), rows.conn_id.begin(), rows.conn_id.end());
+  from_originator.insert(from_originator.end(), rows.from_originator.begin(),
+                         rows.from_originator.end());
+  payload_bytes.insert(payload_bytes.end(), rows.payload_bytes.begin(),
+                       rows.payload_bytes.end());
 }
 
 trace::PacketRecord PacketColumns::row(std::size_t i) const {
@@ -97,19 +115,7 @@ bool ColumnTableSource::next(PacketColumns& chunk) {
 PacketColumns collect_columns(PacketColumnSource& source) {
   PacketColumns all;
   PacketColumns chunk;
-  while (source.next(chunk)) {
-    all.time.insert(all.time.end(), chunk.time.begin(), chunk.time.end());
-    all.protocol.insert(all.protocol.end(), chunk.protocol.begin(),
-                        chunk.protocol.end());
-    all.conn_id.insert(all.conn_id.end(), chunk.conn_id.begin(),
-                       chunk.conn_id.end());
-    all.from_originator.insert(all.from_originator.end(),
-                               chunk.from_originator.begin(),
-                               chunk.from_originator.end());
-    all.payload_bytes.insert(all.payload_bytes.end(),
-                             chunk.payload_bytes.begin(),
-                             chunk.payload_bytes.end());
-  }
+  while (source.next(chunk)) all.append(chunk);
   return all;
 }
 

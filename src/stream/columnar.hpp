@@ -45,6 +45,7 @@ struct PacketColumns {
   bool empty() const { return time.empty(); }
   void clear();
   void reserve(std::size_t n);
+  void shrink_to_fit();
 
   /// Inline: this is the fused ingest path's per-packet append, and the
   /// five capacity checks predict perfectly after a reserve().
@@ -56,6 +57,8 @@ struct PacketColumns {
     payload_bytes.push_back(r.payload_bytes);
   }
   void append_rows(std::span<const trace::PacketRecord> rows);
+  /// Appends every row of `rows`, in order.
+  void append(const PacketColumns& rows);
 
   /// Row i reassembled as a record (the AoS view of one row).
   trace::PacketRecord row(std::size_t i) const;

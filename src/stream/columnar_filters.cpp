@@ -42,25 +42,25 @@ const PacketColumns& filter_rows(const PacketColumns& in,
   return out;
 }
 
-// The bulk-outlier removal kernel: drops the rows whose connection is in
-// `outliers`, with the same return contract as filter_rows.
-const PacketColumns& drop_outlier_rows(const PacketColumns& in,
-                                       const std::set<std::uint32_t>& outliers,
-                                       std::vector<std::uint32_t>& sel,
-                                       PacketColumns& out) {
-  if (outliers.empty()) return in;
-  sel.clear();
-  sel.resize(in.size());
+// The bulk-outlier removal kernel: drops, in place and in order, the
+// rows whose connection `det` (finished) marks an outlier.
+void drop_outlier_rows(PacketColumns& rows,
+                       const trace::BulkOutlierDetector& det) {
   std::size_t k = 0;
-  const std::uint32_t* conn = in.conn_id.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    sel[k] = static_cast<std::uint32_t>(i);
-    k += outliers.contains(conn[i]) ? 0 : 1;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (det.is_outlier(rows.conn_id[i])) continue;
+    rows.time[k] = rows.time[i];
+    rows.protocol[k] = rows.protocol[i];
+    rows.conn_id[k] = rows.conn_id[i];
+    rows.from_originator[k] = rows.from_originator[i];
+    rows.payload_bytes[k] = rows.payload_bytes[i];
+    ++k;
   }
-  sel.resize(k);
-  if (sel.size() == in.size()) return in;
-  gather(in, sel, out);
-  return out;
+  rows.time.resize(k);
+  rows.protocol.resize(k);
+  rows.conn_id.resize(k);
+  rows.from_originator.resize(k);
+  rows.payload_bytes.resize(k);
 }
 
 }  // namespace
@@ -68,11 +68,16 @@ const PacketColumns& drop_outlier_rows(const PacketColumns& in,
 ColumnFilterSource::ColumnFilterSource(PacketColumnSource& inner,
                                        std::optional<trace::Protocol> protocol,
                                        bool orig_data)
-    : inner_(&inner),
-      info_{inner.info().name + filter_suffix(protocol, orig_data),
-            inner.info().t_begin, inner.info().t_end},
-      protocol_(protocol),
-      orig_data_(orig_data) {}
+    : inner_(&inner), protocol_(protocol), orig_data_(orig_data) {}
+
+const StreamInfo& ColumnFilterSource::info() const {
+  if (!info_) {
+    const StreamInfo& in = inner_->info();
+    info_ = StreamInfo{in.name + filter_suffix(protocol_, orig_data_),
+                       in.t_begin, in.t_end};
+  }
+  return *info_;
+}
 
 bool ColumnFilterSource::next(PacketColumns& chunk) {
   chunk.clear();
@@ -88,40 +93,24 @@ bool ColumnFilterSource::next(PacketColumns& chunk) {
   return true;
 }
 
-ColumnBulkOutlierSource::ColumnBulkOutlierSource(PacketColumnSource& inner)
-    : inner_(&inner),
-      info_{inner.info().name + "/no-outliers", inner.info().t_begin,
-            inner.info().t_end} {}
-
-void ColumnBulkOutlierSource::scan_outliers() {
-  trace::BulkOutlierDetector det;
-  while (inner_->next(buf_)) {
-    // The detector aggregates per connection from (time, conn, orig,
-    // payload); rows are observed in order, as the row path does.
-    for (std::size_t i = 0; i < buf_.size(); ++i) det.observe(buf_.row(i));
-  }
-  outliers_ = det.outliers();
-  inner_->reset();
-  scanned_ = true;
-}
-
-bool ColumnBulkOutlierSource::next(PacketColumns& chunk) {
-  if (!scanned_) scan_outliers();
-  chunk.clear();
-  while (chunk.empty()) {
-    if (!inner_->next(buf_)) return false;
-    if (&drop_outlier_rows(buf_, outliers_, sel_, chunk) == &buf_) {
-      chunk = std::move(buf_);
-      buf_.clear();
+ColumnTableSource& ColumnBulkOutlierSource::kept() const {
+  if (!kept_) {
+    trace::BulkOutlierDetector det;
+    PacketColumns chunk;
+    while (inner_->next(chunk)) {
+      for (std::size_t i = 0; i < chunk.size(); ++i)
+        det.observe(chunk.time[i], chunk.conn_id[i],
+                    chunk.from_originator[i] != 0, chunk.payload_bytes[i]);
+      rows_.append(chunk);
     }
+    if (det.finish() > 0) drop_outlier_rows(rows_, det);
+    rows_.shrink_to_fit();  // 16 bytes per kept row, no growth slack
+    const StreamInfo& in = inner_->info();  // known once drained
+    kept_.emplace(rows_, StreamInfo{in.name + "/no-outliers", in.t_begin,
+                                    in.t_end},
+                  chunk_size_);
   }
-  return true;
-}
-
-void ColumnBulkOutlierSource::reset() {
-  // The outlier set is a function of the (replayable) upstream, so a
-  // second pass reuses it rather than rescanning.
-  inner_->reset();
+  return *kept_;
 }
 
 }  // namespace wan::stream

@@ -42,11 +42,10 @@ BulkOutlierSource::BulkOutlierSource(PacketChunkSource& inner)
             inner.info().t_end} {}
 
 void BulkOutlierSource::scan_outliers() {
-  trace::BulkOutlierDetector det;
   while (inner_->next(buf_)) {
-    for (const trace::PacketRecord& r : buf_) det.observe(r);
+    for (const trace::PacketRecord& r : buf_) detector_.observe(r);
   }
-  outliers_ = det.outliers();
+  detector_.finish();
   inner_->reset();
   scanned_ = true;
 }
@@ -57,15 +56,15 @@ bool BulkOutlierSource::next(std::vector<trace::PacketRecord>& chunk) {
   while (chunk.empty()) {
     if (!inner_->next(buf_)) return false;
     for (const trace::PacketRecord& r : buf_) {
-      if (!outliers_.contains(r.conn_id)) chunk.push_back(r);
+      if (!detector_.is_outlier(r.conn_id)) chunk.push_back(r);
     }
   }
   return true;
 }
 
 void BulkOutlierSource::reset() {
-  // The outlier set is a function of the (replayable) upstream, so a
-  // second pass reuses it rather than rescanning.
+  // The verdicts are a function of the (replayable) upstream, so a
+  // second pass reuses them rather than rescanning.
   inner_->reset();
 }
 

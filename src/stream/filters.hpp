@@ -6,7 +6,6 @@
 #pragma once
 
 #include <functional>
-#include <set>
 #include <string>
 
 #include "src/stream/chunk.hpp"
@@ -44,8 +43,9 @@ FilterSource protocol_filter(PacketChunkSource& inner,
 /// packets carrying user data; name gains "/orig-data".
 FilterSource originator_data_filter(PacketChunkSource& inner);
 
-/// Streaming PacketTrace::remove_bulk_outliers(). The outlier rule needs
-/// a connection's total bytes before deciding, so this is an explicit
+/// Streaming PacketTrace::remove_bulk_outliers(), the row reference of
+/// the columnar ColumnBulkOutlierSource. The outlier rule needs a
+/// connection's total bytes before deciding, so this is an explicit
 /// two-pass source: the first next() drains the upstream once through a
 /// BulkOutlierDetector (O(#connections) state), resets it, then streams
 /// the filtered second pass. Name gains "/no-outliers".
@@ -63,7 +63,7 @@ class BulkOutlierSource final : public PacketChunkSource {
   PacketChunkSource* inner_;
   StreamInfo info_;
   bool scanned_ = false;
-  std::set<std::uint32_t> outliers_;
+  trace::BulkOutlierDetector detector_;
   std::vector<trace::PacketRecord> buf_;
 };
 

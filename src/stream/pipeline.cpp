@@ -35,7 +35,7 @@ ColumnFilterStack::ColumnFilterStack(PacketColumnSource& inner,
     top_ = &*filter_;
   }
   if (options.remove_outliers) {
-    no_outliers_.emplace(*top_);
+    no_outliers_.emplace(*top_, options.chunk_size);
     top_ = &*no_outliers_;
   }
 }

@@ -1,7 +1,9 @@
 // End-to-end count-process analysis over a packet stream: Section-IV
-// filters → binned counts → variance-time plot, single-pass (the
-// outlier filter's second pass excepted). Burst/lull runs and count
-// moments are the windowed engine's, which keeps its own accumulators.
+// filters → binned counts → variance-time plot, reading the source
+// once, with no reset. The bulk-outlier stage holds the rows that reach it (16 bytes
+// each) until it has every connection's totals; everything else streams
+// in chunk-bounded memory. Burst/lull runs and count moments are the
+// windowed engine's, which keeps its own accumulators.
 //
 // analyze_stream and analyze_batch are the two implementations of the
 // same analysis — the streamed one in bounded memory, the batch one on
@@ -55,9 +57,11 @@ struct PipelineResult {
 
 /// The Section-IV filter stack `options` configures over a column
 /// source, in the batch path's order: protocol and originator-data fused
-/// in one ColumnFilterSource, then the two-pass ColumnBulkOutlierSource;
-/// an option left off adds no stage. Non-owning of `inner`; the stages
-/// live inside the stack, so it is neither copyable nor movable.
+/// in one ColumnFilterSource, then the buffering ColumnBulkOutlierSource,
+/// which emits `options.chunk_size`-row chunks; an option left off adds
+/// no stage. With the outlier stage, info() reads the whole upstream
+/// once. Non-owning of `inner`; the stages live inside the stack, so it
+/// is neither copyable nor movable.
 class ColumnFilterStack final : public PacketColumnSource {
  public:
   ColumnFilterStack(PacketColumnSource& inner, const PipelineOptions& options);
@@ -79,7 +83,8 @@ class ColumnFilterStack final : public PacketColumnSource {
 /// of `bin` seconds (variance_time_plot's floor), else it throws
 /// std::invalid_argument ("analyze_stream: series too short", or
 /// bin_grid_size's message for a grid no size_t counts), so a
-/// fixed-grid caller fails before reading a record. finish() plots the
+/// fixed-grid caller fails before binning a record (with the outlier
+/// stage, after the stage has read its input). finish() plots the
 /// whole count series with variance_time_plot (its exact pass, counts
 /// being whole numbers); the plot is the only work it does on the series.
 class CountTail {

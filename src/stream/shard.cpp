@@ -50,26 +50,33 @@ PipelineResult analyze_sharded_sources(
         std::to_string(kMaxShards) + "]");
 
   // Shard 0's info IS the serial info (the factory contract), so the
-  // filter stack over it fixes the derived name and the grid before
-  // any shard runs.
-  auto first = make_shard(0);
-  const CountTail tail = [&] {
-    ColumnsFromRows columns(*first);
-    return CountTail(ColumnFilterStack(columns, options).info(), options.bin);
-  }();
+  // filter stack over it fixes the derived name and the grid before any
+  // other shard runs. Its stack is built once: with the outlier stage,
+  // info() has already read shard 0's rows into it.
+  const auto first = make_shard(0);
+  ColumnsFromRows first_columns(*first);
+  ColumnFilterStack first_filtered(first_columns, options);
+  const CountTail tail(first_filtered.info(), options.bin);
   ShardCounts counts(tail, n_shards);
 
   // Each shard is fully independent — its own source, its own filter
-  // stack (including the outlier two-pass: the stack resets only this
-  // shard's source) — so a flat parallel_for over shards is enough.
-  // Grain 1: shards are the unit of work.
+  // stack (the outlier stage holds only this shard's rows) — so a flat
+  // parallel_for over shards is enough. Grain 1: shards are the unit of
+  // work.
+  const auto drain = [&](std::size_t s, PacketColumnSource& filtered) {
+    PacketColumns chunk;
+    while (filtered.next(chunk)) counts.add(s, chunk);
+  };
   par::parallel_for(0, n_shards, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t s = b; s < e; ++s) {
-      auto source = s == 0 ? std::move(first) : make_shard(s);
+      if (s == 0) {
+        drain(0, first_filtered);
+        continue;
+      }
+      const auto source = make_shard(s);
       ColumnsFromRows columns(*source);
       ColumnFilterStack filtered(columns, options);
-      PacketColumns chunk;
-      while (filtered.next(chunk)) counts.add(s, chunk);
+      drain(s, filtered);
     }
   });
   return counts.finish(tail);

@@ -3,9 +3,8 @@
 // removed, bulk-transfer outliers removed).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -75,25 +74,56 @@ class PacketTrace {
 inline constexpr double kBulkOutlierMaxBytes = 1024.0;
 inline constexpr double kBulkOutlierMaxRate = 8.0;  ///< bytes/s
 
-/// The aggregation step of the Section-IV outlier rule, factored out so
-/// a two-pass streaming source and PacketTrace::remove_bulk_outliers
-/// compute the identical outlier set: observe every record (in trace
-/// order), then ask which connections exceeded kBulkOutlierMaxBytes at
-/// a sustained rate above kBulkOutlierMaxRate. State is
-/// O(#connections).
+/// The Section-IV outlier rule, in one place for every path (the batch
+/// PacketTrace::remove_bulk_outliers, the row and the columnar stream
+/// stages): observe every row, call finish() once the input is done,
+/// then ask is_outlier(conn). A connection is an outlier when its
+/// originator sent more than kBulkOutlierMaxBytes at a sustained rate
+/// above kBulkOutlierMaxRate, the span being its first to its last
+/// originator time (at least 1 s). Row order does not matter.
+///
+/// Connections live in one flat open-addressing table keyed by conn
+/// id, 32 bytes a slot, that doubles whenever more than half its slots
+/// would be in use: it is sized by the connections seen, never by the
+/// largest id, since trace files carry arbitrary 32-bit ids.
 class BulkOutlierDetector {
  public:
-  void observe(const PacketRecord& r);
-  std::set<std::uint32_t> outliers() const;
+  /// One row; responder rows do not count.
+  void observe(double time, std::uint32_t conn, bool from_originator,
+               std::uint16_t payload_bytes) {
+    if (from_originator) add(time, conn, payload_bytes);
+  }
+  void observe(const PacketRecord& r) {
+    observe(r.time, r.conn_id, r.from_originator, r.payload_bytes);
+  }
+
+  /// Scores every connection observed; returns how many are outliers.
+  std::size_t finish();
+
+  /// After finish(): whether `conn` is an outlier (an id never observed
+  /// is not).
+  bool is_outlier(std::uint32_t conn) const;
+
+  /// Table slots held: a power of two, 0 before the first row.
+  std::size_t slots() const { return slots_.size(); }
 
  private:
-  struct ConnAgg {
+  struct Slot {
     double first = 0.0;
     double last = 0.0;
     double bytes = 0.0;
-    bool seen = false;
+    std::uint32_t conn = 0;
+    bool used = false;
+    bool outlier = false;
   };
-  std::map<std::uint32_t, ConnAgg> agg_;
+
+  void add(double time, std::uint32_t conn, std::uint16_t payload_bytes);
+  /// The slot holding `conn`, or the empty slot where it would go.
+  std::size_t find(std::uint32_t conn) const;
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
 };
 
 }  // namespace wan::trace

@@ -15,7 +15,8 @@
 # --deperiodic report are pinned by SHA256. And `wantraffic_analyze pkt`
 # must analyze a packet CSV without its metadata line from its first
 # packet on, a CRLF copy of it alike, and a piped binary trace as its
-# file (refusing a pipe when it reads the input twice). Invalid counts,
+# file, with and without --filtered (refusing a pipe only for a CSV it
+# reads twice, one without its metadata line). Invalid counts,
 # mode-foreign and removed flags, malformed and non-finite CSV fields,
 # non-finite ITA numbers and a bin grid too fine to count must be
 # rejected.
@@ -278,18 +279,19 @@ run_matches(PATTERNS "streamed 5856 packets" "count process: 8970 bins"
             COMMAND "${ANALYZE}" pkt "${WORK_DIR}/crlf.csv" --filtered)
 
 # --- Pipes: a trace file read once may be one --------------------------
-# Without --filtered one pass reads the binary trace, so a pipe gives
-# the file's vt CSV; --filtered and a CSV without its metadata line read
-# the input twice and refuse a pipe before the first pass.
+# One pass reads the binary trace, with or without --filtered (whose
+# outlier stage holds the rows it reads), so a pipe gives the file's vt
+# CSV; a CSV without its metadata line is read twice, to learn its
+# window, and refuses a pipe before the first pass.
 set(cat_trace "${CMAKE_COMMAND}" -E cat pkt.bin COMMAND)
 run("${ANALYZE}" pkt pkt.bin --binary --vt-csv vt_file.csv
     WORKING_DIRECTORY "${WORK_DIR}")
 run(${cat_trace} "${ANALYZE}" pkt /dev/stdin --binary --vt-csv vt_pipe.csv
     WORKING_DIRECTORY "${WORK_DIR}")
 expect_same_file("${WORK_DIR}/vt_file.csv" "${WORK_DIR}/vt_pipe.csv")
-run_fails("binary_chunk: input is not seekable, cannot read it twice"
-          ${cat_trace} "${ANALYZE}" pkt /dev/stdin --binary --filtered
-          WORKING_DIRECTORY "${WORK_DIR}")
+run(${cat_trace} "${ANALYZE}" pkt /dev/stdin --binary --filtered
+    --vt-csv vt_pipe_filtered.csv WORKING_DIRECTORY "${WORK_DIR}")
+expect_same_file("${WORK_DIR}/vt_bin.csv" "${WORK_DIR}/vt_pipe_filtered.csv")
 run_fails("csv_chunk: input is not seekable, cannot read it twice"
           "${CMAKE_COMMAND}" -E cat nometa.csv COMMAND "${ANALYZE}" pkt
           /dev/stdin WORKING_DIRECTORY "${WORK_DIR}")

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -243,9 +244,145 @@ TEST(ColumnarFilters, BulkOutlierSourceMatchesRowTwinAndReplays) {
   EXPECT_EQ(col_f.info().name, want.name());
   expect_same_records(drain(col_f), want.records());
 
-  // The second pass reuses the scanned outlier set.
+  // reset() replays the stage's own rows.
   col_f.reset();
   expect_same_records(drain(col_f), want.records());
+}
+
+// Forwards a column source and counts what its consumer asks of it.
+class CountingColumns final : public stream::PacketColumnSource {
+ public:
+  explicit CountingColumns(stream::PacketColumnSource& inner)
+      : inner_(inner) {}
+
+  const stream::StreamInfo& info() const override { return inner_.info(); }
+  bool next(stream::PacketColumns& chunk) override {
+    const bool more = inner_.next(chunk);
+    if (more) {
+      rows += chunk.size();
+    } else {
+      ++ends;
+    }
+    return more;
+  }
+  void reset() override {
+    ++resets;
+    inner_.reset();
+  }
+
+  std::size_t rows = 0;    ///< rows delivered, over every pass
+  std::size_t ends = 0;    ///< next() calls that found the end
+  std::size_t resets = 0;
+
+ private:
+  stream::PacketColumnSource& inner_;
+};
+
+TEST(ColumnarFilters, OutlierAnalysisDrainsItsSourceOnceWithoutReset) {
+  const trace::PacketTrace t = make_test_trace();
+  stream::PipelineOptions opt;
+  opt.bin = 1.0;
+  opt.orig_data_only = true;
+  opt.remove_outliers = true;
+  opt.chunk_size = 11;
+
+  stream::TraceChunkSource rows(t, opt.chunk_size);
+  stream::ColumnsFromRows cols(rows);
+  CountingColumns counted(cols);
+  const stream::PipelineResult got = stream::analyze_columns(counted, opt);
+  EXPECT_EQ(counted.rows, t.size());
+  EXPECT_EQ(counted.ends, 1u);
+  EXPECT_EQ(counted.resets, 0u);
+  EXPECT_EQ(stream::vt_csv(got), stream::vt_csv(stream::analyze_batch(t, opt)));
+}
+
+TEST(ColumnarFilters, OutlierStageReplaysItsRowsWithoutTheUpstream) {
+  const trace::PacketTrace t = make_test_trace();
+  const trace::PacketTrace want = t.remove_bulk_outliers();
+  stream::TraceChunkSource rows(t, /*chunk_size=*/11);
+  stream::ColumnsFromRows cols(rows);
+  CountingColumns counted(cols);
+  stream::ColumnBulkOutlierSource stage(counted, /*chunk_size=*/7);
+  expect_same_records(drain(stage), want.records());
+  stage.reset();
+  expect_same_records(drain(stage), want.records());
+  EXPECT_EQ(counted.rows, t.size());
+  EXPECT_EQ(counted.resets, 0u);
+}
+
+// Trace files carry arbitrary 32-bit conn ids. The detector's table is
+// sized by the connections it sees, not by the largest id, and the
+// columnar analysis of such a trace matches the row and batch paths.
+TEST(ColumnarFilters, OutlierStageTakesAnyConnIdInSmallMemory) {
+  constexpr std::uint32_t kBig = 4000000000u;
+  trace::PacketTrace t("ids", 0.0, 100.0);
+  for (int i = 0; i < 50; ++i)  // 50 bytes of typing over 98 s
+    t.add({i * 2.0, trace::Protocol::kTelnet, 1, true, 1});
+  for (int i = 0; i < 20; ++i)  // a 2000-byte blast in 9.5 s
+    t.add({10.0 + i * 0.5, trace::Protocol::kTelnet, kBig, true, 100});
+  t.sort_by_time();
+
+  trace::BulkOutlierDetector det;
+  for (const trace::PacketRecord& r : t.records()) det.observe(r);
+  EXPECT_EQ(det.finish(), 1u);
+  EXPECT_TRUE(det.is_outlier(kBig));
+  EXPECT_FALSE(det.is_outlier(1));
+  EXPECT_FALSE(det.is_outlier(2));  // never observed
+  EXPECT_EQ(det.slots(), 16u);
+
+  stream::PipelineOptions opt;
+  opt.bin = 1.0;
+  opt.remove_outliers = true;
+  stream::TraceChunkSource rows(t, /*chunk_size=*/8);
+  const stream::PipelineResult columnar = stream::analyze_stream(rows, opt);
+  rows.reset();
+  const stream::PipelineResult rowed = stream::analyze_stream_rows(rows, opt);
+  EXPECT_EQ(columnar.packets, 50u);
+  EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(rowed));
+  EXPECT_EQ(stream::vt_csv(columnar),
+            stream::vt_csv(stream::analyze_batch(t, opt)));
+}
+
+// A connection's verdict depends on its bytes and its span, not on where
+// the clock starts: shifted by -2000 s, so that every time is negative,
+// a trace loses the same connections on the batch, row and columnar
+// paths.
+TEST(ColumnarFilters, OutlierVerdictIgnoresWhereTimeStarts) {
+  const auto make = [](double shift) {
+    trace::PacketTrace t("shift", shift, 1400.0 + shift);
+    const auto add = [&](double time, std::uint32_t conn, bool orig,
+                         std::uint16_t payload) {
+      t.add({time + shift, trace::Protocol::kTelnet, conn, orig, payload});
+    };
+    for (int i = 0; i < 12; ++i) {
+      add(1000.0 + i * (0.5 / 11), 1, true, 100);  // 1200 B in 0.5 s
+      add(1000.01 + i * (0.5 / 11), 1, false, 0);
+      add(100.0 + i * 25.0, 2, true, 100);  // 1200 B in 275 s
+    }
+    add(700.0, 3, true, 10);
+    t.sort_by_time();
+    return t;
+  };
+  const auto conns = [](const std::vector<trace::PacketRecord>& records) {
+    std::set<std::uint32_t> ids;
+    for (const trace::PacketRecord& r : records) ids.insert(r.conn_id);
+    return ids;
+  };
+  const std::set<std::uint32_t> kept = {2, 3};
+  for (const double shift : {0.0, -2000.0}) {
+    SCOPED_TRACE("shift " + std::to_string(shift));
+    const trace::PacketTrace t = make(shift);
+    EXPECT_EQ(conns(t.remove_bulk_outliers().records()), kept);
+
+    stream::TraceChunkSource rows(t, /*chunk_size=*/5);
+    stream::BulkOutlierSource row_stage(rows);
+    EXPECT_EQ(conns(stream::collect(row_stage).records()), kept);
+
+    stream::TraceChunkSource rows2(t, /*chunk_size=*/5);
+    stream::ColumnsFromRows cols(rows2);
+    stream::ColumnBulkOutlierSource col_stage(cols);
+    EXPECT_EQ(conns(drain(col_stage)), kept);
+  }
 }
 
 // --- Span accumulator forms vs per-element forms ------------------------

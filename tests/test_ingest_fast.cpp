@@ -21,6 +21,7 @@
 #include "src/ingest/ingest.hpp"
 #include "src/ingest/mmap_source.hpp"
 #include "src/stream/columnar.hpp"
+#include "src/stream/pipeline.hpp"
 
 using namespace wan;
 using ingest::IngestError;
@@ -573,6 +574,43 @@ TEST(StdinInput, DashStreamsAPipedPcapThroughTheColumnFactory) {
   EXPECT_EQ(ca.from_originator, cb.from_originator);
   EXPECT_EQ(ca.payload_bytes, cb.payload_bytes);
   expect_same_stats(piped->stats(), file->stats());
+}
+
+// The vt CSV without its header line, which names the input.
+std::string vt_rows(const stream::PipelineResult& r) {
+  const std::string csv = stream::vt_csv(r);
+  return csv.substr(csv.find('\n') + 1);
+}
+
+// The filtered analysis decodes its capture once, with no prescan and no
+// rewind, so a pipe opened by name (the buffered source, which cannot
+// rewind) gives the file's result.
+TEST(PcapColumnSource, FilteredAnalysisReadsAPipedCaptureOnce) {
+  stream::PipelineOptions opt;
+  opt.bin = 0.1;
+  opt.orig_data_only = true;
+  opt.remove_outliers = true;
+  ingest::PcapColumnSource file(fixture("tiny_le.pcap"), ParseMode::kStrict);
+  const stream::PipelineResult want = stream::analyze_columns(file, opt);
+  ASSERT_GT(want.packets, 0u);
+
+  const int rd = fixture_pipe("tiny_le.pcap");
+  const std::string name = "/dev/fd/" + std::to_string(rd);
+  stream::PipelineResult got;
+  try {
+    ingest::PcapColumnSource piped(name, ParseMode::kStrict);
+    got = stream::analyze_columns(piped, opt);
+  } catch (...) {
+    ::close(rd);
+    throw;
+  }
+  ::close(rd);
+  EXPECT_EQ(got.info.name, "pcap:" + name + "/orig-data/no-outliers");
+  EXPECT_EQ(got.info.t_begin, want.info.t_begin);
+  EXPECT_EQ(got.info.t_end, want.info.t_end);
+  EXPECT_EQ(got.packets, want.packets);
+  EXPECT_EQ(got.counts, want.counts);
+  EXPECT_EQ(vt_rows(got), vt_rows(want));
 }
 
 TEST(StdinInput, RejectsConfigurationsThatNeedANamedFile) {

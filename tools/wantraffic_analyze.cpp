@@ -18,11 +18,13 @@
 //
 // pkt mode always streams: the file is read in chunks of --chunk
 // records (src/stream), so memory is bounded by the chunk size, not the
-// trace length. Every run opens one column source (native for pcap,
-// bridged for lbl-pkt and this repo's binary/CSV readers) and hands it
-// to exactly one analysis: the windowed engine or analyze_columns. A
-// trace file read twice (--filtered, or a CSV without its metadata
-// line) cannot be a pipe.
+// trace length — except under --filtered, whose bulk-outlier stage holds
+// the originator-data rows (16 bytes each) until it has every
+// connection's totals. Every run opens one column source (native for
+// pcap, bridged for lbl-pkt and this repo's binary/CSV readers) and
+// hands it to exactly one analysis: the windowed engine or
+// analyze_columns. A trace file may be a pipe, unless it is a CSV
+// without its metadata line, which is prescanned for its window.
 //
 // --threads N sizes the src/par worker pool the estimators run on;
 // output is byte-identical at every thread count.
@@ -81,8 +83,7 @@ int usage() {
                "[--lenient]\n"
                "  FILE may be - (stdin) with --ingest-format pcap; a piped "
                "trace\n"
-               "  file is read once: not with --filtered or a metadata-less "
-               "CSV\n");
+               "  file may not be a CSV without its metadata line\n");
   return 2;
 }
 
@@ -239,9 +240,6 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
       file = std::make_unique<stream::BinaryChunkSource>(path, opt.chunk_size);
     else
       file = std::make_unique<stream::CsvChunkSource>(path, opt.chunk_size);
-    // --filtered reads the file twice: rewinding it now refuses a pipe
-    // before the first pass.
-    if (opt.remove_outliers) file->reset();
     src = &file_columns.emplace(*file);
   }
 
