@@ -56,12 +56,12 @@ inline constexpr std::size_t kMaxShards = 1024;
 /// and whose info matches the serial source's — which
 /// StreamingPacketSynthesizer's SynthShard guarantees. make_shard may
 /// be called concurrently from pool threads. Shards run concurrently
-/// via par::parallel_for, each through its own ColumnFilterStack (the
-/// outlier two-pass included: outlier decisions are per-connection,
-/// hence shard-local); per-shard bin grids merge in shard order and
-/// finish in the serial CountTail, so the result is byte-identical to
-/// analyze_columns over the serial source at every (shard count,
-/// thread count). Throws std::invalid_argument unless
+/// via par::parallel_for, each through its own ColumnFilterStack (its
+/// outlier stage holds only that shard's rows: outlier decisions are
+/// per-connection, hence shard-local); per-shard bin grids merge in
+/// shard order and finish in the serial CountTail, so the result is
+/// byte-identical to analyze_columns over the serial source at every
+/// (shard count, thread count). Throws std::invalid_argument unless
 /// 1 <= n_shards <= kMaxShards.
 PipelineResult analyze_sharded_sources(
     const std::function<std::unique_ptr<PacketChunkSource>(std::size_t)>&

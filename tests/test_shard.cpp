@@ -155,7 +155,7 @@ synth::PacketDatasetConfig shard_test_config() {
 
 // {protocol}, {orig-data} and {protocol + orig-data}, each with and
 // without outlier removal: every branch of the filter stack, and the
-// two-pass outlier scan inside each shard.
+// outlier stage inside each shard.
 std::vector<stream::PipelineOptions> filtered_options() {
   std::vector<stream::PipelineOptions> out;
   for (const bool outliers : {false, true}) {
@@ -173,7 +173,7 @@ std::vector<stream::PipelineOptions> filtered_options() {
 
 // Per-shard synthesis: shard s regenerates exactly its own connections;
 // the merged analysis matches the serial bytes — unfiltered, and through
-// every filter configuration, whose outlier two-pass then runs inside
+// every filter configuration, whose outlier stage then runs inside
 // each shard — at shard counts 1/4/7 and thread counts 1/4.
 TEST(ShardPipeline, PerShardSynthesisIsByteIdenticalToSerial) {
   const auto cfg = shard_test_config();
