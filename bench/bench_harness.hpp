@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -133,6 +134,46 @@ inline double min_cpu_time_ms(const std::function<void()>& fn, int reps = 3) {
     const double ms = static_cast<double>(t1.tv_sec - t0.tv_sec) * 1e3 +
                       static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-6;
     if (ms < best) best = ms;
+  }
+  return best;
+}
+
+/// A fixed leg of CPU and memory work that no change to the program
+/// touches: splitmix64 over a fixed array of 2^20 words (8 MiB), each
+/// word replaced by its mix, four passes. Timed next to a measured leg,
+/// it tells how fast this process runs on this host at the time, so a
+/// row can be bounded against an earlier process's as a ratio of the
+/// two times (min_cpu_time_calibrated_ms, Harness::bound_by_previous).
+inline void calibration_leg() {
+  static std::vector<std::uint64_t> words(std::size_t{1} << 20, 1);
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (int pass = 0; pass < 4; ++pass) {
+    for (std::uint64_t& w : words) {
+      std::uint64_t z = (state += 0x9E3779B97F4A7C15ull) ^ w;
+      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+      w = z ^ (z >> 31);
+    }
+  }
+}
+
+/// Best process CPU times, in milliseconds, of a measured leg and of
+/// calibration_leg(), timed alternately.
+struct CalibratedMs {
+  double ms = 0.0;
+  double calib_ms = 0.0;
+};
+
+/// Times calibration_leg() and then fn, `reps` times in turn, on the
+/// process-CPU clock, and returns each one's best. Single-threaded legs
+/// only, as min_cpu_time_ms.
+inline CalibratedMs min_cpu_time_calibrated_ms(const std::function<void()>& fn,
+                                               int reps) {
+  CalibratedMs best{1e300, 1e300};
+  for (int r = 0; r < reps; ++r) {
+    best.calib_ms =
+        std::min(best.calib_ms, min_cpu_time_ms(calibration_leg, 1));
+    best.ms = std::min(best.ms, min_cpu_time_ms(fn, 1));
   }
   return best;
 }
@@ -262,27 +303,61 @@ class Harness {
     add(r);
   }
 
-  /// serial_ms of the latest row already in the target JSON with this
-  /// op and this run's cpu_model and build_type (as provenance() stamps
-  /// them); nullopt when there is none. write() puts one row per line,
-  /// so rows are matched line by line.
-  std::optional<double> previous_ms(const std::string& op) const {
+  /// serial_ms / calib_ms of the latest row already in the target JSON
+  /// with this op, this run's cpu_model and build_type (as provenance()
+  /// stamps them) and a calib_ms; nullopt when there is none. write()
+  /// puts one row per line, so rows are matched line by line.
+  std::optional<double> previous_ratio(const std::string& op) const {
     std::vector<std::string> want = {"{\"op\": \"" + op + "\","};
     for (const auto& [key, value] : provenance())
       if (key == "cpu_model" || key == "build_type")
         want.push_back("\"" + key + "\": " + value);
-    const std::string ms_key = "\"serial_ms\": ";
+    const auto number = [](const std::string& line, const std::string& key)
+        -> std::optional<double> {
+      const std::size_t at = line.find("\"" + key + "\": ");
+      if (at == std::string::npos) return std::nullopt;
+      return std::strtod(line.c_str() + at + key.size() + 4, nullptr);
+    };
     std::optional<double> found;
     std::ifstream in(path_);
     for (std::string line; std::getline(in, line);) {
-      const std::size_t ms = line.find(ms_key);
-      if (ms == std::string::npos) continue;
-      if (std::all_of(want.begin(), want.end(), [&](const std::string& w) {
+      const std::optional<double> ms = number(line, "serial_ms");
+      const std::optional<double> calib = number(line, "calib_ms");
+      if (ms && calib && *calib > 0.0 &&
+          std::all_of(want.begin(), want.end(), [&](const std::string& w) {
             return line.find(w) != std::string::npos;
           }))
-        found = std::strtod(line.c_str() + ms + ms_key.size(), nullptr);
+        found = *ms / *calib;
     }
     return found;
+  }
+
+  /// Largest ratio to the previous row bound_by_previous accepts.
+  static constexpr double kMaxSlowdown = 1.10;
+
+  /// The previous-row check of a single-leg row whose serial_ms and
+  /// `calib_ms` come from min_cpu_time_calibrated_ms: true when
+  /// serial_ms / calib_ms is at most kMaxSlowdown times
+  /// previous_ratio(op), or there is no such ratio (the first row just
+  /// records). Adds the calib_ms, ratio, previous_ratio and
+  /// max_slowdown extras to `r`; the caller decides whether a failed
+  /// check fails its run.
+  bool bound_by_previous(BenchResult& r, double calib_ms) const {
+    const std::optional<double> previous = previous_ratio(r.op);
+    const double ratio = calib_ms > 0.0 ? r.serial_ms / calib_ms : 0.0;
+    r.extra.emplace_back("clock", "\"process_cpu\"");
+    r.extra.emplace_back("calib_ms", std::to_string(calib_ms));
+    r.extra.emplace_back("ratio", std::to_string(ratio));
+    r.extra.emplace_back("previous_ratio",
+                         previous ? std::to_string(*previous) : "null");
+    r.extra.emplace_back("max_slowdown", std::to_string(kMaxSlowdown));
+    std::printf("%s: %.3f ms, %.3f ms calibration, ratio %.4f", r.op.c_str(),
+                r.serial_ms, calib_ms, ratio);
+    if (previous)
+      std::printf(" against %.4f before (at most %.2fx)", *previous,
+                  kMaxSlowdown);
+    std::printf("\n");
+    return !previous || ratio <= kMaxSlowdown * *previous;
   }
 
   /// True when every row added so far reads identical.

@@ -2,7 +2,7 @@
 // R/S serial vs parallel, the exact whole-number variance-time pass
 // against the fold it replaced, the Appendix-A A^2 test against its
 // comparison-sort reference, serial FFT/periodogram micro-ops, the
-// columnar-vs-row analysis pipeline, and the shared-periodogram Hurst
+// columnar count-process analysis, and the shared-periodogram Hurst
 // battery. Appends results to BENCH_perf.json (see bench_harness.hpp);
 // rows carry rows/sec + bytes/sec extras where the record width is
 // known.
@@ -10,8 +10,11 @@
 // Usage: bench_perf_stats [JSON_PATH] [--smoke]
 // --smoke shrinks every input (and runs one rep) so CI can exercise the
 // full bench in seconds. The run fails (exit 1) when any row reads
-// `identical: NO`, smoke or full; the acceptance gate below (columnar
-// >= 3x row throughput, single-threaded) only applies to full runs.
+// `identical: NO`, smoke or full (an analyze_columns/* row does when its
+// figure CSV differs from analyze_batch's); a full run also fails when
+// an analyze_columns/* row's time, as a ratio to the calibration leg's,
+// is more than 10% above its latest earlier row's
+// (Harness::bound_by_previous).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -110,64 +113,44 @@ bool same_rs(const stats::RsAnalysis& a, const stats::RsAnalysis& b) {
   return true;
 }
 
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-// Row-vs-columnar analysis of the same in-memory trace, both
-// single-threaded: "serial" is the retained per-record pipeline
-// (std::function filters, AoS loads), "parallel" is the columnar path
-// (selection vectors + per-column accumulator loops). identical means
-// the figure CSVs are byte-equal. Returns the speedup for the
-// acceptance gate.
-double bench_columnar(bench::Harness& harness, const char* op,
-                      const trace::PacketTrace& tr,
-                      const stream::PacketColumns& table,
-                      const stream::PipelineOptions& opt, int reps) {
-  stream::PipelineResult row_res, col_res;
+// The columnar analysis of an in-memory column table (ColumnTableSource
+// + analyze_columns), one leg at 1 thread: min of 9 process-CPU reps,
+// each after a rep of bench::calibration_leg(). identical means its
+// figure CSV equals analyze_batch's on the same trace, computed outside
+// the timed loop. Returns whether the row is within its previous-row
+// bound.
+bool bench_columns(bench::Harness& harness, const std::string& op,
+                   const trace::PacketTrace& tr,
+                   const stream::PacketColumns& table,
+                   const stream::PipelineOptions& opt) {
+  constexpr int kReps = 9;
   const stream::StreamInfo info{tr.name(), tr.t_begin(), tr.t_end()};
+  stream::PipelineResult got;
+  par::set_thread_count(1);
+  const bench::CalibratedMs t = bench::min_cpu_time_calibrated_ms(
+      [&] {
+        stream::ColumnTableSource src(table, info, opt.chunk_size);
+        got = stream::analyze_columns(src, opt);
+      },
+      kReps);
 
   bench::BenchResult r;
   r.op = op;
   r.threads = 1;
   r.items = static_cast<double>(tr.size());
   r.unit = "packets";
-  par::set_thread_count(1);
-  r.serial_ms = bench::min_time_ms(
-      [&] {
-        stream::TraceChunkSource src(tr, opt.chunk_size);
-        row_res = stream::analyze_stream_rows(src, opt);
-      },
-      reps);
-  r.parallel_ms = bench::min_time_ms(
-      [&] {
-        stream::ColumnTableSource src(table, info, opt.chunk_size);
-        col_res = stream::analyze_columns(src, opt);
-      },
-      reps);
-  r.speedup = r.parallel_ms > 0.0 ? r.serial_ms / r.parallel_ms : 1.0;
-  r.throughput =
-      r.parallel_ms > 0.0 ? r.items / (r.parallel_ms / 1000.0) : 0.0;
-  r.identical = stream::vt_csv(row_res) == stream::vt_csv(col_res);
+  r.repeats = kReps;
+  r.serial_ms = t.ms;
+  r.parallel_ms = t.ms;
+  r.throughput = t.ms > 0.0 ? r.items / (t.ms / 1000.0) : 0.0;
+  r.identical =
+      stream::vt_csv(got) == stream::vt_csv(stream::analyze_batch(tr, opt));
   bench::Harness::add_rates(r, stream::PacketColumns::kPacketColumnBytes);
-  const double row_rate =
-      r.serial_ms > 0.0 ? r.items / (r.serial_ms / 1000.0) : 0.0;
-  r.extra.emplace_back("row_rows_per_s", fmt(row_rate));
-  r.extra.emplace_back(
-      "row_bytes_per_record",
-      std::to_string(stream::PacketColumns::kPacketRowBytes));
-  r.extra.emplace_back(
-      "columnar_bytes_per_record",
-      std::to_string(stream::PacketColumns::kPacketColumnBytes));
-  r.extra.emplace_back(
-      "row_table_bytes",
-      std::to_string(tr.size() * stream::PacketColumns::kPacketRowBytes));
   r.extra.emplace_back("columnar_table_bytes",
                        std::to_string(table.byte_size()));
+  const bool in_bound = harness.bound_by_previous(r, t.calib_ms);
   harness.add(r);
-  return r.speedup;
+  return in_bound;
 }
 
 }  // namespace
@@ -479,12 +462,10 @@ int main(int argc, char** argv) {
         reps, kSampleBytes);
   }
 
-  // Columnar vs row analysis pipeline over a synthesized packet trace:
-  // the tentpole perf claim. Both paths produce byte-identical vt CSVs;
-  // the gate below requires the columnar path to beat the row path's
-  // single-threaded throughput >= 3x on at least one workload (the
-  // protocol-filtered one is where selection vectors shine).
-  double best_speedup = 0.0;
+  // The columnar count-process analysis over a synthesized packet
+  // trace, unfiltered and protocol-filtered (where selection vectors
+  // do the work), each checked against analyze_batch.
+  bool columns_in_bound = true;
   {
     auto cfg = synth::lbl_pkt_preset("PERF", /*tcp_only=*/false, 42);
     cfg.hours = smoke ? 0.1 : 2.0;
@@ -496,28 +477,28 @@ int main(int argc, char** argv) {
     opt.bin = 1.0;  // Section VII's count resolution (as bench_sec7 uses);
                     // keeps the row a packet-stage measurement rather
                     // than a bin-stage one
-    best_speedup = bench_columnar(harness, "analyze_columnar/unfiltered", tr,
-                                  table, opt, reps);
+    const bool unfiltered_ok =
+        bench_columns(harness, "analyze_columns/unfiltered", tr, table, opt);
 
     stream::PipelineOptions filtered = opt;
     filtered.protocol = trace::Protocol::kTelnet;
     filtered.orig_data_only = true;
-    const double s =
-        bench_columnar(harness, "analyze_columnar/telnet-orig-data", tr,
-                       table, filtered, reps);
-    if (s > best_speedup) best_speedup = s;
+    const bool filtered_ok = bench_columns(
+        harness, "analyze_columns/telnet-orig-data", tr, table, filtered);
+    columns_in_bound = unfiltered_ok && filtered_ok;
   }
 
   if (!harness.all_identical()) {
     std::fprintf(stderr, "FAIL: a row's outputs differ (identical: NO)\n");
     return 1;
   }
-  // Speedup gates only bite on multi-core hosts: a 1-core container
-  // cannot beat serial, so its ~1x row is information, not failure.
-  if (!smoke && bench::cores() > 1 && best_speedup < 3.0) {
+  // A smoke trace takes milliseconds to analyze, so its time is noise
+  // and only the figure CSVs count.
+  if (!smoke && !columns_in_bound) {
     std::fprintf(stderr,
-                 "FAIL: columnar analysis speedup %.2fx < 3x target\n",
-                 best_speedup);
+                 "FAIL: an analyze_columns row is more than %.0f%% above "
+                 "its previous ratio to the calibration leg\n",
+                 (bench::Harness::kMaxSlowdown - 1.0) * 100.0);
     return 1;
   }
   return 0;

@@ -18,7 +18,10 @@ bool TraceChunkSource::next(std::vector<trace::PacketRecord>& chunk) {
 trace::PacketTrace collect(PacketChunkSource& source) {
   const StreamInfo& info = source.info();
   trace::PacketTrace out(info.name, info.t_begin, info.t_end);
-  for_each_packet(source, [&](const trace::PacketRecord& r) { out.add(r); });
+  std::vector<trace::PacketRecord> chunk;
+  while (source.next(chunk)) {
+    for (const trace::PacketRecord& r : chunk) out.add(r);
+  }
   return out;
 }
 

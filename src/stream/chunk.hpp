@@ -85,13 +85,4 @@ std::uint64_t drain_into(PacketChunkSource& source, Writer& writer) {
   return writer.count();
 }
 
-/// Feeds every record of the source, in order, to fn(const PacketRecord&).
-template <typename Fn>
-void for_each_packet(PacketChunkSource& source, Fn&& fn) {
-  std::vector<trace::PacketRecord> chunk;
-  while (source.next(chunk)) {
-    for (const trace::PacketRecord& r : chunk) fn(r);
-  }
-}
-
 }  // namespace wan::stream

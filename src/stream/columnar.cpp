@@ -86,13 +86,6 @@ bool ColumnsFromRows::next(PacketColumns& chunk) {
   return true;
 }
 
-bool RowsFromColumns::next(std::vector<trace::PacketRecord>& chunk) {
-  chunk.clear();
-  if (!inner_->next(buf_)) return false;
-  buf_.to_rows(chunk);
-  return true;
-}
-
 bool ColumnTableSource::next(PacketColumns& chunk) {
   chunk.clear();
   const std::size_t n = table_->size();

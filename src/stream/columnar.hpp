@@ -10,8 +10,7 @@
 // order a batch construction would hold them, reset() rewinds to an
 // identical sequence. Row-oriented readers (binary/CSV files, the
 // streaming synthesizer, ingest) feed this path unchanged through the
-// ColumnsFromRows adapter; RowsFromColumns is the reverse bridge, which
-// is how the parity tests compare the two layouts record for record.
+// ColumnsFromRows adapter.
 //
 // Memory: a PacketRecord is 24 bytes after padding; its columns sum to
 // 16 bytes per row. kPacketRowBytes / kPacketColumnBytes make the win
@@ -96,7 +95,7 @@ class PacketColumnSource {
 /// AoS -> SoA adapter: any row-oriented reader (file sources, the
 /// streaming synthesizer, ingest) becomes a columnar source. One row
 /// chunk transposes into one column chunk, so chunk sizing and ordering
-/// are exactly the upstream's. Non-owning, like the filter sources.
+/// are exactly the upstream's. Non-owning, like the filter stages.
 class ColumnsFromRows final : public PacketColumnSource {
  public:
   explicit ColumnsFromRows(PacketChunkSource& inner) : inner_(&inner) {}
@@ -108,22 +107,6 @@ class ColumnsFromRows final : public PacketColumnSource {
  private:
   PacketChunkSource* inner_;
   std::vector<trace::PacketRecord> buf_;
-};
-
-/// SoA -> AoS adapter: a columnar source viewed through the row
-/// contract, so row-oriented consumers (collect, the retained row
-/// analysis path, parity tests) can drain columnar pipelines.
-class RowsFromColumns final : public PacketChunkSource {
- public:
-  explicit RowsFromColumns(PacketColumnSource& inner) : inner_(&inner) {}
-
-  const StreamInfo& info() const override { return inner_->info(); }
-  bool next(std::vector<trace::PacketRecord>& chunk) override;
-  void reset() override { inner_->reset(); }
-
- private:
-  PacketColumnSource* inner_;
-  PacketColumns buf_;
 };
 
 /// Native columnar store source: serves chunk-size slices of an

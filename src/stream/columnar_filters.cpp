@@ -8,7 +8,7 @@ namespace {
 
 std::string filter_suffix(const std::optional<trace::Protocol>& protocol,
                           bool orig_data) {
-  // The suffixes the row filters would stack, in their stacking order.
+  // The suffixes the batch filters would chain, in their order.
   std::string s;
   if (protocol) {
     s += '/';

@@ -1,11 +1,12 @@
 // Columnar forms of the Section-IV preprocessing filters: the same
-// predicates, verdicts and derived-trace name suffixes as filters.hpp,
+// predicates, verdicts and derived-trace name suffixes as the batch
+// PacketTrace::filter, originator_data_packets and remove_bulk_outliers,
 // applied to column chunks instead of by a per-record predicate call.
 // The stateless filter builds a filtered chunk in two vectorizable
 // loops (select indices, then gather columns); the bulk-outlier stage
 // buffers the rows it reads. The record sequence each source emits is
-// identical to its row twin's, which is what keeps the columnar
-// analysis path byte-compatible with the row path.
+// identical to its batch filter's trace, which is what keeps the
+// columnar analysis path byte-compatible with analyze_batch.
 #pragma once
 
 #include <cstddef>
@@ -18,12 +19,11 @@ namespace wan::stream {
 
 /// Stateless columnar row filter: by protocol (if set), then
 /// originator-data (if requested) — the same predicates, order and
-/// derived-name suffixes as stacking the row filters, but the
+/// derived-name suffixes as chaining the batch filters, but the
 /// predicates compose on one selection vector and a single gather
 /// materializes the surviving rows (no intermediate chunk per
 /// predicate). next() keeps pulling upstream chunks until at least one
-/// row survives, so false still means exhausted — the FilterSource
-/// contract.
+/// row survives, so false still means exhausted.
 class ColumnFilterSource final : public PacketColumnSource {
  public:
   ColumnFilterSource(PacketColumnSource& inner,
@@ -48,7 +48,7 @@ class ColumnFilterSource final : public PacketColumnSource {
 /// upstream: the first next() or info() drains the upstream once into a
 /// column buffer, observing every row through trace::BulkOutlierDetector,
 /// then drops the outlier connections' rows from that buffer in place,
-/// in order (so the rows are the row path's). The stage then emits the
+/// in order (so the rows are the batch filter's). The stage then emits the
 /// buffer in chunks of `chunk_size` rows, and reset() replays it without
 /// touching the upstream. Memory is 16 bytes per row that reaches the
 /// stage (plus the vectors' growth) during the drain, then 16 bytes per

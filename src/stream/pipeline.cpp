@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/stream/filters.hpp"
-
 namespace wan::stream {
 
 namespace {
@@ -74,44 +72,6 @@ PipelineResult analyze_columns(PacketColumnSource& source,
     bins.add(std::span<const double>(chunk.time));
   }
   return tail.finish(packets, bins.take());
-}
-
-PipelineResult analyze_stream_rows(PacketChunkSource& source,
-                                   const PipelineOptions& options) {
-  PacketChunkSource* src = &source;
-  std::optional<FilterSource> by_protocol;
-  if (options.protocol) {
-    by_protocol.emplace(protocol_filter(*src, *options.protocol));
-    src = &*by_protocol;
-  }
-  std::optional<FilterSource> orig_data;
-  if (options.orig_data_only) {
-    orig_data.emplace(originator_data_filter(*src));
-    src = &*orig_data;
-  }
-  std::optional<BulkOutlierSource> no_outliers;
-  if (options.remove_outliers) {
-    no_outliers.emplace(*src);
-    src = &*no_outliers;
-  }
-
-  const StreamInfo info = src->info();
-  stats::BinCountsAccumulator bins = CountTail(info, options.bin).grid();
-  std::uint64_t packets = 0;
-  stats::VtAccumulator vt(stats::default_aggregation_levels(bins.bins()));
-  for_each_packet(*src, [&](const trace::PacketRecord& r) {
-    ++packets;
-    bins.add(r.time);
-  });
-
-  PipelineResult result;
-  result.info = info;
-  result.bin = options.bin;
-  result.packets = packets;
-  result.counts = bins.take();
-  vt.push(std::span<const double>(result.counts));
-  result.vt = vt.finish();
-  return result;
 }
 
 PipelineResult analyze_batch(const trace::PacketTrace& trace,

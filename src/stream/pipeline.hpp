@@ -5,20 +5,19 @@
 // in chunk-bounded memory. Burst/lull runs and count moments are the
 // windowed engine's, which keeps its own accumulators.
 //
-// analyze_stream and analyze_batch are the two implementations of the
-// same analysis — the streamed one in bounded memory, the batch one on
-// an in-memory PacketTrace via the span-based statistics. Both bin with
-// the same BinCounts arithmetic and plot the finished count series with
-// variance_time_plot, whose exact whole-number pass gives the bits of
-// the per-observation fold (VtLevelAccumulator) that analyze_stream_rows
-// still runs; so their results — and the figure CSVs rendered from
-// them — are byte-identical. The `stream`-labeled tests pin this.
+// analyze_columns is the one production implementation; analyze_batch
+// is its end-to-end reference, the same analysis on an in-memory
+// PacketTrace through the PacketTrace filters and the span-based
+// statistics. Both bin with the same BinCounts arithmetic and plot the
+// finished count series with variance_time_plot, so their results — and
+// the figure CSVs rendered from them — are byte-identical. The
+// `stream`- and `columnar`-labeled tests pin this, and
+// AnalysisGoldenPins (test_columnar) pins the figures themselves, which
+// a change to the arithmetic both paths share would move together.
 //
 // Every columnar entry point (analyze_columns, analyze_sharded_sources,
 // analyze_windowed) filters through one ColumnFilterStack, and all but
 // the windowed one end in one CountTail.
-// analyze_stream_rows and analyze_batch stay as the independent
-// references the parity tests compare that path against.
 #pragma once
 
 #include <cstdint>
@@ -108,24 +107,17 @@ class CountTail {
 /// Throws std::invalid_argument if the count series would be shorter
 /// than 16 bins (same limit as variance_time_plot).
 ///
-/// Since the columnar refactor this is a thin wrapper: the row source is
-/// adapted through ColumnsFromRows and analyzed by analyze_columns. The
-/// result is byte-identical to the retained row implementation
-/// (analyze_stream_rows) — the `columnar`-labeled tests pin this.
+/// A thin wrapper: the row source is adapted through ColumnsFromRows
+/// and analyzed by analyze_columns.
 PipelineResult analyze_stream(PacketChunkSource& source,
                               const PipelineOptions& options = {});
 
 /// The columnar analysis path: ColumnFilterStack, bin counts fed whole
 /// time columns (BinCountsAccumulator::add(span)), then CountTail. Same
-/// filter order, same arithmetic per element, so same bytes out as the
-/// row path — several times faster on in-memory data.
+/// filter order, same arithmetic per element, so same bytes out as
+/// analyze_batch.
 PipelineResult analyze_columns(PacketColumnSource& source,
                                const PipelineOptions& options = {});
-
-/// The pre-refactor row implementation, retained as the per-record
-/// reference the benches measure the columnar path against.
-PipelineResult analyze_stream_rows(PacketChunkSource& source,
-                                   const PipelineOptions& options = {});
 
 /// The batch reference: same analysis via PacketTrace filters and the
 /// span-based statistics.

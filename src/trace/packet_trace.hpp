@@ -75,8 +75,8 @@ inline constexpr double kBulkOutlierMaxBytes = 1024.0;
 inline constexpr double kBulkOutlierMaxRate = 8.0;  ///< bytes/s
 
 /// The Section-IV outlier rule, in one place for every path (the batch
-/// PacketTrace::remove_bulk_outliers, the row and the columnar stream
-/// stages): observe every row, call finish() once the input is done,
+/// PacketTrace::remove_bulk_outliers and the columnar stream stage):
+/// observe every row, call finish() once the input is done,
 /// then ask is_outlier(conn). A connection is an outlier when its
 /// originator sent more than kBulkOutlierMaxBytes at a sustained rate
 /// above kBulkOutlierMaxRate, the span being its first to its last

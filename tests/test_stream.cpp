@@ -20,7 +20,6 @@
 #include "src/stream/binary_chunk.hpp"
 #include "src/stream/chunk.hpp"
 #include "src/stream/csv_chunk.hpp"
-#include "src/stream/filters.hpp"
 #include "src/stream/pipeline.hpp"
 #include "src/synth/stream_synth.hpp"
 #include "src/synth/synthesizer.hpp"
@@ -262,55 +261,6 @@ TEST(CsvChunk, MetadataLessFileTakesTheWindowOfItsRecords) {
                                                opt.bin)));
 }
 
-// --- Filters -----------------------------------------------------------
-
-TEST(StreamFilters, ProtocolFilterMatchesBatch) {
-  const trace::PacketTrace t = make_test_trace();
-  const trace::PacketTrace want = t.filter(trace::Protocol::kTelnet);
-  stream::TraceChunkSource base(t, /*chunk_size=*/11);
-  stream::FilterSource f =
-      stream::protocol_filter(base, trace::Protocol::kTelnet);
-  EXPECT_EQ(f.info().name, want.name());
-  expect_same_records(stream::collect(f), want);
-}
-
-TEST(StreamFilters, OriginatorDataFilterMatchesBatch) {
-  const trace::PacketTrace t = make_test_trace();
-  const trace::PacketTrace want = t.originator_data_packets();
-  stream::TraceChunkSource base(t, /*chunk_size=*/11);
-  stream::FilterSource f = stream::originator_data_filter(base);
-  EXPECT_EQ(f.info().name, want.name());
-  expect_same_records(stream::collect(f), want);
-}
-
-TEST(StreamFilters, BulkOutlierSourceMatchesBatch) {
-  const trace::PacketTrace t = make_test_trace();
-  const trace::PacketTrace want = t.remove_bulk_outliers();
-  ASSERT_LT(want.size(), t.size());  // conn 99 must actually be dropped
-  stream::TraceChunkSource base(t, /*chunk_size=*/11);
-  stream::BulkOutlierSource f(base);
-  EXPECT_EQ(f.info().name, want.name());
-  expect_same_records(stream::collect(f), want);
-
-  // The second pass reuses the outlier set; replay is identical.
-  f.reset();
-  expect_same_records(stream::collect(f), want);
-}
-
-TEST(StreamFilters, StackedFiltersMatchBatchComposition) {
-  const trace::PacketTrace t = make_test_trace();
-  const trace::PacketTrace want = t.filter(trace::Protocol::kTelnet)
-                                      .originator_data_packets()
-                                      .remove_bulk_outliers();
-  stream::TraceChunkSource base(t, /*chunk_size=*/11);
-  stream::FilterSource proto =
-      stream::protocol_filter(base, trace::Protocol::kTelnet);
-  stream::FilterSource orig = stream::originator_data_filter(proto);
-  stream::BulkOutlierSource clean(orig);
-  EXPECT_EQ(clean.info().name, want.name());
-  expect_same_records(stream::collect(clean), want);
-}
-
 // --- Accumulators vs span statistics -----------------------------------
 
 // Whole numbers drawn from Poisson(mean), by Knuth's product of uniforms.
@@ -549,7 +499,6 @@ TEST(StreamPipeline, UnrepresentableBinGridThrowsNamingBinAndSpan) {
     }
   };
   expect_named(stream::analyze_stream);
-  expect_named(stream::analyze_stream_rows);
   EXPECT_THROW(stats::BinCountsAccumulator(0.0, 900.0, 1e-300),
                std::invalid_argument);
 }
