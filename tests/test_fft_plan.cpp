@@ -2,14 +2,18 @@
 // correctness against the complex transform and a naive O(n^2) DFT,
 // plan-cache reuse (same plan object handed back, LRU eviction),
 // next_power_of_two overflow behavior, bit-identical parallel butterfly
-// execution, and the fGn circulant-eigenvalue cache.
+// execution, golden pins of every transform's output bits, and the fGn
+// circulant-eigenvalue cache.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/fft/fft.hpp"
@@ -294,6 +298,110 @@ TEST_F(PlanDeterminismTest, PeriodogramBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(s.frequency[j], p.frequency[j]) << j;
     ASSERT_EQ(s.ordinate[j], p.ordinate[j]) << j;
   }
+}
+
+// --- golden pins: output bits of every transform -------------------------
+
+std::vector<cd> random_complex(std::size_t n, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  std::vector<cd> z(n);
+  for (auto& v : z) v = cd(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+  return z;
+}
+
+// FNV-1a over the bit pattern of every double, each fed low byte first.
+std::uint64_t bits_digest(const double* v, std::size_t count) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto word = std::bit_cast<std::uint64_t>(v[i]);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+std::uint64_t bits_digest(const std::vector<cd>& z) {
+  return bits_digest(reinterpret_cast<const double*>(z.data()),
+                     2 * z.size());
+}
+
+std::uint64_t bits_digest(const std::vector<double>& x) {
+  return bits_digest(x.data(), x.size());
+}
+
+struct FftPin {
+  const char* transform;  ///< "fft", "ifft", "rfft" or "irfft"
+  std::size_t n;
+  std::uint64_t digest;   ///< bits_digest of the output
+};
+
+// Radix-2 sizes, Bluestein sizes (75 and 150 are the monitor's Welch
+// segment halves and lengths) and, for the real transforms, packed
+// halves of both kinds. Inputs are seeded and finite.
+constexpr FftPin kFftPins[] = {
+    {"fft", 1, 0x21e2a903421de430},
+    {"fft", 2, 0x05596ff405a07c87},
+    {"fft", 3, 0x8557af07627401f6},
+    {"fft", 5, 0x484a578577c97b8a},
+    {"fft", 75, 0x4f88ae7f7f5ac06a},
+    {"fft", 150, 0x32dad60747876dfc},
+    {"fft", 256, 0x56fda4012571a3d0},
+    {"fft", 1000, 0xb681ca29f0533ad1},
+    {"fft", 4096, 0xe8bcabedb60a7755},
+    {"ifft", 1, 0x21e2a903421de430},
+    {"ifft", 2, 0x4e3861667461ff47},
+    {"ifft", 3, 0x8a80ee4b74c115a6},
+    {"ifft", 5, 0x8d408f36b679f0f1},
+    {"ifft", 75, 0xf68418d594d599a6},
+    {"ifft", 150, 0x9a9831796e934cd2},
+    {"ifft", 256, 0x378a2b2d1a837eaf},
+    {"ifft", 1000, 0x9cc61386124490a3},
+    {"ifft", 4096, 0xc53c40d4b83a2618},
+    {"rfft", 2, 0x5382e10ddd7ae4d5},
+    {"rfft", 150, 0x46426032e00cc696},
+    {"rfft", 300, 0x186d0e36e6672eec},
+    {"rfft", 8192, 0xc4a14554e37145e1},
+    {"irfft", 2, 0xb47de29f45de04e5},
+    {"irfft", 150, 0xfe28062ea7aaa8c2},
+    {"irfft", 300, 0xc473fcfe8d5e77cf},
+    {"irfft", 8192, 0xcc95a69fec4e69b4},
+};
+
+std::vector<FftPin> computed_fft_pins() {
+  std::vector<FftPin> out;
+  for (const char* transform : {"fft", "ifft"}) {
+    for (std::size_t n : {1, 2, 3, 5, 75, 150, 256, 1000, 4096}) {
+      const auto z = random_complex(n, 5000 + n);
+      const auto y = std::string(transform) == "fft" ? fft(z) : ifft(z);
+      out.push_back({transform, n, bits_digest(y)});
+    }
+  }
+  for (std::size_t n : {2, 150, 300, 8192})
+    out.push_back({"rfft", n, bits_digest(rfft(random_reals(n, 6000 + n)))});
+  for (std::size_t n : {2, 150, 300, 8192})
+    out.push_back({"irfft", n,
+                   bits_digest(irfft(random_complex(n / 2 + 1, 7000 + n),
+                                     n))});
+  return out;
+}
+
+// One pin as a row of kFftPins.
+std::string fft_pin_row(const FftPin& p) {
+  char row[96];
+  std::snprintf(row, sizeof row, "{\"%s\", %zu, 0x%016llx},", p.transform,
+                p.n, static_cast<unsigned long long>(p.digest));
+  return row;
+}
+
+TEST(FftGoldenPins, OutputsKeepEveryBit) {
+  const std::vector<FftPin> got = computed_fft_pins();
+  std::string table;
+  for (const FftPin& p : got) table += "    " + fft_pin_row(p) + "\n";
+  ASSERT_EQ(got.size(), std::size(kFftPins)) << "computed rows:\n" << table;
+  for (std::size_t k = 0; k < got.size(); ++k)
+    EXPECT_EQ(fft_pin_row(got[k]), fft_pin_row(kFftPins[k]));
 }
 
 // --- fGn eigenvalue cache ------------------------------------------------
