@@ -1,8 +1,9 @@
 // Perf bench for traffic generation and the spectral engine: whole-trace
 // synthesis serial vs parallel (per-source tasks), serial sampling
-// micro-ops, planned fft/rfft/fGn/Whittle rows at 2^16-2^20, and the
-// rfft-vs-complex periodogram comparison (the acceptance criterion for
-// the real-input path). Appends results to BENCH_perf.json (see
+// micro-ops, planned fft/rfft/fGn/Whittle rows at 2^16-2^20, kernel rows
+// for the monitor's segment transforms (rfft/150, rfft/300, fft/256), and
+// the rfft-vs-complex periodogram comparison (the acceptance criterion
+// for the real-input path). Appends results to BENCH_perf.json (see
 // bench_harness.hpp).
 //
 // `--smoke` shrinks every workload to CI-sized inputs so the whole run
@@ -13,6 +14,7 @@
 #include <complex>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -250,6 +252,45 @@ int main(int argc, char** argv) {
           [&] { parallel = stats::whittle_fgn(x); },
           [&] { return same_whittle(serial, parallel); }, /*reps=*/1);
     }
+  }
+
+  // --- Kernel rows: the monitor's segment transforms ---------------------
+  // rfft at 150 and 300 points (the Welch segment lengths at
+  // --sweep-levels 1 and 0, whose packed halves of 75 and 150 points
+  // take Bluestein) and the radix-2 256-point transform that serves
+  // Bluestein at 75. One rep times a batch of transforms on the
+  // process-CPU clock at 1 thread; a row keeps the best of 9 reps.
+  {
+    const std::size_t batch = smoke ? 200 : 5000;
+    const auto kernel_row = [&](const std::string& op,
+                                const std::function<void()>& once) {
+      bench::BenchResult row;
+      row.op = op;
+      row.threads = 1;
+      row.items = static_cast<double>(batch);
+      row.unit = "transforms";
+      row.repeats = 9;
+      par::set_thread_count(1);
+      row.serial_ms = bench::min_cpu_time_ms(
+          [&] {
+            for (std::size_t i = 0; i < batch; ++i) once();
+          },
+          row.repeats);
+      row.parallel_ms = row.serial_ms;
+      row.throughput =
+          row.serial_ms > 0.0 ? row.items / (row.serial_ms / 1000.0) : 0.0;
+      row.extra = {{"clock", "\"process_cpu\""},
+                   {"us_per_transform",
+                    std::to_string(1000.0 * row.serial_ms / row.items)}};
+      harness.add(row);
+    };
+    const auto x150 = random_reals(150, 950);
+    const auto x300 = random_reals(300, 951);
+    const auto z256 = random_complex(256, 952);
+    std::vector<fft::cd> out;
+    kernel_row("rfft/150", [&] { out = fft::rfft(x150); });
+    kernel_row("rfft/300", [&] { out = fft::rfft(x300); });
+    kernel_row("fft/256", [&] { out = fft::fft(z256); });
   }
 
   // --- Acceptance row: rfft periodogram vs the legacy complex path -------
