@@ -36,68 +36,23 @@ void fft_pow2(std::span<cd> data, bool inverse) {
   }
 }
 
-namespace {
-
-// Bluestein's algorithm: express an arbitrary-length DFT as a
-// convolution, evaluated with a power-of-two FFT. All three inner
-// transforms have the same size m, so one cached plan serves them all —
-// the twiddle/bit-reversal tables are derived (at most) once per m, not
-// three times per call.
-std::vector<cd> bluestein(std::span<const cd> data, bool inverse) {
-  const std::size_t n = data.size();
-  const std::size_t m = next_power_of_two(2 * n + 1);
-  const double sign = inverse ? 1.0 : -1.0;
-  const auto plan = plan_for(m);
-
-  // Chirp w[k] = exp(sign * i * pi * k^2 / n).
-  std::vector<cd> w(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    // k^2 mod 2n avoids precision loss for large k.
-    const std::size_t k2 = (k * k) % (2 * n);
-    const double ang = sign * M_PI * static_cast<double>(k2) /
-                       static_cast<double>(n);
-    w[k] = cd(std::cos(ang), std::sin(ang));
-  }
-
-  std::vector<cd> a(m, cd(0.0, 0.0));
-  std::vector<cd> b(m, cd(0.0, 0.0));
-  for (std::size_t k = 0; k < n; ++k) a[k] = data[k] * w[k];
-  b[0] = std::conj(w[0]);
-  for (std::size_t k = 1; k < n; ++k) {
-    b[k] = std::conj(w[k]);
-    b[m - k] = std::conj(w[k]);
-  }
-
-  plan->forward(a);
-  plan->forward(b);
-  for (std::size_t k = 0; k < m; ++k) a[k] *= b[k];
-  plan->inverse(a);
-  const double inv_m = 1.0 / static_cast<double>(m);
-
-  std::vector<cd> out(n);
-  for (std::size_t k = 0; k < n; ++k) out[k] = a[k] * inv_m * w[k];
+std::vector<cd> fft(std::span<const cd> data) {
+  if (data.empty()) return {};
+  if (!is_power_of_two(data.size()))
+    return bluestein_plan_for(data.size(), false)->transform(data);
+  std::vector<cd> out(data.begin(), data.end());
+  fft_pow2(out, false);
   return out;
 }
 
-}  // namespace
-
-std::vector<cd> fft(std::span<const cd> data) {
-  std::vector<cd> out(data.begin(), data.end());
-  if (out.empty()) return out;
-  if (is_power_of_two(out.size())) {
-    fft_pow2(out, false);
-    return out;
-  }
-  return bluestein(data, false);
-}
-
 std::vector<cd> ifft(std::span<const cd> data) {
-  std::vector<cd> out(data.begin(), data.end());
-  if (out.empty()) return out;
-  if (is_power_of_two(out.size())) {
+  if (data.empty()) return {};
+  std::vector<cd> out;
+  if (is_power_of_two(data.size())) {
+    out.assign(data.begin(), data.end());
     fft_pow2(out, true);
   } else {
-    out = bluestein(data, true);
+    out = bluestein_plan_for(data.size(), true)->transform(data);
   }
   const double inv_n = 1.0 / static_cast<double>(out.size());
   for (cd& v : out) v *= inv_n;

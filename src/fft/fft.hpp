@@ -2,8 +2,9 @@
 //  - iterative radix-2 Cooley-Tukey for power-of-two lengths, executed
 //    through cached FftPlans (src/fft/plan.hpp) whose butterfly stages
 //    can run in parallel with bit-identical results,
-//  - Bluestein's chirp-z algorithm for arbitrary lengths (one shared
-//    plan for its three same-size inner transforms),
+//  - Bluestein's chirp-z algorithm for arbitrary lengths, through cached
+//    BluesteinPlans (chirp and kernel spectrum built once per length and
+//    direction, two power-of-two inner transforms per call),
 //  - real-input transforms (rfft/irfft) that pack N reals into N/2
 //    complex points, halving the work and memory of the complex path,
 // plus helpers for real input and circular (auto)correlation. Used by the

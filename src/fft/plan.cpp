@@ -86,6 +86,11 @@ LruCache<std::size_t, FftPlan>& plan_cache() {
   return cache;
 }
 
+LruCache<std::pair<std::size_t, bool>, BluesteinPlan>& bluestein_plan_cache() {
+  static LruCache<std::pair<std::size_t, bool>, BluesteinPlan> cache(16);
+  return cache;
+}
+
 LruCache<std::size_t, RfftPlan>& rfft_plan_cache() {
   static LruCache<std::size_t, RfftPlan> cache(16);
   return cache;
@@ -147,17 +152,29 @@ void FftPlan::transform(std::span<cd> data, bool inverse) const {
 
     // One stage = n/2 independent butterflies; butterfly b lives in
     // block b / half at offset b % half and touches only its own two
-    // slots, so any chunking computes bit-identical results.
+    // slots, so any chunking computes bit-identical results. The
+    // arithmetic runs on the parts (see forward()): std::complex
+    // temporaries cost a store-forwarding stall per butterfly.
+    double* d = reinterpret_cast<double*>(data.data());
     auto run = [&](std::size_t b, std::size_t e) {
       std::size_t block = b / half;
       std::size_t k = b - block * half;
       std::size_t base = block * len;
       for (std::size_t idx = b; idx < e; ++idx) {
-        const cd w = inverse ? std::conj(tw[k]) : tw[k];
-        const cd u = data[base + k];
-        const cd v = data[base + k + half] * w;
-        data[base + k] = u + v;
-        data[base + k + half] = u - v;
+        const double wr = tw[k].real();
+        const double wi = inverse ? -tw[k].imag() : tw[k].imag();
+        double* lo = d + 2 * (base + k);
+        double* hi = d + 2 * (base + k + half);
+        const double yr = hi[0];
+        const double yi = hi[1];
+        const double vr = yr * wr - yi * wi;
+        const double vi = yr * wi + yi * wr;
+        const double ur = lo[0];
+        const double ui = lo[1];
+        lo[0] = ur + vr;
+        lo[1] = ui + vi;
+        hi[0] = ur - vr;
+        hi[1] = ui - vi;
         if (++k == half) {
           k = 0;
           base += len;
@@ -180,10 +197,66 @@ std::shared_ptr<const FftPlan> plan_for(std::size_t n) {
       n, [n] { return std::make_shared<const FftPlan>(n); });
 }
 
+BluesteinPlan::BluesteinPlan(std::size_t n, bool inverse) : n_(n) {
+  if (n == 0)
+    throw std::invalid_argument("BluesteinPlan: size must be at least 1");
+  const std::size_t m = next_power_of_two(2 * n + 1);
+  const double sign = inverse ? 1.0 : -1.0;
+  inner_ = plan_for(m);
+
+  // Chirp w[k] = exp(sign * i * pi * k^2 / n).
+  chirp_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    // k^2 mod 2n avoids precision loss for large k.
+    const std::size_t k2 = (k * k) % (2 * n);
+    const double ang = sign * M_PI * static_cast<double>(k2) /
+                       static_cast<double>(n);
+    chirp_[k] = cd(std::cos(ang), std::sin(ang));
+  }
+
+  // The convolution kernel conj(w), wrapped around to m points.
+  kernel_.assign(m, cd(0.0, 0.0));
+  kernel_[0] = std::conj(chirp_[0]);
+  for (std::size_t k = 1; k < n; ++k) {
+    kernel_[k] = std::conj(chirp_[k]);
+    kernel_[m - k] = std::conj(chirp_[k]);
+  }
+  inner_->forward(kernel_);
+}
+
+std::vector<cd> BluesteinPlan::transform(std::span<const cd> data) const {
+  if (data.size() != n_)
+    throw std::invalid_argument(
+        "BluesteinPlan: data size does not match plan");
+  const std::size_t m = inner_->size();
+  std::vector<cd> a(m, cd(0.0, 0.0));
+  for (std::size_t k = 0; k < n_; ++k) a[k] = data[k] * chirp_[k];
+  inner_->forward(a);
+  for (std::size_t k = 0; k < m; ++k) a[k] *= kernel_[k];
+  inner_->inverse(a);
+  const double inv_m = 1.0 / static_cast<double>(m);
+
+  std::vector<cd> out(n_);
+  for (std::size_t k = 0; k < n_; ++k) out[k] = a[k] * inv_m * chirp_[k];
+  return out;
+}
+
+std::shared_ptr<const BluesteinPlan> bluestein_plan_for(std::size_t n,
+                                                        bool inverse) {
+  return bluestein_plan_cache().get_or_create(
+      {n, inverse},
+      [n, inverse] { return std::make_shared<const BluesteinPlan>(n, inverse); });
+}
+
 RfftPlan::RfftPlan(std::size_t n) : n_(n), h_(n / 2) {
   if (n < 2 || n % 2 != 0)
     throw std::invalid_argument("RfftPlan: size must be even and >= 2");
-  if (is_power_of_two(h_)) half_plan_ = plan_for(h_);
+  if (is_power_of_two(h_)) {
+    half_plan_ = plan_for(h_);
+  } else {
+    half_forward_ = bluestein_plan_for(h_, false);
+    half_inverse_ = bluestein_plan_for(h_, true);
+  }
 
   unpack_.resize(h_ + 1);
   const double ang = -2.0 * M_PI / static_cast<double>(n_);
@@ -219,7 +292,7 @@ std::vector<cd> RfftPlan::forward(std::span<const double> x,
   if (half_plan_) {
     half_plan_->forward(z);
   } else {
-    z = fft(z);  // Bluestein for non-power-of-two half sizes
+    z = half_forward_->transform(z);
   }
 
   // Split Z into the spectra of the even and odd subsequences and
@@ -268,11 +341,11 @@ std::vector<double> RfftPlan::inverse(std::span<const cd> half_spectrum) const {
 
   if (half_plan_) {
     half_plan_->inverse(z);
-    const double inv_h = 1.0 / static_cast<double>(h_);
-    for (cd& v : z) v *= inv_h;
   } else {
-    z = ifft(z);
+    z = half_inverse_->transform(z);
   }
+  const double inv_h = 1.0 / static_cast<double>(h_);
+  for (cd& v : z) v *= inv_h;
 
   std::vector<double> out(n_);
   for (std::size_t t = 0; t < h_; ++t) {
@@ -291,10 +364,15 @@ std::shared_ptr<const RfftPlan> rfft_plan_for(std::size_t n) {
 
 PlanCacheStats plan_cache_stats() { return plan_cache().stats(); }
 
+PlanCacheStats bluestein_plan_cache_stats() {
+  return bluestein_plan_cache().stats();
+}
+
 PlanCacheStats rfft_plan_cache_stats() { return rfft_plan_cache().stats(); }
 
 void reset_plan_caches() {
   plan_cache().clear();
+  bluestein_plan_cache().clear();
   rfft_plan_cache().clear();
 }
 

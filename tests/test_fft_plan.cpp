@@ -404,6 +404,33 @@ TEST(FftGoldenPins, OutputsKeepEveryBit) {
     EXPECT_EQ(fft_pin_row(got[k]), fft_pin_row(kFftPins[k]));
 }
 
+TEST_F(PlanCacheTest, BluesteinPlansAreCachedPerSizeAndDirection) {
+  reset_plan_caches();
+  const auto z = random_complex(150, 3);
+  const auto first = fft(z);
+  const auto built = bluestein_plan_cache_stats();
+  EXPECT_EQ(built.misses, 1u);
+  EXPECT_EQ(built.entries, 1u);
+
+  // A second transform of the same size reuses the plan.
+  const auto second = fft(z);
+  const auto reused = bluestein_plan_cache_stats();
+  EXPECT_EQ(reused.misses, 1u);
+  EXPECT_EQ(reused.hits, built.hits + 1);
+  EXPECT_EQ(bits_digest(first), bits_digest(second));
+
+  // The inverse direction is a plan of its own; the real transform of
+  // twice the size holds both directions' plans of its packed half.
+  (void)ifft(z);
+  EXPECT_EQ(bluestein_plan_cache_stats().misses, 2u);
+  (void)rfft(random_reals(300, 4));
+  const auto packed = bluestein_plan_cache_stats();
+  EXPECT_EQ(packed.misses, 2u);
+  EXPECT_EQ(packed.hits, reused.hits + 2);
+  (void)rfft(random_reals(300, 5));
+  EXPECT_EQ(bluestein_plan_cache_stats().hits, packed.hits);
+}
+
 // --- fGn eigenvalue cache ------------------------------------------------
 
 TEST_F(PlanCacheTest, FgnEigenvaluesAreCachedPerSizeAndH) {
