@@ -152,12 +152,14 @@ class SelfStats {
 
 }  // namespace
 
-/// Per-run output plumbing: one DriftTracker per engine, plus the
-/// report-stream writers. Lives in the .cpp — callers only see the
+/// Per-run engines and output plumbing: the EngineMux, built at the
+/// first chunk that carries packets, one DriftTracker per engine, and
+/// the report-stream writers. Lives in the .cpp — callers only see the
 /// option struct.
 struct MonitorDaemon::Sinks {
   std::ostream& rep;
   const MonitorOptions& opts;
+  std::unique_ptr<EngineMux> mux;
   std::vector<DriftTracker> trackers;
   std::vector<MuxReport> scratch;
   std::vector<std::string> lines;
@@ -165,17 +167,32 @@ struct MonitorDaemon::Sinks {
   Sinks(std::ostream& rep_stream, const MonitorOptions& options)
       : rep(rep_stream), opts(options) {}
 
-  void bind(const EngineMux& mux) {
-    trackers.clear();
-    for (std::size_t i = 0; i < mux.engines(); ++i)
-      trackers.emplace_back(mux.engine_name(i), opts.drift);
+  /// Feeds a chunk of at least one packet through the engines, built
+  /// with stream origin `origin` on the first call, and writes the
+  /// report rounds it completes.
+  void push(const stream::PacketColumns& cols, double origin) {
+    if (!mux) {
+      mux = std::make_unique<EngineMux>(opts.window, opts.protocols, origin);
+      for (std::size_t i = 0; i < mux->engines(); ++i)
+        trackers.emplace_back(mux->engine_name(i), opts.drift);
+    }
+    mux->push(cols);
+    drain();
   }
 
-  void drain(EngineMux& mux) {
+  /// Completes bins through t_end and writes the final rounds; nothing
+  /// when no packet ever arrived.
+  void finish(double t_end) {
+    if (!mux) return;
+    mux->finish(t_end);
+    drain();
+  }
+
+  void drain() {
     scratch.clear();
-    mux.take_reports(scratch);
+    mux->take_reports(scratch);
     for (const MuxReport& mr : scratch) {
-      const std::string& name = mux.engine_name(mr.engine);
+      const std::string& name = mux->engine_name(mr.engine);
       rep << report_json(name, mr.report) << '\n';
       lines.clear();
       trackers[mr.engine].on_report(mr.report, lines);
@@ -225,15 +242,12 @@ void MonitorDaemon::sleep_slice(double seconds) const {
 int MonitorDaemon::run_replay(ReplaySource& source) {
   std::ostream& rep = options_.report_out ? *options_.report_out : std::cout;
   std::ostream& diag = options_.diag_out ? *options_.diag_out : std::cerr;
-  const stream::StreamInfo& info = source.info();
 
-  EngineMux mux(options_.window, options_.protocols, info.t_begin);
   Sinks sinks(rep, options_);
-  sinks.bind(mux);
   SelfStats self(options_.stats_interval);
 
   stream::PacketColumns chunk;
-  double t_hi = info.t_begin;
+  double t_hi = 0.0;
   bool exhausted = false;
   while (!stopped()) {
     if (!source.next(chunk)) {
@@ -242,17 +256,16 @@ int MonitorDaemon::run_replay(ReplaySource& source) {
     }
     if (!chunk.time.empty()) {
       t_hi = chunk.time.back();
-      mux.push(chunk);
-      sinks.drain(mux);
+      sinks.push(chunk, source.origin());
     }
     self.tick(diag, source.stats().records, source.stats().bytes,
-              /*open_flows=*/0, &mux, t_hi);
+              /*open_flows=*/0, sinks.mux.get(), t_hi);
   }
 
-  // A complete replay finishes at the prescanned end (bit-parity with
-  // the offline analyzer); an interrupted one at the last event pushed.
-  mux.finish(exhausted ? info.t_end : t_hi);
-  sinks.drain(mux);
+  // A complete replay finishes at the end of the range its pass learned
+  // (bit-parity with the offline analyzer); an interrupted one at the
+  // last event pushed.
+  sinks.finish(exhausted ? source.info().t_end : t_hi);
   sinks.ledger(source.stats(), exhausted ? "end of capture" : "stop requested");
   return 0;
 }
@@ -262,7 +275,6 @@ int MonitorDaemon::run_follow(TailPcapSource& source) {
   std::ostream& diag = options_.diag_out ? *options_.diag_out : std::cerr;
 
   ingest::FlowTable table(options_.flow);
-  std::unique_ptr<EngineMux> mux;  // built at the first decoded packet
   Sinks sinks(rep, options_);
   SelfStats self(options_.stats_interval);
 
@@ -276,15 +288,7 @@ int MonitorDaemon::run_follow(TailPcapSource& source) {
     if (!raw.empty()) {
       cols.clear();
       for (const ingest::RawPacket& pkt : raw) table.add_append(pkt, cols);
-      if (!cols.time.empty()) {
-        if (!mux) {
-          mux = std::make_unique<EngineMux>(
-              options_.window, options_.protocols, cols.time.front());
-          sinks.bind(*mux);
-        }
-        mux->push(cols);
-        sinks.drain(*mux);
-      }
+      if (!cols.time.empty()) sinks.push(cols, cols.time.front());
     }
     if (status == PollStatus::kCaughtUp) {
       sleep_slice(options_.poll_interval);
@@ -297,16 +301,13 @@ int MonitorDaemon::run_follow(TailPcapSource& source) {
       break;
     }
     self.tick(diag, source.stats().records, source.stats().bytes,
-              table.open_flows(), mux.get(), source.max_time_seen());
+              table.open_flows(), sinks.mux.get(), source.max_time_seen());
   }
 
-  if (mux) {
-    // Same end convention the offline prescan uses: one tick past the
-    // last timestamp, so the final event's bin is complete.
-    mux->finish(source.max_time_seen() +
-                (source.header_ok() ? source.tick() : 0.0));
-    sinks.drain(*mux);
-  }
+  // Same end convention the offline prescan uses: one tick past the
+  // last timestamp, so the final event's bin is complete.
+  sinks.finish(source.max_time_seen() +
+               (source.header_ok() ? source.tick() : 0.0));
   sinks.ledger(source.stats(), reason);
   return rc;
 }

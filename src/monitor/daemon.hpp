@@ -60,7 +60,11 @@ class MonitorDaemon {
  public:
   explicit MonitorDaemon(MonitorOptions options);
 
-  /// Replays `source` to exhaustion (or until stopped). Returns 0.
+  /// Replays `source` to exhaustion (or until stopped). Returns 0. The
+  /// engines start at the replay's origin() when the first packet
+  /// arrives. Strict-mode defects propagate as ingest::IngestError from
+  /// the record that holds them, after the reports the earlier records
+  /// complete, as in run_follow.
   int run_replay(ReplaySource& source);
 
   /// Follows `source` until end-of-stream (pipes), corruption, or a

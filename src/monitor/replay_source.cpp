@@ -10,19 +10,24 @@ ReplaySource::ReplaySource(const std::string& path, ingest::ParseMode mode,
                            double speed, ingest::FlowTableConfig flow,
                            std::size_t chunk_size,
                            const std::atomic<bool>* stop)
-    : inner_(path, mode, flow, chunk_size), speed_(speed), stop_(stop) {
-  inner_.info();  // the prescan: the range is known before the first chunk
+    : inner_(path, mode, flow, chunk_size),
+      strict_(mode == ingest::ParseMode::kStrict),
+      speed_(speed),
+      stop_(stop) {
+  if (!strict_) inner_.info();  // the prescan: the origin is its minimum
 }
 
 bool ReplaySource::next(stream::PacketColumns& chunk) {
   if (!inner_.next(chunk)) return false;
-  if (speed_ <= 0.0 || chunk.time.empty()) return true;
+  if (chunk.time.empty()) return true;
 
   if (!anchored_) {
+    origin_ = strict_ ? chunk.time.front() : inner_.info().t_begin;
     anchor_ = std::chrono::steady_clock::now();
     anchored_ = true;
   }
-  const double capture_elapsed = chunk.time.back() - inner_.info().t_begin;
+  if (speed_ <= 0.0) return true;
+  const double capture_elapsed = chunk.time.back() - origin_;
   const auto deadline =
       anchor_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(capture_elapsed / speed_));

@@ -1,9 +1,13 @@
 // Monitor-subsystem pins: the tail-follow source's poll taxonomy
 // (growing file vs pipe EOF vs corruption), speed-0 replay determinism,
+// the replay's origin rule (strict: first packet, one decode pass, so
+// FIFOs and mid-stream defects; lenient: the prescanned minimum),
 // per-protocol fan-out parity against the offline windowed analyzer,
 // SIGINT flush, the drift trackers' hysteresis, and the daemon CLI's
 // strict flag handling.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -12,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -292,67 +297,197 @@ monitor::MonitorOptions quiet_options(std::ostream* rep) {
   return opt;
 }
 
+/// The report stream of a speed-0 replay of `path` in `mode`.
+std::string replay_stream(const std::string& path, ingest::ParseMode mode) {
+  std::ostringstream rep;
+  monitor::MonitorOptions opt = quiet_options(&rep);
+  opt.mode = mode;
+  monitor::MonitorDaemon daemon(opt);
+  monitor::ReplaySource source(path, opt.mode, /*speed=*/0.0, opt.flow,
+                               opt.chunk_size, daemon.stop_flag());
+  EXPECT_EQ(daemon.run_replay(source), 0);
+  return rep.str();
+}
+
 TEST(MonitorDaemon, SpeedZeroReplayIsByteIdenticalAcrossRuns) {
   const std::string path = tmp_path("replay_det.pcap");
   ingest::write_pcap_for_records(path, synth_records(200.0, 17));
 
-  auto run_once = [&]() {
-    std::ostringstream rep;
-    monitor::MonitorOptions opt = quiet_options(&rep);
-    monitor::MonitorDaemon daemon(opt);
-    monitor::ReplaySource source(path, opt.mode, /*speed=*/0.0, opt.flow,
-                                 opt.chunk_size, daemon.stop_flag());
-    EXPECT_EQ(daemon.run_replay(source), 0);
-    return rep.str();
-  };
-
-  const std::string a = run_once();
-  const std::string b = run_once();
+  const std::string a = replay_stream(path, ingest::ParseMode::kStrict);
+  const std::string b = replay_stream(path, ingest::ParseMode::kStrict);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"engine\":\"ALL\""), std::string::npos);
   EXPECT_NE(a.find("# shutdown: end of capture"), std::string::npos);
   EXPECT_NE(a.find("# ingested "), std::string::npos);
+
+  // On an in-order capture the two origins agree: the strict replay's
+  // first packet is the lenient one's prescanned minimum.
+  EXPECT_EQ(replay_stream(path, ingest::ParseMode::kLenient), a);
 }
 
-TEST(MonitorDaemon, FanOutMatchesOfflineWindowedAnalysisPerEngine) {
-  const std::string path = tmp_path("replay_parity.pcap");
-  ingest::write_pcap_for_records(path, synth_records(200.0, 19));
+// A strict replay decodes its capture once, with no prescan and no
+// rewind, so a FIFO, which cannot rewind, gives the file's stream.
+TEST(MonitorDaemon, StrictReplayOfAFifoEmitsTheFilesStream) {
+  const std::string path = tmp_path("replay_fifo_src.pcap");
+  ingest::write_pcap_for_records(path, synth_records(200.0, 37));
+  const std::vector<unsigned char> bytes = slurp(path);
+  const std::string fifo = tmp_path("replay.fifo");
+  ::unlink(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  // The writer blocks in open() until the replay opens the FIFO. A
+  // reader that gives up early makes its writes fail with EPIPE, not
+  // end the test with SIGPIPE.
+  const auto saved_sigpipe = std::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&] {
+    const int fd = ::open(fifo.c_str(), O_WRONLY);
+    if (fd < 0) return;
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+  const auto cleanup = [&] {
+    writer.join();
+    std::signal(SIGPIPE, saved_sigpipe);
+    ::unlink(fifo.c_str());
+  };
+  std::string piped;
+  try {
+    piped = replay_stream(fifo, ingest::ParseMode::kStrict);
+  } catch (...) {
+    cleanup();
+    throw;
+  }
+  cleanup();
+  EXPECT_NE(piped.find("\"engine\":\"ALL\""), std::string::npos);
+  EXPECT_EQ(piped, replay_stream(path, ingest::ParseMode::kStrict));
+}
+
+// A strict replay meets a capture's defect where the pass reaches it:
+// the constructor reads no record, and run_replay throws after writing
+// the reports the records before the defect complete.
+TEST(MonitorDaemon, StrictDefectSurfacesFromRunReplayAfterEarlierReports) {
+  const std::vector<trace::PacketRecord> records = synth_records(200.0, 41);
+  const std::string clean = tmp_path("replay_defect_clean.pcap");
+  ingest::write_pcap_for_records(clean, records);
+
+  // A record header of all ones, whose length field claims 4 GiB
+  // (beyond the reader's sanity cap), after the records of the first
+  // 150 s: five 60 s windows, 30 s apart, end by then.
+  std::vector<unsigned char> bytes = slurp(clean);
+  constexpr std::size_t kRec = 16 + 54;  // record header + headers-only frame
+  std::size_t k = 0;
+  while (records[k].time < records.front().time + 150.0) ++k;
+  const std::vector<unsigned char> bad(16, 0xFF);
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(24 + k * kRec),
+               bad.begin(), bad.end());
+  const std::string path = tmp_path("replay_defect.pcap");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
 
   std::ostringstream rep;
   monitor::MonitorOptions opt = quiet_options(&rep);
-  std::map<std::string, std::vector<stream::WindowReport>> live;
-  opt.report_hook = [&](const std::string& engine,
-                        const stream::WindowReport& r) {
-    live[engine].push_back(r);
-  };
+  opt.chunk_size = 64;
   monitor::MonitorDaemon daemon(opt);
-  monitor::ReplaySource source(path, opt.mode, 0.0, opt.flow, opt.chunk_size,
-                               daemon.stop_flag());
-  ASSERT_EQ(daemon.run_replay(source), 0);
-  ASSERT_FALSE(live["ALL"].empty());
+  std::unique_ptr<monitor::ReplaySource> source;
+  ASSERT_NO_THROW(source = std::make_unique<monitor::ReplaySource>(
+                      path, opt.mode, 0.0, opt.flow, opt.chunk_size,
+                      daemon.stop_flag()));
+  EXPECT_THROW(daemon.run_replay(*source), ingest::IngestError);
 
-  // Engine vs the offline analyzer with the matching protocol filter,
-  // field by field. Same decode, same flow table, same boundaries —
-  // the mux's lockstep advance must not perturb a single value.
+  // What came out is the clean capture's stream up to the defect: its
+  // reports, without the final flush or the ledger.
+  const std::string got = rep.str();
+  EXPECT_NE(got.find("\"engine\":\"ALL\""), std::string::npos);
+  EXPECT_EQ(got.find("# shutdown:"), std::string::npos);
+  opt.report_out = nullptr;
+  std::ostringstream clean_rep;
+  opt.report_out = &clean_rep;
+  monitor::MonitorDaemon clean_daemon(opt);
+  monitor::ReplaySource clean_source(clean, opt.mode, 0.0, opt.flow,
+                                     opt.chunk_size,
+                                     clean_daemon.stop_flag());
+  ASSERT_EQ(clean_daemon.run_replay(clean_source), 0);
+  const std::string want = clean_rep.str();
+  ASSERT_LT(got.size(), want.size());
+  EXPECT_EQ(want.substr(0, got.size()), got);
+}
+
+// No packet, no engine: a header-only capture's stream is the ledger.
+TEST(MonitorDaemon, HeaderOnlyCaptureEmitsTheLedgerAlone) {
+  const std::string path = tmp_path("replay_header_only.pcap");
+  ingest::write_pcap_for_records(path, {});
+  for (const auto mode :
+       {ingest::ParseMode::kStrict, ingest::ParseMode::kLenient})
+    EXPECT_EQ(replay_stream(path, mode),
+              "# shutdown: end of capture\n"
+              "# ingested 0 record(s) from 24 byte(s)\n");
+}
+
+TEST(MonitorDaemon, FanOutMatchesOfflineWindowedAnalysisPerEngine) {
+  const std::string in_order = tmp_path("replay_parity.pcap");
+  ingest::write_pcap_for_records(in_order, synth_records(200.0, 19));
+  // A first record later than its second, within one bin: a lenient
+  // replay anchors at the prescanned minimum, as analyze_windowed does,
+  // not at its first packet.
+  std::vector<trace::PacketRecord> swapped = synth_records(200.0, 19);
+  std::swap(swapped[0].time, swapped[1].time);
+  ASSERT_GT(swapped[0].time, swapped[1].time);
+  ASSERT_LT(swapped[0].time - swapped[1].time, test_geometry().bin);
+  const std::string out_of_order = tmp_path("replay_parity_ooo.pcap");
+  ingest::write_pcap_for_records(out_of_order, swapped);
+
   const struct {
-    const char* name;
-    std::optional<trace::Protocol> protocol;
-  } engines[] = {{"ALL", std::nullopt},
-                 {"TELNET", trace::Protocol::kTelnet},
-                 {"SMTP", trace::Protocol::kSmtp},
-                 {"FTPDATA", trace::Protocol::kFtpData}};
-  for (const auto& e : engines) {
-    stream::WindowedOptions off = test_geometry();
-    off.protocol = e.protocol;
-    ingest::PcapColumnSource src(path, ingest::ParseMode::kStrict);
-    const std::vector<stream::WindowReport> want =
-        stream::analyze_windowed(src, off);
-    const std::vector<stream::WindowReport>& have = live[e.name];
-    ASSERT_EQ(have.size(), want.size()) << e.name;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      SCOPED_TRACE(std::string(e.name) + " report " + std::to_string(i));
-      expect_report_eq(have[i], want[i]);
+    const std::string& path;
+    ingest::ParseMode mode;
+  } inputs[] = {{in_order, ingest::ParseMode::kStrict},
+                {out_of_order, ingest::ParseMode::kLenient}};
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.path);
+    std::ostringstream rep;
+    monitor::MonitorOptions opt = quiet_options(&rep);
+    opt.mode = input.mode;
+    std::map<std::string, std::vector<stream::WindowReport>> live;
+    opt.report_hook = [&](const std::string& engine,
+                          const stream::WindowReport& r) {
+      live[engine].push_back(r);
+    };
+    monitor::MonitorDaemon daemon(opt);
+    monitor::ReplaySource source(input.path, opt.mode, 0.0, opt.flow,
+                                 opt.chunk_size, daemon.stop_flag());
+    ASSERT_EQ(daemon.run_replay(source), 0);
+    ASSERT_FALSE(live["ALL"].empty());
+
+    // Engine vs the offline analyzer with the matching protocol filter,
+    // field by field. Same decode, same flow table, same boundaries —
+    // the mux's lockstep advance must not perturb a single value.
+    const struct {
+      const char* name;
+      std::optional<trace::Protocol> protocol;
+    } engines[] = {{"ALL", std::nullopt},
+                   {"TELNET", trace::Protocol::kTelnet},
+                   {"SMTP", trace::Protocol::kSmtp},
+                   {"FTPDATA", trace::Protocol::kFtpData}};
+    for (const auto& e : engines) {
+      stream::WindowedOptions off = test_geometry();
+      off.protocol = e.protocol;
+      ingest::PcapColumnSource src(input.path, input.mode);
+      const std::vector<stream::WindowReport> want =
+          stream::analyze_windowed(src, off);
+      const std::vector<stream::WindowReport>& have = live[e.name];
+      ASSERT_EQ(have.size(), want.size()) << e.name;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(std::string(e.name) + " report " + std::to_string(i));
+        expect_report_eq(have[i], want[i]);
+      }
     }
   }
 }
