@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "src/fft/periodogram.hpp"
@@ -34,9 +35,15 @@ EngineMux::EngineMux(const stream::WindowedOptions& options,
   engines_.resize(protocols.size() + 1);
   engines_[0].name = "ALL";
   engines_[0].all = true;
+  bucket_of_.fill(kUntracked);
   for (std::size_t i = 0; i < protocols.size(); ++i) {
+    const auto p = static_cast<std::uint8_t>(protocols[i]);
+    if (bucket_of_[p] == kUntracked) {
+      bucket_of_[p] = static_cast<std::uint8_t>(buckets_.size());
+      buckets_.emplace_back();
+    }
     engines_[i + 1].name = std::string(trace::to_string(protocols[i]));
-    engines_[i + 1].protocol = protocols[i];
+    engines_[i + 1].bucket = bucket_of_[p];
   }
   for (Engine& e : engines_) {
     auto* pending = &e.pending;
@@ -49,19 +56,20 @@ EngineMux::EngineMux(const stream::WindowedOptions& options,
 
 void EngineMux::push(const stream::PacketColumns& chunk) {
   if (chunk.empty()) return;
-  // Partition once, serially — the per-engine scans are cheap linear
-  // passes and keep every engine's input identical regardless of the
-  // thread count.
-  for (Engine& e : engines_) {
-    e.times.clear();
-    if (e.all) {
-      e.times.assign(chunk.time.begin(), chunk.time.end());
-    } else {
-      for (std::size_t i = 0; i < chunk.size(); ++i)
-        if (chunk.protocol[i] == e.protocol) e.times.push_back(chunk.time[i]);
-    }
-    e.events += e.times.size();
+  // Partition once, serially, in one pass over the chunk: every engine's
+  // input is then fixed before the parallel region, whatever the thread
+  // count, and the engines only read it.
+  for (std::vector<double>& bucket : buckets_) bucket.clear();
+  for (std::size_t i = 0; i < chunk.size(); ++i) {
+    const std::uint8_t b =
+        bucket_of_[static_cast<std::uint8_t>(chunk.protocol[i])];
+    if (b != kUntracked) buckets_[b].push_back(chunk.time[i]);
   }
+  const auto input = [&](const Engine& e) {
+    return e.all ? std::span<const double>(chunk.time)
+                 : std::span<const double>(buckets_[e.bucket]);
+  };
+  for (Engine& e : engines_) e.events += input(e).size();
 
   // Advance target: the start of the bin holding the newest event.
   // Completing bins strictly before it is exactly what pushing a later
@@ -76,7 +84,7 @@ void EngineMux::push(const stream::PacketColumns& chunk) {
                     [&](std::size_t b, std::size_t e) {
                       for (std::size_t i = b; i < e; ++i) {
                         Engine& eng = engines_[i];
-                        eng.analyzer->push_times(eng.times);
+                        eng.analyzer->push_times(input(eng));
                         eng.analyzer->finish(edge);
                       }
                     });

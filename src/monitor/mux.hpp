@@ -2,9 +2,10 @@
 // tracked protocol plus an aggregate over everything, all sharing one
 // slide geometry and one stream origin (t_begin).
 //
-// Each push partitions the chunk's event times per engine (the
-// aggregate sees all of them, a protocol engine only its protocol's)
-// and advances every engine to the same capture time — including the
+// Each push partitions the chunk's event times by protocol in one
+// serial pass (the aggregate reads the chunk's times as they are, a
+// protocol engine only its protocol's bucket) and advances every engine
+// to the same capture time — including the
 // engines whose protocol saw no traffic, whose bins would otherwise
 // stall and hold their reports back. The advance completes only bins
 // that end strictly before the newest event's bin, so it can never
@@ -26,13 +27,14 @@
 // mutable state they can observe (each engine's sink appends to its
 // own pending queue, and a table row WhittleRefitter::fit builds is
 // built once under its own once-flag and has the same bits whichever
-// engine builds it), and every engine consumes a pre-partitioned time
-// span, so the result is independent of scheduling. Reports drain in
+// engine builds it), and every engine reads a time span filled before
+// the parallel region, so the result is independent of scheduling. Reports drain in
 // rounds — because all engines advance through the same boundaries
 // they emit in lockstep, and a round is one report per engine in fixed
 // engine order — which makes the drained sequence deterministic.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -91,16 +93,21 @@ class EngineMux {
   struct Engine {
     std::string name;
     bool all = false;  ///< aggregate: takes every event
-    trace::Protocol protocol = trace::Protocol::kOther;
-    std::vector<double> times;  ///< partition scratch, reused per push
+    std::size_t bucket = 0;  ///< protocol engine: its index in buckets_
     std::deque<stream::WindowReport> pending;
     std::unique_ptr<stream::WindowedAnalyzer> analyzer;
     std::uint64_t events = 0;
   };
 
+  static constexpr std::uint8_t kUntracked = 0xFF;
+
   stream::WindowedOptions options_;
   double t_begin_ = 0.0;
   std::vector<Engine> engines_;
+  /// Index in buckets_ of each protocol byte's bucket, kUntracked for a
+  /// protocol no engine follows. Engines of one protocol share a bucket.
+  std::array<std::uint8_t, 256> bucket_of_;
+  std::vector<std::vector<double>> buckets_;  ///< partition scratch
   std::uint64_t reports_emitted_ = 0;
   double last_t1_;
 };
