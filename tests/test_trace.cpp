@@ -6,9 +6,11 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/synth/synthesizer.hpp"
@@ -165,9 +167,20 @@ TEST(PacketTrace, BulkOutlierRemoval) {
   // Connection 2: a bulk blast — 2000 bytes in 10 s (200 B/s > 8 B/s).
   for (int i = 0; i < 20; ++i)
     t.add({i * 0.5, Protocol::kTelnet, 2, true, 100});
+  // Connections 3-5: over 1024 bytes each, across 200 s, at 7.5 B/s,
+  // exactly 8 B/s and 8.5 B/s. The rate rule is a strict '>', so 3 and 4
+  // stay and 5 goes.
+  const std::pair<std::uint32_t, std::uint16_t> paced[] = {
+      {3, 750}, {4, 800}, {5, 850}};
+  for (const auto& [conn, half] : paced) {
+    t.add({100.0, Protocol::kTelnet, conn, true, half});
+    t.add({300.0, Protocol::kTelnet, conn, true, half});
+  }
   const auto cleaned = t.remove_bulk_outliers();
-  EXPECT_EQ(cleaned.connection_count(), 1u);
-  for (const auto& r : cleaned.records()) EXPECT_EQ(r.conn_id, 1u);
+  EXPECT_EQ(cleaned.connection_count(), 3u);
+  std::set<std::uint32_t> kept;
+  for (const auto& r : cleaned.records()) kept.insert(r.conn_id);
+  EXPECT_EQ(kept, (std::set<std::uint32_t>{1, 3, 4}));
 }
 
 TEST(PacketTrace, PacketTimesSortedAndByProtocol) {
