@@ -296,15 +296,29 @@ std::vector<cd> RfftPlan::forward(std::span<const double> x,
   }
 
   // Split Z into the spectra of the even and odd subsequences and
-  // recombine: X[k] = Xe[k] + w_n^k Xo[k], k = 0..h.
+  // recombine: X[k] = Xe[k] + w_n^k Xo[k], k = 0..h, with
+  // Xe[k] = (Z[k] + conj(Z[h-k]))/2 and Xo[k] = -i (Z[k] - conj(Z[h-k]))/2.
+  // Like the butterfly, this runs on the parts, each product and sum
+  // the one std::complex forms for finite values, in the same order.
   std::vector<cd> out(h_ + 1);
+  const double* zp = reinterpret_cast<const double*>(z.data());
+  double* op = reinterpret_cast<double*>(out.data());
   auto unpack = [&](std::size_t b, std::size_t e) {
     for (std::size_t k = b; k < e; ++k) {
-      const cd zk = z[k == h_ ? 0 : k];
-      const cd zc = std::conj(z[(h_ - k) % h_]);
-      const cd even = 0.5 * (zk + zc);
-      const cd odd = cd(0.0, -0.5) * (zk - zc);
-      out[k] = even + unpack_[k] * odd;
+      const double* zk = zp + 2 * (k == h_ ? 0 : k);
+      const double* zh = zp + 2 * (k == 0 ? 0 : h_ - k);
+      const double cr = zh[0];
+      const double ci = -zh[1];  // conj(Z[h-k])
+      const double even_r = 0.5 * (zk[0] + cr);
+      const double even_i = 0.5 * (zk[1] + ci);
+      const double dr = zk[0] - cr;
+      const double di = zk[1] - ci;
+      const double odd_r = 0.0 * dr - (-0.5) * di;  // (0 - 0.5i)(dr + i di)
+      const double odd_i = 0.0 * di + (-0.5) * dr;
+      const double wr = unpack_[k].real();
+      const double wi = unpack_[k].imag();
+      op[2 * k] = even_r + (wr * odd_r - wi * odd_i);
+      op[2 * k + 1] = even_i + (wr * odd_i + wi * odd_r);
     }
   };
   if (h_ + 1 <= kButterflyGrain) {
@@ -323,14 +337,25 @@ std::vector<double> RfftPlan::inverse(std::span<const cd> half_spectrum) const {
   // Reassemble the packed spectrum: Z[k] = Xe[k] + i Xo[k], with
   // Xe[k] = (X[k] + conj(X[h-k]))/2 and w_n^k Xo[k] = (X[k] -
   // conj(X[h-k]))/2.
+  // On the parts, as the forward unpack.
   std::vector<cd> z(h_);
+  double* zp = reinterpret_cast<double*>(z.data());
   auto repack = [&](std::size_t b, std::size_t e) {
     for (std::size_t k = b; k < e; ++k) {
-      const cd xk = half_spectrum[k];
-      const cd xc = std::conj(half_spectrum[h_ - k]);
-      const cd even = 0.5 * (xk + xc);
-      const cd odd = (0.5 * (xk - xc)) * std::conj(unpack_[k]);
-      z[k] = even + cd(-odd.imag(), odd.real());  // even + i*odd
+      const double xr = half_spectrum[k].real();
+      const double xi = half_spectrum[k].imag();
+      const double cr = half_spectrum[h_ - k].real();
+      const double ci = -half_spectrum[h_ - k].imag();  // conj(X[h-k])
+      const double even_r = 0.5 * (xr + cr);
+      const double even_i = 0.5 * (xi + ci);
+      const double tr = 0.5 * (xr - cr);
+      const double ti = 0.5 * (xi - ci);
+      const double wr = unpack_[k].real();
+      const double wi = -unpack_[k].imag();  // conj(w_n^k)
+      const double odd_r = tr * wr - ti * wi;
+      const double odd_i = tr * wi + ti * wr;
+      zp[2 * k] = even_r + -odd_i;  // even + i*odd
+      zp[2 * k + 1] = even_i + odd_r;
     }
   };
   if (h_ <= kButterflyGrain) {
