@@ -154,7 +154,9 @@ void FftPlan::transform(std::span<cd> data, bool inverse) const {
     // block b / half at offset b % half and touches only its own two
     // slots, so any chunking computes bit-identical results. The
     // arithmetic runs on the parts (see forward()): std::complex
-    // temporaries cost a store-forwarding stall per butterfly.
+    // temporaries cost a store-forwarding stall per butterfly. The
+    // standard lays a std::complex<double> array out as interleaved
+    // doubles, which is what makes `d` valid.
     double* d = reinterpret_cast<double*>(data.data());
     auto run = [&](std::size_t b, std::size_t e) {
       std::size_t block = b / half;
@@ -243,9 +245,9 @@ std::vector<cd> BluesteinPlan::transform(std::span<const cd> data) const {
 
 std::shared_ptr<const BluesteinPlan> bluestein_plan_for(std::size_t n,
                                                         bool inverse) {
-  return bluestein_plan_cache().get_or_create(
-      {n, inverse},
-      [n, inverse] { return std::make_shared<const BluesteinPlan>(n, inverse); });
+  return bluestein_plan_cache().get_or_create({n, inverse}, [n, inverse] {
+    return std::make_shared<const BluesteinPlan>(n, inverse);
+  });
 }
 
 RfftPlan::RfftPlan(std::size_t n) : n_(n), h_(n / 2) {
@@ -336,8 +338,7 @@ std::vector<double> RfftPlan::inverse(std::span<const cd> half_spectrum) const {
 
   // Reassemble the packed spectrum: Z[k] = Xe[k] + i Xo[k], with
   // Xe[k] = (X[k] + conj(X[h-k]))/2 and w_n^k Xo[k] = (X[k] -
-  // conj(X[h-k]))/2.
-  // On the parts, as the forward unpack.
+  // conj(X[h-k]))/2; on the parts, as the forward unpack.
   std::vector<cd> z(h_);
   double* zp = reinterpret_cast<double*>(z.data());
   auto repack = [&](std::size_t b, std::size_t e) {
@@ -354,7 +355,7 @@ std::vector<double> RfftPlan::inverse(std::span<const cd> half_spectrum) const {
       const double wi = -unpack_[k].imag();  // conj(w_n^k)
       const double odd_r = tr * wr - ti * wi;
       const double odd_i = tr * wi + ti * wr;
-      zp[2 * k] = even_r + -odd_i;  // even + i*odd
+      zp[2 * k] = even_r - odd_i;  // even + i*odd
       zp[2 * k + 1] = even_i + odd_r;
     }
   };

@@ -92,12 +92,12 @@ using LblPktPacketSource = PacketSourceImpl<LblPktReader>;
 /// info() or next(). info()'s range is [min packet time, max + one
 /// tick), learned one of two ways, with the same bits:
 ///   * a pass that runs to the end folds the decoded times as it emits,
-///     so info() after it costs nothing — the filtered analysis decodes
-///     its capture once;
+///     so info() after it costs nothing — the filtered analysis and the
+///     strict monitor replay decode their capture once;
 ///   * info() before the first next() (or after reset() of an
 ///     unfinished pass) prescans every record and rewinds, discarding
 ///     the prescan's ledger — the unfiltered and windowed analyses and
-///     the monitor replay need the range first.
+///     the lenient monitor replay need the range first.
 /// info() in the middle of the pass that learns it throws
 /// std::logic_error.
 class PcapColumnSource final : public IngestColumnSource {

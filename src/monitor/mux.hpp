@@ -5,14 +5,14 @@
 // Each push partitions the chunk's event times by protocol in one
 // serial pass (the aggregate reads the chunk's times as they are, a
 // protocol engine only its protocol's bucket) and advances every engine
-// to the same capture time — including the
-// engines whose protocol saw no traffic, whose bins would otherwise
-// stall and hold their reports back. The advance completes only bins
-// that end strictly before the newest event's bin, so it can never
-// close a bin early: the report sequence each engine emits is
-// bit-identical to running analyze_windowed offline over the same
-// capture with that engine's protocol filter (the fan-out parity tests
-// pin this, engine by engine and field by field).
+// to the same capture time — including the engines whose protocol saw
+// no traffic, whose bins would otherwise stall and hold their reports
+// back. The advance completes only bins that end strictly before the
+// newest event's bin, so it can never close a bin early: the report
+// sequence each engine emits is bit-identical to running
+// analyze_windowed offline over the same capture with that engine's
+// protocol filter (the fan-out parity tests pin this, engine by engine
+// and field by field).
 //
 // The engines share one stats::WhittleRefitter. One slide geometry means
 // one Welch segment length, hence one periodogram grid,
@@ -28,10 +28,11 @@
 // own pending queue, and a table row WhittleRefitter::fit builds is
 // built once under its own once-flag and has the same bits whichever
 // engine builds it), and every engine reads a time span filled before
-// the parallel region, so the result is independent of scheduling. Reports drain in
-// rounds — because all engines advance through the same boundaries
-// they emit in lockstep, and a round is one report per engine in fixed
-// engine order — which makes the drained sequence deterministic.
+// the parallel region, so the result is independent of scheduling.
+// Reports drain in rounds — because all engines advance through the
+// same boundaries they emit in lockstep, and a round is one report per
+// engine in fixed engine order — which makes the drained sequence
+// deterministic.
 #pragma once
 
 #include <array>
