@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/ingest/pcap_writer.hpp"
 #include "src/rng/rng.hpp"
 #include "src/stats/counting.hpp"
 #include "src/stats/variance_time.hpp"
@@ -427,6 +428,148 @@ TEST(StreamingSynth, ResetReplaysIdentically) {
   src.reset();
   const trace::PacketTrace second = stream::collect(src);
   expect_same_records(second, first);
+}
+
+// --- Streaming synthesizer golden pins ---------------------------------
+//
+// The parity tests above meet synthesize_packet_trace only at 0.25 h.
+// These pins hold the 1 h streams themselves, at chunk sizes 1 and 4096,
+// and the capture write_pcap_for_records makes of one of them. Equal
+// times are common: the stream keeps such records in generation order,
+// and the digest holds that order.
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+// One lbl_pkt_preset stream at 1 h: its packet count and an FNV-1a
+// digest of every record's fields, each widened to 8 bytes (time by its
+// bit pattern).
+struct SynthPin {
+  const char* label;
+  bool tcp_only;
+  std::uint64_t seed;
+  synth::SynthShard shard;
+  std::uint64_t packets;
+  std::uint64_t digest;
+};
+
+synth::PacketDatasetConfig pin_config(bool tcp_only, std::uint64_t seed) {
+  synth::PacketDatasetConfig cfg =
+      synth::lbl_pkt_preset("synth-pins", tcp_only, seed);
+  cfg.hours = 1.0;
+  return cfg;
+}
+
+// What one drain computes: the pin's fields, plus the count of records
+// whose time equals the previous record's, and how many of those share
+// its connection.
+struct SynthDrain {
+  std::uint64_t packets = 0;
+  std::uint64_t digest = 0;
+  std::uint64_t ties = 0;
+  std::uint64_t ties_in_conn = 0;
+};
+
+SynthDrain drain_pin(const SynthPin& pin, std::size_t chunk_size,
+                     std::vector<trace::PacketRecord>* keep = nullptr) {
+  synth::StreamingPacketSynthesizer src(pin_config(pin.tcp_only, pin.seed),
+                                        chunk_size, pin.shard);
+  SynthDrain d;
+  Fnv1a f;
+  trace::PacketRecord prev;
+  std::vector<trace::PacketRecord> chunk;
+  while (src.next(chunk)) {
+    for (const trace::PacketRecord& r : chunk) {
+      f.mix(std::bit_cast<std::uint64_t>(r.time));
+      f.mix(static_cast<std::uint64_t>(r.protocol));
+      f.mix(r.conn_id);
+      f.mix(r.from_originator);
+      f.mix(r.payload_bytes);
+      if (d.packets > 0 && r.time == prev.time) {
+        ++d.ties;
+        if (r.conn_id == prev.conn_id) ++d.ties_in_conn;
+      }
+      prev = r;
+      ++d.packets;
+    }
+    if (keep) keep->insert(keep->end(), chunk.begin(), chunk.end());
+  }
+  d.digest = f.h;
+  return d;
+}
+
+// `pin` with the drained count and digest, as a kSynthPins row.
+std::string pin_row(const SynthPin& pin, const SynthDrain& d) {
+  char buf[200];
+  std::snprintf(buf, sizeof buf,
+                "    {\"%s\", %s, %llu, {%zu, %zu}, %llu,\n"
+                "     0x%016llxull},\n",
+                pin.label, pin.tcp_only ? "true" : "false",
+                static_cast<unsigned long long>(pin.seed), pin.shard.index,
+                pin.shard.count, static_cast<unsigned long long>(d.packets),
+                static_cast<unsigned long long>(d.digest));
+  return buf;
+}
+
+const SynthPin kSynthPins[] = {
+    {"tcp_only seed 1", true, 1, {0, 1}, 204501,
+     0xa78104b0a38cef18ull},
+    {"tcp_only seed 2", true, 2, {0, 1}, 190374,
+     0x026d0ac03da153d6ull},
+    {"tcp_only seed 3", true, 3, {0, 1}, 203735,
+     0x12d2264b06018bd9ull},
+    {"all protocols seed 1", false, 1, {0, 1}, 308222,
+     0x32439405b23883beull},
+    {"all protocols seed 1 shard 1 of 3", false, 1, {1, 3}, 145641,
+     0x2a4e0ecba4332326ull},
+};
+
+TEST(StreamingSynthPins, EveryStreamMatchesPinnedRecords) {
+  for (const SynthPin& pin : kSynthPins) {
+    SCOPED_TRACE(pin.label);
+    for (const std::size_t chunk_size : {std::size_t{1}, std::size_t{4096}}) {
+      const SynthDrain d = drain_pin(pin, chunk_size);
+      std::printf("%s, chunk %zu: %llu packets, %llu equal-time neighbours "
+                  "(%llu within one connection)\n",
+                  pin.label, chunk_size,
+                  static_cast<unsigned long long>(d.packets),
+                  static_cast<unsigned long long>(d.ties),
+                  static_cast<unsigned long long>(d.ties_in_conn));
+      if (d.packets != pin.packets || d.digest != pin.digest)
+        ADD_FAILURE() << "chunk " << chunk_size << " drained\n"
+                      << pin_row(pin, d);
+    }
+  }
+}
+
+// The capture of the seed-1 tcp_only stream: its byte count and an
+// FNV-1a digest of its bytes.
+TEST(StreamingSynthPins, CaptureOfTheStreamMatchesPinnedBytes) {
+  constexpr std::uint64_t kBytes = 14315094;
+  constexpr std::uint64_t kDigest = 0x8565c60e42c51fb8ull;
+  std::vector<trace::PacketRecord> records;
+  drain_pin(kSynthPins[0], stream::kDefaultChunkSize, &records);
+  const TempFile cap("synth_pins.pcap");
+  ingest::write_pcap_for_records(cap.path, records);
+  const std::string bytes = slurp(cap.path);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes)
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  if (bytes.size() != kBytes || h != kDigest) {
+    char buf[120];
+    std::snprintf(buf, sizeof buf,
+                  "  constexpr std::uint64_t kBytes = %zu;\n"
+                  "  constexpr std::uint64_t kDigest = 0x%016llxull;\n",
+                  bytes.size(), static_cast<unsigned long long>(h));
+    ADD_FAILURE() << "capture wrote\n" << buf;
+  }
 }
 
 // --- End-to-end pipeline -----------------------------------------------
