@@ -1,8 +1,8 @@
 #include "src/synth/stream_synth.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -23,12 +23,21 @@ bool owns_conn(const SynthShard& shard, std::uint32_t conn_id) {
 
 }  // namespace
 
-// One traffic source as a lazily-activated, time-ordered record buffer.
+// One traffic source as a lazily-activated, time-ordered merge of runs.
 // Subclasses activate one "unit" (a connection, a DNS exchange, an MBone
-// session) per activate_next() call, pushing its records; frontier() is
-// the start time of the next unactivated unit. Every record of a unit
-// has time >= the unit's start and units activate in start order, so all
-// buffered records below frontier() are final.
+// session) per activate_next() call, handing its records to add_run();
+// frontier() is the start time of the next unactivated unit. Every record
+// of a unit has time >= the unit's start and units activate in start
+// order, so all buffered records below frontier() are final.
+//
+// A unit's in-window records, stably sorted by time, form one run, and a
+// min-heap holds one entry per open run keyed by (head time, activation
+// rank). That merge emits the order of a heap of single records keyed by
+// (time, push sequence): a unit's records would take one contiguous
+// sequence range in generation order, and units take theirs in
+// activation order, so a tie inside a unit keeps generation order (the
+// stable sort) and a tie between units goes to the earlier activated
+// one (the rank).
 class StreamingPacketSynthesizer::Generator {
  public:
   Generator(double t0, double t1) : t0_(t0), t1_(t1) {}
@@ -37,59 +46,99 @@ class StreamingPacketSynthesizer::Generator {
   /// Time of the next emittable record, activating units as needed;
   /// kInf when exhausted.
   double next_time() {
-    while ((heap_.empty() || frontier() <= heap_.top().time) &&
+    while ((runs_.empty() || frontier() <= runs_.front().time) &&
            activate_next()) {
     }
-    return heap_.empty() ? kInf : heap_.top().time;
+    return runs_.empty() ? kInf : runs_.front().time;
   }
 
   trace::PacketRecord pop() {
-    trace::PacketRecord r = heap_.top().rec;
-    heap_.pop();
+    Run& top = runs_.front();
+    const trace::PacketRecord r = top.recs[top.pos];
+    if (++top.pos < top.recs.size()) {
+      top.time = top.recs[top.pos].time;
+      sift_down_top();
+    } else {
+      std::pop_heap(runs_.begin(), runs_.end(), Later{});
+      runs_.pop_back();
+    }
     return r;
   }
 
  protected:
   /// Start time of the next unactivated unit; kInf when none remain.
   virtual double frontier() const = 0;
-  /// Generates the next unit's records (pushing them); false when none
-  /// remain.
+  /// Generates the next unit's records (adding them as a run); false
+  /// when none remain.
   virtual bool activate_next() = 0;
 
-  /// Clips to the capture window, like the batch path's final pass.
-  void push(const trace::PacketRecord& r) {
-    if (r.time < t0_ || r.time >= t1_) return;
-    heap_.push({r.time, next_seq_++, r});
-  }
-  void push_all(const trace::PacketTrace& t) {
-    for (const trace::PacketRecord& r : t.records()) push(r);
+  /// Opens `unit`'s records as a run, clipped to the capture window like
+  /// the batch path's final pass.
+  void add_run(const trace::PacketTrace& unit) {
+    const auto in_window = [this](const trace::PacketRecord& r) {
+      return r.time >= t0_ && r.time < t1_;
+    };
+    const std::vector<trace::PacketRecord>& recs = unit.records();
+    const auto n = static_cast<std::size_t>(
+        std::count_if(recs.begin(), recs.end(), in_window));
+    if (n == 0) return;
+    Run run;
+    run.recs.reserve(n);
+    std::copy_if(recs.begin(), recs.end(), std::back_inserter(run.recs),
+                 in_window);
+    const auto by_time = [](const trace::PacketRecord& a,
+                            const trace::PacketRecord& b) {
+      return a.time < b.time;
+    };
+    if (!std::is_sorted(run.recs.begin(), run.recs.end(), by_time))
+      std::stable_sort(run.recs.begin(), run.recs.end(), by_time);
+    run.time = run.recs.front().time;
+    run.rank = next_rank_++;
+    runs_.push_back(std::move(run));
+    std::push_heap(runs_.begin(), runs_.end(), Later{});
   }
 
   double t0_;
   double t1_;
 
  private:
-  struct Item {
-    double time;
-    std::uint64_t seq;  ///< push order == generation order, for stable ties
-    trace::PacketRecord rec;
+  struct Run {
+    double time = 0.0;       ///< recs[pos].time, the run's head
+    std::uint64_t rank = 0;  ///< activation order, for ties between runs
+    std::size_t pos = 0;
+    std::vector<trace::PacketRecord> recs;
   };
   struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+    bool operator()(const Run& a, const Run& b) const {
+      return a.time > b.time || (a.time == b.time && a.rank > b.rank);
     }
   };
-  std::priority_queue<Item, std::vector<Item>, Later> heap_;
-  std::uint64_t next_seq_ = 0;
+
+  /// Restores the heap after the top run's head advanced.
+  void sift_down_top() {
+    const std::size_t n = runs_.size();
+    Run moving = std::move(runs_.front());
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && Later{}(runs_[c], runs_[c + 1])) ++c;
+      if (!Later{}(moving, runs_[c])) break;
+      runs_[i] = std::move(runs_[c]);
+      i = c;
+    }
+    runs_[i] = std::move(moving);
+  }
+
+  std::vector<Run> runs_;  ///< a heap under Later
+  std::uint64_t next_rank_ = 0;
 };
 
 namespace {
 
 // FULL-TEL, both directions. The eager phase burns through the same
 // draws generate_connections makes, checkpointing the RNG before each
-// connection and skipping its packet times through the Tcplib walk, so
-// activation can replay exactly that connection's size and packet
-// times; the responder stream (which the batch path consumes *after*
+// connection and skipping the uniforms of its Tcplib walk
+// (TelnetSource::skip_tcplib_walk), so activation can replay exactly
+// that connection's size and packet times; the responder stream (which the batch path consumes *after*
 // all originator draws) is then walked lazily, one connection per
 // activation, in the same order.
 class TelnetGen final : public StreamingPacketSynthesizer::Generator {
@@ -104,10 +153,9 @@ class TelnetGen final : public StreamingPacketSynthesizer::Generator {
     starts_ = poisson_arrivals_hourly(r, cfg.profile, cfg.conns_per_day, t0,
                                       t1);
     checkpoints_.reserve(starts_.size());
-    for (double s : starts_) {
+    for (std::size_t i = 0; i < starts_.size(); ++i) {
       checkpoints_.push_back(r);
-      const std::size_t n = src_.sample_size_packets(r);
-      (void)src_.tcplib_last_packet_time(r, s, n);
+      src_.skip_tcplib_walk(r, src_.sample_size_packets(r));
     }
     responder_rng_ = r;
   }
@@ -138,7 +186,7 @@ class TelnetGen final : public StreamingPacketSynthesizer::Generator {
     // hence every owned connection's draws) exactly the serial path's.
     src_.append_responder_packets(responder_rng_, c, t0_, t1_, id,
                                   ResponderConfig{}, tmp);
-    if (owns_conn(shard_, id)) push_all(tmp);
+    if (owns_conn(shard_, id)) add_run(tmp);
     ++idx_;
     return true;
   }
@@ -187,7 +235,7 @@ class BulkGen final : public StreamingPacketSynthesizer::Generator {
     rng::Rng r = bulk_conn_rng(stream_key_, e.id);
     trace::PacketTrace tmp("", t0_, t1_);
     fill_conn_packets(r, e.conn, fill_, e.id, tmp);
-    push_all(tmp);
+    add_run(tmp);
     ++idx_;
     return true;
   }
@@ -226,7 +274,7 @@ class DnsGen final : public StreamingPacketSynthesizer::Generator {
     // rng_ is one sequential walk: generate every exchange, keep only
     // the owned ones (see TelnetGen's responder note).
     emit_dns_exchange(rng_, cfg_, arrivals_[idx_], t1_, id, tmp);
-    if (owns_conn(shard_, id)) push_all(tmp);
+    if (owns_conn(shard_, id)) add_run(tmp);
     ++idx_;
     return true;
   }
@@ -263,7 +311,7 @@ class MboneGen final : public StreamingPacketSynthesizer::Generator {
     const auto id = first_id_ + static_cast<std::uint32_t>(idx_);
     trace::PacketTrace tmp("", t0_, t1_);
     emit_mbone_session(rng_, cfg_, arrivals_[idx_], t1_, id, tmp);
-    if (owns_conn(shard_, id)) push_all(tmp);
+    if (owns_conn(shard_, id)) add_run(tmp);
     ++idx_;
     return true;
   }

@@ -11,12 +11,13 @@
 //    times, bulk connection records, per-connection RNG state — all
 //    O(#connections), not O(#packets);
 //  * each source then lazily "activates" connections as the merge
-//    frontier reaches their start time, regenerating their packets into
-//    a per-source ordered buffer (a min-heap keyed by (time, sequence));
+//    frontier reaches their start time, regenerating each one's packets
+//    into a time-sorted run, and merges its open runs through a min-heap
+//    keyed by (head time, activation rank);
 //  * a record is emitted only once every source's frontier has passed
-//    it, and ties are broken by source rank then sequence — the same
-//    order the batch path's stable sort of the concatenated sources
-//    produces.
+//    it, and ties are broken by source rank, then activation rank, then
+//    generation order within the connection — the same order the batch
+//    path's stable sort of the concatenated sources produces.
 //
 // Determinism contract: collect(StreamingPacketSynthesizer(cfg)) equals
 // synthesize_packet_trace(cfg) record for record (pinned by the

@@ -56,6 +56,10 @@ double TelnetSource::tcplib_last_packet_time(rng::Rng& rng, double start,
   return last;
 }
 
+void TelnetSource::skip_tcplib_walk(rng::Rng& rng, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) (void)rng.uniform01_open_below();
+}
+
 std::vector<TelnetConnection> TelnetSource::generate_connections(
     rng::Rng& rng, double t0, double t1, InterarrivalScheme scheme) const {
   const auto starts =

@@ -99,6 +99,12 @@ class TelnetSource {
   double tcplib_last_packet_time(rng::Rng& rng, double start,
                                  std::size_t n) const;
 
+  /// Advances rng past the Tcplib walk of an n-packet connection, to
+  /// where tcplib_last_packet_time(rng, start, n) leaves it, without
+  /// inverting the law: each gap is one Distribution::sample, which
+  /// takes one uniform and maps it through quantile().
+  void skip_tcplib_walk(rng::Rng& rng, std::size_t n) const;
+
   /// Full FULL-TEL synthesis over [t0, t1): Poisson-hourly connection
   /// arrivals, log-normal sizes, per-scheme packet times.
   std::vector<TelnetConnection> generate_connections(

@@ -156,6 +156,22 @@ TEST(TelnetWalk, LastTimeOfEverySizeTakesThePacketTimesDraws) {
   }
 }
 
+// The skip takes one uniform per gap, so a sampler that ever drew twice
+// would leave the walk's generator elsewhere.
+TEST(TelnetWalk, SkipLeavesTheGeneratorWhereTheWalkDoes) {
+  const TelnetSource src(flat_config());
+  for (const std::uint64_t seed : {1u, 7u, 20260u}) {
+    for (std::size_t n : {0u, 1u, 2u, 100u, 20000u}) {
+      rng::Rng walk_rng(seed);
+      rng::Rng skip_rng(seed);
+      (void)src.tcplib_last_packet_time(walk_rng, 5.0, n);
+      src.skip_tcplib_walk(skip_rng, n);
+      EXPECT_EQ(skip_rng.generator().state(), walk_rng.generator().state())
+          << "seed " << seed << ", n " << n;
+    }
+  }
+}
+
 TEST(TelnetSource, PacketTraceClipsAndTagsProtocol) {
   TelnetConfig cfg = flat_config();
   cfg.protocol = trace::Protocol::kRlogin;
