@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "src/ingest/raw_packet.hpp"
 
@@ -30,7 +29,12 @@ void put_u32be(unsigned char* p, std::uint32_t v) {
   p[3] = v & 0xFF;
 }
 
+constexpr std::size_t kHeaderBytes = 24;            // pcap global header
 constexpr std::size_t kFrameBytes = 14 + 20 + 20;  // eth + ip + tcp
+constexpr std::size_t kRecordBytes = 16 + kFrameBytes;
+constexpr std::size_t kBlockBytes = std::size_t{64} << 10;  // file comment
+// The most a 16-bit IP total length holds past the two 20-byte headers.
+constexpr std::uint16_t kMaxPayloadBytes = 0xFFFF - 40;
 
 /// The responder-side well-known port that classify_tcp maps back to
 /// `p`. FTPDATA is the exception (active mode: the *originator* binds
@@ -53,21 +57,45 @@ std::uint16_t responder_port_for(trace::Protocol p) {
 }  // namespace
 
 PcapFileWriter::PcapFileWriter(const std::string& path)
-    : out_(path, std::ios::binary | std::ios::trunc) {
+    : out_(path, std::ios::binary | std::ios::trunc),
+      block_(new unsigned char[kBlockBytes]) {
   if (!out_) throw std::runtime_error("pcap_writer: cannot create " + path);
-  unsigned char h[24] = {};
+  unsigned char* h = block_.get();
+  std::memset(h, 0, kHeaderBytes);
   put_u32le(h + 0, 0xA1B2C3D4);  // usec magic, native little-endian
   h[4] = 2;                      // version 2.4
   h[6] = 4;
   put_u32le(h + 16, 65535);  // snaplen
   put_u32le(h + 20, 1);      // LINKTYPE_ETHERNET
-  out_.write(reinterpret_cast<const char*>(h), sizeof(h));
+  used_ = kHeaderBytes;
+}
+
+PcapFileWriter::~PcapFileWriter() { write_block(); }
+
+void PcapFileWriter::write_block() {
+  out_.write(reinterpret_cast<const char*>(block_.get()),
+             static_cast<std::streamsize>(used_));
+  used_ = 0;
+}
+
+void PcapFileWriter::flush() {
+  write_block();
+  out_.flush();
+  if (!out_) throw std::runtime_error("pcap_writer: write failed");
 }
 
 void PcapFileWriter::write_tcp(double time, std::uint32_t src_ip,
                                std::uint32_t dst_ip, std::uint16_t src_port,
                                std::uint16_t dst_port, std::uint8_t tcp_flags,
                                std::uint16_t payload_bytes) {
+  // Past 2^31 s a double's spacing exceeds a microsecond, so the carry
+  // below cannot take sec past 2^32 - 1.
+  if (!(time >= 0.0 && time < 0x1p32))
+    throw std::invalid_argument(
+        "pcap_writer: time outside a record's [0, 2^32) seconds");
+  if (payload_bytes > kMaxPayloadBytes)
+    throw std::invalid_argument(
+        "pcap_writer: payload beyond the IP total length's 65495 bytes");
   std::uint32_t sec = static_cast<std::uint32_t>(time);
   std::uint32_t usec =
       static_cast<std::uint32_t>(std::llround((time - sec) * 1e6));
@@ -76,7 +104,13 @@ void PcapFileWriter::write_tcp(double time, std::uint32_t src_ip,
     ++sec;
   }
 
-  unsigned char rec[16 + kFrameBytes] = {};
+  if (used_ + kRecordBytes > kBlockBytes) {
+    write_block();
+    if (!out_) throw std::runtime_error("pcap_writer: write failed");
+  }
+  unsigned char* rec = block_.get() + used_;
+  used_ += kRecordBytes;
+  std::memset(rec, 0, kRecordBytes);
   put_u32le(rec + 0, sec);
   put_u32le(rec + 4, usec);
   put_u32le(rec + 8, kFrameBytes);                  // incl_len: headers only
@@ -100,9 +134,6 @@ void PcapFileWriter::write_tcp(double time, std::uint32_t src_ip,
   tcp[12] = 5 << 4;  // data offset
   tcp[13] = tcp_flags;
   put_u16be(tcp + 14, 8192);  // window
-
-  out_.write(reinterpret_cast<const char*>(rec), sizeof(rec));
-  if (!out_) throw std::runtime_error("pcap_writer: write failed");
 }
 
 void PcapRecordEncoder::add(const trace::PacketRecord& r) {

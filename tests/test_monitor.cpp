@@ -15,9 +15,11 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,6 +157,71 @@ TEST(PcapWriter, RoundTripsRecordsThroughTheColumnSource) {
   EXPECT_EQ(i, records.size());
   EXPECT_EQ(src.stats().records, records.size());
   EXPECT_EQ(src.stats().structural_errors(), 0u);
+}
+
+/// Every record `path` decodes to, in order.
+std::vector<trace::PacketRecord> read_capture(const std::string& path,
+                                              std::uint64_t* errors) {
+  ingest::PcapColumnSource src(path, ingest::ParseMode::kStrict);
+  stream::PacketColumns chunk;
+  std::vector<trace::PacketRecord> out;
+  while (src.next(chunk)) chunk.to_rows(out);
+  *errors = src.stats().structural_errors();
+  return out;
+}
+
+// A record holds whole seconds in 32 bits, and the payload in the 16-bit
+// IP total length past two 20-byte headers; the writer refuses the rest
+// where it used to wrap them.
+TEST(PcapWriter, RejectsWhatARecordCannotHold) {
+  const std::string path = tmp_path("writer_reject.pcap");
+  ingest::PcapFileWriter w(path);
+  for (const double t :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(), 0x1p32}) {
+    EXPECT_THROW(w.write_tcp(t, 1, 2, 40000, 25, ingest::kTcpSyn, 0),
+                 std::invalid_argument)
+        << t;
+  }
+  EXPECT_THROW(w.write_tcp(1.0, 1, 2, 40000, 25, ingest::kTcpSyn, 65496),
+               std::invalid_argument);
+}
+
+TEST(PcapWriter, LargestPayloadRoundTrips) {
+  trace::PacketRecord r;
+  r.time = 5.0;
+  r.protocol = trace::Protocol::kSmtp;
+  r.conn_id = 1;
+  r.payload_bytes = 65495;
+  const std::string path = tmp_path("writer_largest.pcap");
+  ingest::write_pcap_for_records(path, {&r, 1});
+  std::uint64_t errors = 0;
+  const std::vector<trace::PacketRecord> back = read_capture(path, &errors);
+  EXPECT_EQ(errors, 0u);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].time, r.time);
+  EXPECT_EQ(back[0].protocol, r.protocol);
+  EXPECT_EQ(back[0].payload_bytes, r.payload_bytes);
+}
+
+// The writer builds records in a block; an encoder let go without
+// flush() still leaves every record of several blocks in the file.
+TEST(PcapWriter, EncoderWritesOutItsBlockWhenDestroyed) {
+  const std::vector<trace::PacketRecord> records = synth_records(600.0, 11);
+  ASSERT_GT(records.size() * 70, std::size_t{3} << 16);
+  const std::string path = tmp_path("writer_scope.pcap");
+  {
+    ingest::PcapRecordEncoder encoder(path);
+    for (const trace::PacketRecord& r : records) encoder.add(r);
+  }
+  std::uint64_t errors = 0;
+  const std::vector<trace::PacketRecord> back = read_capture(path, &errors);
+  EXPECT_EQ(errors, 0u);
+  ASSERT_EQ(back.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(back[i].time, records[i].time) << i;
+    ASSERT_EQ(back[i].conn_id, records[i].conn_id) << i;
+    ASSERT_EQ(back[i].payload_bytes, records[i].payload_bytes) << i;
+  }
 }
 
 // --- tail-follow ---------------------------------------------------------
