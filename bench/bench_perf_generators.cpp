@@ -1,6 +1,8 @@
 // Perf bench for traffic generation and the spectral engine: whole-trace
-// synthesis serial vs parallel (per-source tasks), serial sampling
-// micro-ops, planned fft/rfft/fGn/Whittle rows at 2^16-2^20, kernel rows
+// synthesis serial vs parallel (per-source tasks), the streamed
+// synthesizer and the capture encoder (stream_synth, pcap_encode; their
+// digests are pinned), serial sampling micro-ops, planned
+// fft/rfft/fGn/Whittle rows at 2^16-2^20, kernel rows
 // for the monitor's segment transforms (rfft/150, rfft/300, fft/256), and
 // the rfft-vs-complex periodogram comparison (the acceptance criterion
 // for the real-input path). Appends results to BENCH_perf.json (see
@@ -10,11 +12,19 @@
 // takes seconds; the JSON rows still land, catching perf-pipeline
 // regressions (a bench that stops building/running) if not absolute
 // regressions.
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,10 +33,12 @@
 #include "src/dist/tcplib.hpp"
 #include "src/fft/fft.hpp"
 #include "src/fft/periodogram.hpp"
+#include "src/ingest/pcap_writer.hpp"
 #include "src/par/parallel.hpp"
 #include "src/rng/rng.hpp"
 #include "src/selfsim/fgn.hpp"
 #include "src/stats/whittle.hpp"
+#include "src/synth/stream_synth.hpp"
 #include "src/synth/synthesizer.hpp"
 #include "src/trace/conn_trace.hpp"
 #include "src/trace/packet_trace.hpp"
@@ -137,6 +149,50 @@ std::string pow2_name(const char* op, std::size_t lg) {
   return std::string(op) + "/2^" + std::to_string(lg);
 }
 
+// FNV-1a over every record's fields, each widened to 8 bytes (time by
+// its bit pattern): StreamingSynthPins' digest in tests/test_stream.cpp.
+std::uint64_t record_digest(const std::vector<trace::PacketRecord>& records) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const trace::PacketRecord& r : records) {
+    mix(std::bit_cast<std::uint64_t>(r.time));
+    mix(static_cast<std::uint64_t>(r.protocol));
+    mix(r.conn_id);
+    mix(r.from_originator);
+    mix(r.payload_bytes);
+  }
+  return h;
+}
+
+// FNV-1a over a file's bytes.
+std::uint64_t file_digest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (auto it = std::istreambuf_iterator<char>(in);
+       it != std::istreambuf_iterator<char>(); ++it)
+    h = (h ^ static_cast<unsigned char>(*it)) * 0x100000001b3ull;
+  return h;
+}
+
+// The lbl_pkt_preset tcp_only seed-1 stream at one length: its record
+// digest and the digest of the capture PcapRecordEncoder makes of it.
+struct SynthKernelPin {
+  double hours;
+  std::uint64_t records;
+  std::uint64_t capture;
+};
+// 1 h is StreamingSynthPins' first row; 4 h is the monitor replay
+// benchmark's capture.
+constexpr SynthKernelPin kSmokeSynthPin = {1.0, 0xa78104b0a38cef18ull,
+                                           0x8565c60e42c51fb8ull};
+constexpr SynthKernelPin kFullSynthPin = {4.0, 0xfdc077b369edd726ull,
+                                          0x7d1346441ebd79d7ull};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -171,6 +227,82 @@ int main(int argc, char** argv) {
         [&] { parallel = synth::synthesize_packet_trace(cfg); },
         [&] { return same_packet_trace(serial, parallel); });
     std::printf("  (packet records: %zu)\n", serial.size());
+  }
+
+  // Streamed synthesis and capture encoding, single-threaded: best of 5
+  // process-CPU reps, every rep's digest checked against the pin.
+  bool synth_digests_ok = true;
+  {
+    const SynthKernelPin& pin = smoke ? kSmokeSynthPin : kFullSynthPin;
+    auto cfg = synth::lbl_pkt_preset("bench", /*tcp_only=*/true, 1);
+    cfg.hours = pin.hours;
+    const std::string tag = std::to_string(static_cast<int>(pin.hours)) + "h";
+    constexpr int kReps = 5;
+    par::set_thread_count(1);
+    const auto kernel_row = [&](const std::string& op, double items,
+                                double best_ms, bool identical,
+                                std::uint64_t digest) {
+      bench::BenchResult row;
+      row.op = op;
+      row.items = items;
+      row.unit = "packets";
+      row.repeats = kReps;
+      row.serial_ms = row.parallel_ms = best_ms;
+      row.throughput = best_ms > 0.0 ? items / (best_ms / 1000.0) : 0.0;
+      row.identical = identical;
+      char hex[24];
+      std::snprintf(hex, sizeof hex, "\"%016llx\"",
+                    static_cast<unsigned long long>(digest));
+      row.extra = {{"clock", "\"process_cpu\""}, {"digest", hex}};
+      harness.add(row);
+      synth_digests_ok = synth_digests_ok && identical;
+    };
+
+    std::vector<trace::PacketRecord> records;
+    double best = 1e300;
+    bool same = true;
+    std::uint64_t digest = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      records.clear();
+      best = std::min(best, bench::min_cpu_time_ms(
+                                [&] {
+                                  synth::StreamingPacketSynthesizer src(cfg);
+                                  std::vector<trace::PacketRecord> chunk;
+                                  while (src.next(chunk))
+                                    records.insert(records.end(),
+                                                   chunk.begin(), chunk.end());
+                                },
+                                1));
+      digest = record_digest(records);
+      same = same && digest == pin.records;
+    }
+    kernel_row("stream_synth/" + tag, static_cast<double>(records.size()),
+               best, same, digest);
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("wan_bench_encode_" + std::to_string(::getpid()) + ".pcap"))
+            .string();
+    best = 1e300;
+    same = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      best = std::min(best, bench::min_cpu_time_ms(
+                                [&] {
+                                  ingest::PcapRecordEncoder encoder(path);
+                                  for (const trace::PacketRecord& r : records)
+                                    encoder.add(r);
+                                  encoder.flush();
+                                },
+                                1));
+      digest = file_digest(path);
+      same = same && digest == pin.capture;
+    }
+    std::remove(path.c_str());
+    kernel_row("pcap_encode/" + tag, static_cast<double>(records.size()),
+               best, same, digest);
+    if (!synth_digests_ok)
+      std::printf("FAIL: a synthesized stream or its capture left its "
+                  "pinned digest\n");
   }
 
   // Serial sampling micro-ops, for the per-draw cost trajectory.
@@ -329,5 +461,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  return 0;
+  return synth_digests_ok ? 0 : 1;
 }
