@@ -18,11 +18,12 @@
 // arbitrary synthesized traffic, not just the checked-in fixtures.
 //
 // PcapFileWriter builds its records in a 64 KiB block and writes the
-// stream a block at a time; per-record stream writes cost more than
-// building the record. The block stays at 64 KiB because a job that
-// maps the capture afterwards gets larger page-cache folios from larger
-// writes: 1 MiB blocks saved no more set-up time and raised the
-// monitor replay's peak resident set by about 0.45 MB.
+// stream a block at a time, not one stream write per 70-byte record.
+// The block stays at 64 KiB because the size of the writes shows in
+// the resident set of a job that maps the capture afterwards (larger
+// page-cache folios, presumably): 1 MiB blocks saved no measurable
+// set-up time and raised the monitor replay benchmark's peak by about
+// 0.2 MB.
 #pragma once
 
 #include <cstddef>

@@ -172,7 +172,7 @@ std::vector<trace::PacketRecord> read_capture(const std::string& path,
 
 // A record holds whole seconds in 32 bits, and the payload in the 16-bit
 // IP total length past two 20-byte headers; the writer refuses the rest
-// where it used to wrap them.
+// rather than wrap them.
 TEST(PcapWriter, RejectsWhatARecordCannotHold) {
   const std::string path = tmp_path("writer_reject.pcap");
   ingest::PcapFileWriter w(path);

@@ -460,13 +460,6 @@ struct SynthPin {
   std::uint64_t digest;
 };
 
-synth::PacketDatasetConfig pin_config(bool tcp_only, std::uint64_t seed) {
-  synth::PacketDatasetConfig cfg =
-      synth::lbl_pkt_preset("synth-pins", tcp_only, seed);
-  cfg.hours = 1.0;
-  return cfg;
-}
-
 // What one drain computes: the pin's fields, plus the count of records
 // whose time equals the previous record's, and how many of those share
 // its connection.
@@ -479,8 +472,10 @@ struct SynthDrain {
 
 SynthDrain drain_pin(const SynthPin& pin, std::size_t chunk_size,
                      std::vector<trace::PacketRecord>* keep = nullptr) {
-  synth::StreamingPacketSynthesizer src(pin_config(pin.tcp_only, pin.seed),
-                                        chunk_size, pin.shard);
+  synth::PacketDatasetConfig cfg =
+      synth::lbl_pkt_preset("synth-pins", pin.tcp_only, pin.seed);
+  cfg.hours = 1.0;
+  synth::StreamingPacketSynthesizer src(cfg, chunk_size, pin.shard);
   SynthDrain d;
   Fnv1a f;
   trace::PacketRecord prev;
