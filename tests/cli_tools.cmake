@@ -9,7 +9,10 @@
 # pinned by SHA256. `wantraffic_ingest pkt`'s binary trace of a pcap
 # and CSV of an lbl-pkt file, and `wantraffic_ingest conn`'s CSV of the
 # pcap, are pinned by SHA256; the binary trace and the connection CSV
-# must also come out the same from stdin.
+# must also come out the same from stdin. Lenient `wantraffic_ingest
+# pkt` runs on a truncated pcap and a corrupt lbl-pkt file are pinned
+# (stdout and output) too, and their strict runs, like a connection log
+# given as packets, must fail without leaving an output file.
 # `wantraffic_analyze conn` must reach the in-memory verdicts on a
 # synthesized day read back from its CSV; that CSV and the day's
 # --deperiodic report are pinned by SHA256. And `wantraffic_analyze pkt`
@@ -214,6 +217,38 @@ run_usage_error("unknown flag --shards" "${INGEST}" pkt pcap "${capture}"
                 --out "${WORK_DIR}/bad.bin" --shards 3)
 run_usage_error("unknown flag --threads" "${INGEST}" pkt pcap "${capture}"
                 --out "${WORK_DIR}/bad.bin" --threads 2)
+
+# --- wantraffic_ingest pkt: damaged and wrong input --------------------
+# --lenient salvages what a damaged fixture holds: stdout (name, count,
+# range, ledger) and the written trace are pinned. Strict mode stops at
+# the first defect with no --out file left behind, and a connection log
+# is no packet input.
+file(COPY "${DATA_DIR}/trunc.pcap" "${DATA_DIR}/corrupt.lbl-pkt"
+     "${DATA_DIR}/sample.lbl-conn" DESTINATION "${WORK_DIR}")
+expect_stdout_sha256(
+  4724ef297946a97c0f90b28d528db17c46a95bdbbfcba7b4ed86f3e2487d1393
+  "${INGEST}" pkt pcap trunc.pcap --lenient --out trunc_lenient.bin
+  WORKING_DIRECTORY "${WORK_DIR}")
+expect_sha256("${WORK_DIR}/trunc_lenient.bin"
+  362c16d091995bc2e2109ef11d40e6507c331d16ef758632c4dd2d0491c22f5c)
+expect_stdout_sha256(
+  80a4a059e956eb09af6aef00bc58c3ec83ea38d41441f839d9c014a02a2b0341
+  "${INGEST}" pkt lbl-pkt corrupt.lbl-pkt --lenient --csv
+  --out corrupt_lenient.csv WORKING_DIRECTORY "${WORK_DIR}")
+expect_sha256("${WORK_DIR}/corrupt_lenient.csv"
+  2d269af5486ece487707bfcb64441a19fc014340eaa06f09ad5baa8126c4d00a)
+run_fails("strict parse failed" "${INGEST}" pkt pcap trunc.pcap
+          --out trunc_strict.bin WORKING_DIRECTORY "${WORK_DIR}")
+run_fails("strict parse failed" "${INGEST}" pkt lbl-pkt corrupt.lbl-pkt
+          --out corrupt_strict.bin WORKING_DIRECTORY "${WORK_DIR}")
+run_fails("lbl-conn logs hold connections, not packets" "${INGEST}" pkt
+          lbl-conn sample.lbl-conn --out conn_as_pkt.bin
+          WORKING_DIRECTORY "${WORK_DIR}")
+foreach(out trunc_strict.bin corrupt_strict.bin conn_as_pkt.bin)
+  if(EXISTS "${WORK_DIR}/${out}")
+    message(FATAL_ERROR "a refused run left ${out} behind")
+  endif()
+endforeach()
 
 # --- wantraffic_ingest conn: pinned, and stdin; --chunk, --shards ------
 run("${INGEST}" conn pcap tiny_le.pcap --out conn_file.csv
