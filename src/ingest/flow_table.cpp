@@ -1,6 +1,9 @@
 #include "src/ingest/flow_table.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "src/ingest/classify.hpp"
 
@@ -17,7 +20,16 @@ std::uint64_t host_pair_key(std::uint32_t a, std::uint32_t b) {
 }  // namespace
 
 FlowTable::FlowTable(FlowTableConfig config)
-    : config_(config), buckets_(kInitialBuckets) {}
+    : config_(config), buckets_(kInitialBuckets) {
+  if (!(config_.idle_timeout > 0.0)) {  // NaN fails the comparison too
+    char value[32];
+    std::snprintf(value, sizeof value, "%g", config_.idle_timeout);
+    throw std::invalid_argument(
+        std::string("flow table: the idle timeout must be a positive "
+                    "number of seconds, not ") +
+        value);
+  }
+}
 
 std::uint32_t FlowTable::host_id(std::uint32_t ip) {
   const auto [it, inserted] =

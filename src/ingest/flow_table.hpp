@@ -50,7 +50,8 @@ namespace wan::ingest {
 struct FlowTableConfig {
   /// Idle seconds after which an open flow is considered dead. The
   /// paper's SYN/FIN analysis has no notion of keepalive, so the
-  /// default is a conservative one hour.
+  /// default is a conservative one hour. Must be positive (FlowTable's
+  /// constructor throws otherwise, NaN included); +inf never evicts.
   double idle_timeout = 3600.0;
   /// Collect ConnRecords of closed flows (take_closed). Packet-only
   /// consumers turn this off so closed-flow records cannot accumulate.
@@ -59,6 +60,9 @@ struct FlowTableConfig {
 
 class FlowTable {
  public:
+  /// Throws std::invalid_argument, naming the value, when
+  /// config.idle_timeout is NaN or not positive: a zero or negative
+  /// timeout would evict every open flow at every packet.
   explicit FlowTable(FlowTableConfig config = {});
 
   /// Folds one packet into the table and returns its analysis record.

@@ -12,7 +12,8 @@
 # must also come out the same from stdin. Lenient `wantraffic_ingest
 # pkt` runs on a truncated pcap and a corrupt lbl-pkt file are pinned
 # (stdout and output) too, and their strict runs, like a connection log
-# given as packets, must fail without leaving an output file.
+# given as packets, must fail without leaving an output file; an idle
+# timeout that is not positive must be refused in both modes.
 # `wantraffic_analyze conn` must reach the in-memory verdicts on a
 # synthesized day read back from its CSV; that CSV and the day's
 # --deperiodic report are pinned by SHA256. And `wantraffic_analyze pkt`
@@ -248,6 +249,16 @@ foreach(out trunc_strict.bin corrupt_strict.bin conn_as_pkt.bin)
   if(EXISTS "${WORK_DIR}/${out}")
     message(FATAL_ERROR "a refused run left ${out} behind")
   endif()
+endforeach()
+# An idle timeout that is not positive would evict every open flow at
+# every packet, and nan would never evict: both modes refuse them.
+foreach(timeout -1 0 nan)
+  run_fails("the idle timeout must be a positive number of seconds"
+            "${INGEST}" pkt pcap "${capture}" --out "${WORK_DIR}/bad.bin"
+            --idle-timeout ${timeout})
+  run_fails("the idle timeout must be a positive number of seconds"
+            "${INGEST}" conn lbl-pkt "${WORK_DIR}/sample.lbl-pkt"
+            --idle-timeout ${timeout})
 endforeach()
 
 # --- wantraffic_ingest conn: pinned, and stdin; --chunk, --shards ------

@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ingest/flow_table.hpp"
@@ -438,6 +440,27 @@ const TablePin kTablePins[] = {
     {"rehash growth", rehash_growth_stream, 50.0, 10201, 3001, 152, 3001,
      0x28b798a19a3a90c2ull},
 };
+
+// A timeout that is not positive would evict every open flow at every
+// packet, and NaN would never evict: the table refuses them, naming the
+// value. +inf is how to say "never evict".
+TEST(FlowTable, RejectsAnIdleTimeoutThatIsNotPositive) {
+  const std::pair<double, const char*> refused[] = {
+      {-1.0, "-1"}, {0.0, "0"}, {std::numeric_limits<double>::quiet_NaN(), "nan"}};
+  for (const auto& [timeout, shown] : refused) {
+    try {
+      ingest::FlowTable table(idle_after(timeout));
+      ADD_FAILURE() << "accepted idle timeout " << shown;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(shown), std::string::npos)
+          << e.what();
+    }
+  }
+  ingest::FlowTable never(idle_after(std::numeric_limits<double>::infinity()));
+  const auto first = never.add(mk(0.0, 1, 2, 1000, 23, kTcpSyn, 0));
+  const auto later = never.add(mk(1e9, 1, 2, 1000, 23, kTcpAck, 10));
+  EXPECT_EQ(first.conn_id, later.conn_id);
+}
 
 TEST(FlowTableGoldenPins, EveryStreamMatchesPinnedOutput) {
   for (const TablePin& pin : kTablePins) {
