@@ -3,18 +3,16 @@
 //
 // The bench writes its own synthetic captures (raw-IP pcap and lbl-pkt
 // ASCII, a fixed population of interleaved TCP flows, deterministic) and
-// emits seven rows into BENCH_perf.json:
+// emits six rows into BENCH_perf.json:
 //
 //   * ingest_pcap_stream        — MB/s + the bounded-RSS criterion:
 //     peak RSS growth is set by chunk size and open-flow population, not
-//     by capture length (rss_bounded).
+//     by capture length (rss_bounded). It drains the column source
+//     `wantraffic_ingest pkt` opens, range prescan included.
 //   * pcap_reader_mmap          — raw record drain through
 //     MmapPcapReader::next_batch.
 //   * flow_table_flat           — the FlowTable fold on pre-decoded
 //     packets.
-//   * pcap_decode_columnar_vs_row — direct decode into PacketColumns
-//     against the row-chunk source + transpose (serial_ms is the row
-//     path, parallel_ms the columnar one).
 //   * ingest_e2e                — THE GATE: pcap -> count-process
 //     analysis through the tools' path (open_packet_column_source +
 //     analyze_columns), min of 9 process-CPU reps, each after a rep of
@@ -217,9 +215,6 @@ struct Fnv {
 struct DrainSum {
   std::uint64_t packets = 0;
   std::uint64_t checksum = 0;
-  bool operator==(const DrainSum& o) const {
-    return packets == o.packets && checksum == o.checksum;
-  }
 };
 
 /// Raw record drain through the mmap reader's batch interface.
@@ -264,35 +259,6 @@ DrainSum fold_table(const std::vector<ingest::RawPacket>& pkts) {
   return s;
 }
 
-/// Row-source drain: PacketRecord chunks off the mmap reader + flat
-/// table (the pre-columnar emission path, reader and table held equal).
-DrainSum drain_rows(const std::string& path) {
-  ingest::MmapPcapPacketSource src(path, ingest::ParseMode::kStrict);
-  std::vector<trace::PacketRecord> chunk;
-  Fnv f;
-  DrainSum s;
-  while (src.next(chunk)) {
-    for (const trace::PacketRecord& r : chunk) f.mix(r);
-    s.packets += chunk.size();
-  }
-  s.checksum = f.h;
-  return s;
-}
-
-/// Columnar drain: the same records decoded straight into SoA columns.
-DrainSum drain_columns(const std::string& path) {
-  ingest::PcapColumnSource src(path, ingest::ParseMode::kStrict);
-  stream::PacketColumns chunk;
-  Fnv f;
-  DrainSum s;
-  while (src.next(chunk)) {
-    for (std::size_t i = 0; i < chunk.size(); ++i) f.mix(chunk.row(i));
-    s.packets += chunk.size();
-  }
-  s.checksum = f.h;
-  return s;
-}
-
 /// Rows the Section-IV stages `opt` configures emit from a capture,
 /// and the distinct connections among them.
 struct ConnCount {
@@ -330,10 +296,11 @@ IngestRun run_ingest(const std::string& path) {
   r.ms = bench::min_time_ms(
       [&] {
         ingest::IngestOptions opt;  // strict, default chunk size
-        const auto src =
-            ingest::open_packet_source(path, ingest::IngestFormat::kPcap, opt);
+        const auto src = ingest::open_packet_column_source(
+            path, ingest::IngestFormat::kPcap, opt);
+        src->info();  // the range first, as `wantraffic_ingest pkt` asks
         std::uint64_t n = 0;
-        std::vector<trace::PacketRecord> chunk;
+        stream::PacketColumns chunk;
         while (src->next(chunk)) n += chunk.size();
         r.packets = n;
         r.structural_errors = src->stats().structural_errors();
@@ -476,18 +443,7 @@ int main(int argc, char** argv) {
   decoded.clear();
   decoded.shrink_to_fit();
 
-  // --- Row 4: emission layout, direct columnar decode vs row chunks
-  // (same mmap reader and flat table on both sides).
-  DrainSum dc_rows, dc_cols;
-  const double dc_rows_ms =
-      bench::min_time_ms([&] { dc_rows = drain_rows(large_path); }, reps);
-  const double dc_cols_ms =
-      bench::min_time_ms([&] { dc_cols = drain_columns(large_path); }, reps);
-  const bool dc_ok = dc_rows == dc_cols && dc_cols.packets == large_n;
-  harness.add(make_row(std::string("pcap_decode_columnar_vs_row/") + tag,
-                       large_mb, "MB", dc_rows_ms, dc_cols_ms, dc_ok));
-
-  // --- Row 5: THE GATE — pcap -> count-process analysis end to end,
+  // --- Row 4: THE GATE — pcap -> count-process analysis end to end,
   // through the path the tools run: open_packet_column_source (the
   // prescan, then the mmap decode folded through the flow table into
   // columns) and analyze_columns. The closure includes opening the
@@ -526,7 +482,7 @@ int main(int argc, char** argv) {
   std::printf("e2e gate: digest %s -> %s\n\n", e2e_ok ? "ok" : "WRONG",
               gate_ok ? "PASS" : "FAIL");
 
-  // --- Row 6: the same path with `wantraffic_analyze --filtered`'s
+  // --- Row 5: the same path with `wantraffic_analyze --filtered`'s
   // options (originator data, then the bulk-outlier stage), on its own
   // capture: the same flows, but every 4th one types slowly, so the
   // stage keeps those connections and drops the bulk ones. Every run
@@ -579,7 +535,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(filtered_digest),
       filtered_ok ? "ok" : "WRONG");
 
-  // --- Row 7: ITA ASCII parse throughput (std::from_chars tokenizer).
+  // --- Row 6: ITA ASCII parse throughput (std::from_chars tokenizer).
   const std::uint64_t ascii_bytes =
       write_lbl_pkt(ascii_path, large_n, kFlows);
   const double ascii_mb = static_cast<double>(ascii_bytes) / (1024.0 * 1024.0);
@@ -603,6 +559,6 @@ int main(int argc, char** argv) {
   std::remove(ascii_path.c_str());
 
   const bool all_identical =
-      clean && rd_ok && ft_ok && dc_ok && filtered_ok && ascii_ok;
+      clean && rd_ok && ft_ok && filtered_ok && ascii_ok;
   return all_identical && rss_bounded && gate_ok ? 0 : 1;
 }

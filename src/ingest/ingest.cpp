@@ -38,15 +38,15 @@ void check_stdin_support(const std::string& path, IngestFormat format) {
 
 }  // namespace
 
-std::unique_ptr<IngestPacketSource> open_packet_source(
+std::unique_ptr<IngestColumnSource> open_packet_column_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt) {
   check_stdin_support(path, format);
   switch (format) {
     case IngestFormat::kPcap:
-      return std::make_unique<MmapPcapPacketSource>(path, opt.mode, opt.flow,
-                                                    opt.chunk_size);
+      return std::make_unique<PcapColumnSource>(path, opt.mode, opt.flow,
+                                                opt.chunk_size);
     case IngestFormat::kLblPkt:
-      return std::make_unique<LblPktPacketSource>(path, opt.mode, opt.flow,
+      return std::make_unique<LblPktColumnSource>(path, opt.mode, opt.flow,
                                                   opt.chunk_size);
     case IngestFormat::kLblConn:
       break;
@@ -54,18 +54,6 @@ std::unique_ptr<IngestPacketSource> open_packet_source(
   throw std::invalid_argument(
       "lbl-conn logs hold connections, not packets; use "
       "reconstruct_conn_trace");
-}
-
-std::unique_ptr<IngestColumnSource> open_packet_column_source(
-    const std::string& path, IngestFormat format, const IngestOptions& opt) {
-  check_stdin_support(path, format);
-  // Native columnar decode exists only for pcap; lbl-pkt keeps its row
-  // source and transposes.
-  if (format == IngestFormat::kPcap)
-    return std::make_unique<PcapColumnSource>(path, opt.mode, opt.flow,
-                                              opt.chunk_size);
-  return std::make_unique<ColumnsFromIngest>(
-      open_packet_source(path, format, opt));
 }
 
 trace::ConnTrace reconstruct_conn_trace(const std::string& path,

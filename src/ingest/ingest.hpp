@@ -1,5 +1,5 @@
-// Front door of the ingestion subsystem: pick a format, get a packet
-// chunk source or a whole connection trace. Tools parse
+// Front door of the ingestion subsystem: pick a format, get a columnar
+// packet source or a whole connection trace. Tools parse
 // "--ingest-format=pcap|lbl-conn|lbl-pkt" into an IngestFormat and hand
 // the rest to these functions.
 #pragma once
@@ -33,18 +33,13 @@ struct IngestOptions {
   FlowTableConfig flow;  ///< idle timeout for flow reconstruction
 };
 
-/// Packet-level source for the packet formats (pcap, lbl-pkt).
+/// The packet formats' one source: pcap and lbl-pkt each decode and
+/// fold through the flow table straight into PacketColumns
+/// (CaptureColumnSource), and learn their range by its lazy rule.
 /// Throws std::invalid_argument for kLblConn — connection logs hold no
-/// packets. Throws IngestError per the strict-mode contract.
-std::unique_ptr<IngestPacketSource> open_packet_source(
-    const std::string& path, IngestFormat format, const IngestOptions& opt);
-
-/// Columnar packet-level source: pcap decodes straight into
-/// PacketColumns (PcapColumnSource: mmap + flat table, no row chunk —
-/// the zero-copy path analyze_columns drains); lbl-pkt is the row
-/// source bridged through a transpose (ColumnsFromIngest). Rows are
-/// identical to open_packet_source's. Throws std::invalid_argument for
-/// kLblConn.
+/// packets. Throws IngestError per the strict-mode contract: the pcap
+/// global header's defects here, every other defect at the first
+/// info() or next().
 std::unique_ptr<IngestColumnSource> open_packet_column_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt);
 

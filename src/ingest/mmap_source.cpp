@@ -309,18 +309,6 @@ std::size_t MmapPcapReader::next_batch(std::vector<RawPacket>& out,
                       [&](const RawPacket& pkt) { out.push_back(pkt); });
 }
 
-void MmapPcapReader::scan_times(bool* any, double* lo, double* hi) {
-  fold_packets(static_cast<std::size_t>(-1), [&](const RawPacket& pkt) {
-    if (!*any) {
-      *lo = *hi = pkt.time;
-      *any = true;
-    } else {
-      if (pkt.time < *lo) *lo = pkt.time;
-      if (pkt.time > *hi) *hi = pkt.time;
-    }
-  });
-}
-
 void MmapPcapReader::reset() {
   if (!header_.ok) return;
   source_->rewind();

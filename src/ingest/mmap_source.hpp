@@ -210,17 +210,11 @@ class MmapPcapReader {
   /// bulk sources drain through this.
   std::size_t next_batch(std::vector<RawPacket>& out, std::size_t max);
 
-  /// For the prescan: decodes every remaining record — same decode
-  /// calls, same ledger, same strict-mode behavior as next()/next_batch
-  /// — but folds only the decoded packets' min/max time instead of
-  /// storing them. `*any` is false when nothing decoded.
-  void scan_times(bool* any, double* lo, double* hi);
-
   /// Streams up to `max` decoded packets into `sink(const RawPacket&)`
   /// without materializing them anywhere — the fused ingest path hands
-  /// each packet straight from the mapping to the flow table. Same
-  /// records, same ledger as next(); next_batch and scan_times are both
-  /// thin wrappers over this.
+  /// each packet straight from the mapping to the flow table, and the
+  /// range prescan folds only its time. Same records, same ledger as
+  /// next(); next_batch is a thin wrapper over this.
   template <typename Sink>
   std::size_t fold_packets(std::size_t max, Sink&& sink) {
     if (!header_.ok || fatal_) return 0;
@@ -274,7 +268,7 @@ class MmapPcapReader {
 /// timestamp checks, decode, ooo bookkeeping) mirrors read_record
 /// statement for statement, so the two paths stay byte-identical (the
 /// `ingest` tests pin them). `emit` receives each decoded packet —
-/// next_batch appends to its vector, scan_times folds min/max, the
+/// next_batch appends to its vector, the prescan folds min/max, the
 /// fused column source feeds its flow table — up to `max_out` packets.
 template <typename Emit>
 std::size_t MmapPcapReader::walk_mapped(std::size_t max_out, Emit&& emit) {
@@ -378,7 +372,7 @@ std::size_t MmapPcapReader::walk_mapped(std::size_t max_out, Emit&& emit) {
     emit(pkt);
     ++appended;
 
-    // A long walk (scan_times crosses the whole capture in one call)
+    // A long walk (the prescan crosses the whole capture in one call)
     // must still drop consumed pages as it goes — sync the source
     // cursor every drop window so residency never grows with the walk
     // length, only with the window.

@@ -1,6 +1,7 @@
 #include "src/ingest/sources.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -27,34 +28,46 @@ stream::StreamInfo packet_info(const Reader& reader, std::string name,
           any ? hi + source_tick(reader) : 0.0};
 }
 
-/// The prescan pass: the packet time range, with the reader left rewound.
-template <typename Reader>
-stream::StreamInfo prescan_packets(Reader& reader, std::string name) {
+/// Streams up to `max` decoded packets into `sink(const RawPacket&)`
+/// and returns how many: the reader's next() in a loop.
+template <typename Reader, typename Sink>
+std::size_t fold_packets(Reader& reader, std::size_t max, Sink&& sink) {
+  std::size_t n = 0;
   RawPacket pkt;
-  bool any = false;
-  double lo = 0.0, hi = 0.0;
-  while (reader.next(pkt)) {
-    if (!any) {
-      lo = hi = pkt.time;
-      any = true;
-    } else {
-      lo = std::min(lo, pkt.time);
-      hi = std::max(hi, pkt.time);
-    }
+  while (n < max && reader.next(pkt)) {
+    sink(pkt);
+    ++n;
   }
-  reader.reset();  // discards the prescan's ledger
-  return packet_info(reader, std::move(name), any, lo, hi);
+  return n;
 }
 
-/// MmapPcapReader prescans through scan_times — the same records and
-/// the same fold (the overload is preferred over the template), minus
-/// the per-record call overhead and the batch buffer stores: the
-/// prescan only ever needs the time range, never the packets.
-stream::StreamInfo prescan_packets(MmapPcapReader& reader, std::string name) {
+/// MmapPcapReader folds through its own batch walk over the mapping —
+/// the same records and ledger, minus the per-record call overhead (the
+/// overload is preferred over the template).
+template <typename Sink>
+std::size_t fold_packets(MmapPcapReader& reader, std::size_t max,
+                         Sink&& sink) {
+  return reader.fold_packets(max, std::forward<Sink>(sink));
+}
+
+/// The prescan pass: the packet time range, with the reader left
+/// rewound. It folds only the times, never storing a packet; the fold
+/// is the learning pass's (CaptureColumnSource::next).
+template <typename Reader>
+stream::StreamInfo prescan_packets(Reader& reader, std::string name) {
   bool any = false;
   double lo = 0.0, hi = 0.0;
-  reader.scan_times(&any, &lo, &hi);
-  reader.reset();
+  fold_packets(reader, std::numeric_limits<std::size_t>::max(),
+               [&](const RawPacket& pkt) {
+                 if (!any) {
+                   lo = hi = pkt.time;
+                   any = true;
+                 } else {
+                   if (pkt.time < lo) lo = pkt.time;
+                   if (pkt.time > hi) hi = pkt.time;
+                 }
+               });
+  reader.reset();  // discards the prescan's ledger
   return packet_info(reader, std::move(name), any, lo, hi);
 }
 
@@ -67,53 +80,24 @@ FlowTableConfig packet_flow_config(FlowTableConfig flow) {
 
 }  // namespace
 
-// ------------------------------------------------------ PacketSourceImpl
+// --------------------------------------------------- CaptureColumnSource
 
 template <typename Reader>
-PacketSourceImpl<Reader>::PacketSourceImpl(const std::string& path,
-                                           ParseMode mode,
-                                           FlowTableConfig flow,
-                                           std::size_t chunk_size)
-    : reader_(path, mode),
-      table_(packet_flow_config(flow)),
-      chunk_size_(chunk_size) {
-  info_ = prescan_packets(reader_, format_tag(reader_) + path);
-}
-
-template <typename Reader>
-bool PacketSourceImpl<Reader>::next(std::vector<trace::PacketRecord>& chunk) {
-  chunk.clear();
-  RawPacket pkt;
-  while (chunk.size() < chunk_size_ && reader_.next(pkt)) {
-    chunk.push_back(table_.add(pkt));
-  }
-  return !chunk.empty();
-}
-
-template <typename Reader>
-void PacketSourceImpl<Reader>::reset() {
-  reader_.reset();
-  table_.clear();  // identical conn ids on the second pass
-}
-
-template class PacketSourceImpl<MmapPcapReader>;
-template class PacketSourceImpl<LblPktReader>;
-
-// ------------------------------------------------------ PcapColumnSource
-
-PcapColumnSource::PcapColumnSource(const std::string& path, ParseMode mode,
-                                   FlowTableConfig flow,
-                                   std::size_t chunk_size)
+CaptureColumnSource<Reader>::CaptureColumnSource(const std::string& path,
+                                                 ParseMode mode,
+                                                 FlowTableConfig flow,
+                                                 std::size_t chunk_size)
     : reader_(path, mode),
       table_(packet_flow_config(flow)),
       chunk_size_(chunk_size) {
   info_.name = format_tag(reader_) + path;
 }
 
-const stream::StreamInfo& PcapColumnSource::info() const {
+template <typename Reader>
+const stream::StreamInfo& CaptureColumnSource<Reader>::info() const {
   if (range_ == Range::kLearning)
     throw std::logic_error(
-        "PcapColumnSource: info() in the middle of the pass that learns "
+        "CaptureColumnSource: info() in the middle of the pass that learns "
         "the range: " +
         info_.name);
   if (range_ == Range::kUnknown) {
@@ -123,19 +107,20 @@ const stream::StreamInfo& PcapColumnSource::info() const {
   return info_;
 }
 
-bool PcapColumnSource::next(stream::PacketColumns& chunk) {
+template <typename Reader>
+bool CaptureColumnSource<Reader>::next(stream::PacketColumns& chunk) {
   chunk.clear();
   chunk.reserve(chunk_size_);
-  // Fused: each record goes mapping -> decode -> flow table -> SoA
+  // Fused: each record goes input -> decode -> flow table -> SoA
   // columns in one pass, with no RawPacket batch buffer written and
   // re-read in between.
-  reader_.fold_packets(chunk_size_, [&](const RawPacket& pkt) {
+  fold_packets(reader_, chunk_size_, [&](const RawPacket& pkt) {
     table_.add_append(pkt, chunk);
   });
   if (range_ == Range::kKnown) return !chunk.empty();
 
   // Learning the range: every decoded packet is one row with its time,
-  // so this is scan_times's fold (the first time seeds it; strict
+  // so this is the prescan's fold (the first time seeds it; strict
   // comparisons keep the earlier of equal values). The end of input
   // completes it.
   range_ = Range::kLearning;
@@ -155,7 +140,8 @@ bool PcapColumnSource::next(stream::PacketColumns& chunk) {
   return true;
 }
 
-void PcapColumnSource::reset() {
+template <typename Reader>
+void CaptureColumnSource<Reader>::reset() {
   reader_.reset();
   table_.clear();  // identical conn ids on the second pass
   if (range_ == Range::kLearning) {  // forget the unfinished fold
@@ -163,6 +149,9 @@ void PcapColumnSource::reset() {
     any_ = false;
   }
 }
+
+template class CaptureColumnSource<MmapPcapReader>;
+template class CaptureColumnSource<LblPktReader>;
 
 // ------------------------------------------------------- read_conn_trace
 

@@ -57,6 +57,15 @@ std::vector<trace::PacketRecord> drain(stream::PacketColumnSource& src) {
   return rows;
 }
 
+// A packet source drained into an in-memory trace: the range info()
+// gives (asked first, so a capture prescans), then every row, in order.
+trace::PacketTrace collect_trace(stream::PacketColumnSource& src) {
+  const stream::StreamInfo& info = src.info();
+  trace::PacketTrace out(info.name, info.t_begin, info.t_end);
+  for (const trace::PacketRecord& r : drain(src)) out.add(r);
+  return out;
+}
+
 // Same shape as test_stream's trace: several protocols, both
 // directions, pure acks, and one bulk-outlier connection, so every
 // selection predicate has matching and non-matching rows.
@@ -520,18 +529,19 @@ TEST(ColumnarPipeline, UnfilteredAnalysisByteIdenticalToBatch) {
 
 TEST(ColumnarPipeline, IngestedPcapFixtureByteIdenticalToBatch) {
   // The capture fixture exercises the real ingestion front end (pcap
-  // decode + flow reconstruction) feeding both layouts: the row source,
-  // analyzed bridged to columns and collected for the batch path, and
-  // the native column source the tools open.
-  ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
-                                   ingest::ParseMode::kStrict);
+  // decode + flow reconstruction) feeding the columnar analysis, at a
+  // 3-row chunk and at the default one the tools open, and, collected
+  // whole, the batch path.
+  ingest::PcapColumnSource src(fixture("tiny_le.pcap"),
+                               ingest::ParseMode::kStrict, {},
+                               /*chunk_size=*/3);
   stream::PipelineOptions opt;
   opt.bin = 0.1;  // the ~5 s fixture span comfortably exceeds 16 bins
 
-  const stream::PipelineResult columnar = stream::analyze_stream(src, opt);
+  const stream::PipelineResult columnar = stream::analyze_columns(src, opt);
   src.reset();
   const stream::PipelineResult batch =
-      stream::analyze_batch(stream::collect(src), opt);
+      stream::analyze_batch(collect_trace(src), opt);
   ingest::PcapColumnSource native(fixture("tiny_le.pcap"),
                                   ingest::ParseMode::kStrict);
   const stream::PipelineResult direct = stream::analyze_columns(native, opt);
@@ -719,7 +729,8 @@ TEST(AnalysisGoldenPins, VtCsvMatchesPinnedFigures) {
     iopt.mode = pin.mode;
     const trace::PacketTrace whole = [&] {
       if (synth) return synth::synthesize_packet_trace(cfg);
-      return stream::collect(*ingest::open_packet_source(path, format, iopt));
+      return collect_trace(
+          *ingest::open_packet_column_source(path, format, iopt));
     }();
 
     AnalysisPin got = pin;

@@ -52,6 +52,21 @@ std::string temp_path(const std::string& name) {
 // connection and a UDP DNS query, plus one ARP frame the reader skips.
 constexpr std::size_t kTinyPackets = 13;
 
+// A packet source drained into an in-memory trace: the range info()
+// gives (asked first, so a capture prescans), then every row, in order.
+trace::PacketTrace collect_trace(stream::PacketColumnSource& src) {
+  const stream::StreamInfo& info = src.info();
+  trace::PacketTrace out(info.name, info.t_begin, info.t_end);
+  std::vector<trace::PacketRecord> rows;
+  stream::PacketColumns chunk;
+  while (src.next(chunk)) {
+    rows.clear();
+    chunk.to_rows(rows);
+    for (const trace::PacketRecord& r : rows) out.add(r);
+  }
+  return out;
+}
+
 bool same_records(const std::vector<trace::PacketRecord>& a,
                   const std::vector<trace::PacketRecord>& b) {
   if (a.size() != b.size()) return false;
@@ -98,15 +113,12 @@ TEST(MmapPcapReader, DecodesTheFixtureConversation) {
 }
 
 TEST(MmapPcapReader, ByteSwappedAndNsecVariantsDecodeIdentically) {
-  auto le = ingest::MmapPcapPacketSource(fixture("tiny_le.pcap"),
-                                         ParseMode::kStrict);
-  auto be = ingest::MmapPcapPacketSource(fixture("tiny_be.pcap"),
-                                         ParseMode::kStrict);
-  auto ns = ingest::MmapPcapPacketSource(fixture("tiny_nsec.pcap"),
-                                         ParseMode::kStrict);
-  const auto tr_le = stream::collect(le);
-  const auto tr_be = stream::collect(be);
-  const auto tr_ns = stream::collect(ns);
+  ingest::PcapColumnSource le(fixture("tiny_le.pcap"), ParseMode::kStrict);
+  ingest::PcapColumnSource be(fixture("tiny_be.pcap"), ParseMode::kStrict);
+  ingest::PcapColumnSource ns(fixture("tiny_nsec.pcap"), ParseMode::kStrict);
+  const auto tr_le = collect_trace(le);
+  const auto tr_be = collect_trace(be);
+  const auto tr_ns = collect_trace(ns);
 
   ASSERT_EQ(tr_le.size(), kTinyPackets);
   EXPECT_TRUE(same_records(tr_le.records(), tr_be.records()));
@@ -124,12 +136,11 @@ TEST(MmapPcapReader, VlanTaggedFramesDecodeToTheSameRecords) {
   // every frame (one frame double-tagged 802.1ad QinQ): unwrapping the
   // tags must reproduce the untagged capture's records exactly, and the
   // tagged ARP frame must still be skipped after its tag is unwrapped.
-  auto le = ingest::MmapPcapPacketSource(fixture("tiny_le.pcap"),
-                                         ParseMode::kStrict);
-  auto vlan = ingest::MmapPcapPacketSource(fixture("tiny_vlan.pcap"),
-                                           ParseMode::kStrict);
-  const auto tr_le = stream::collect(le);
-  const auto tr_vlan = stream::collect(vlan);
+  ingest::PcapColumnSource le(fixture("tiny_le.pcap"), ParseMode::kStrict);
+  ingest::PcapColumnSource vlan(fixture("tiny_vlan.pcap"),
+                                ParseMode::kStrict);
+  const auto tr_le = collect_trace(le);
+  const auto tr_vlan = collect_trace(vlan);
 
   ASSERT_EQ(tr_vlan.size(), kTinyPackets);
   EXPECT_TRUE(same_records(tr_le.records(), tr_vlan.records()));
@@ -144,14 +155,12 @@ TEST(MmapPcapReader, StrictModeRejectsCorruptFixtures) {
   EXPECT_THROW(
       ingest::MmapPcapReader(fixture("badmagic.pcap"), ParseMode::kStrict),
       IngestError);
-  // The packet sources prescan in the constructor, so mid-file damage
-  // also surfaces at construction in strict mode.
-  EXPECT_THROW(ingest::MmapPcapPacketSource(fixture("trunc.pcap"),
-                                            ParseMode::kStrict),
-               IngestError);
-  EXPECT_THROW(ingest::MmapPcapPacketSource(fixture("tiny_ooo.pcap"),
-                                            ParseMode::kStrict),
-               IngestError);
+  // The packet source reads only the global header when it opens, so
+  // mid-file damage surfaces at the first info() (a prescan) or drain.
+  ingest::PcapColumnSource trunc(fixture("trunc.pcap"), ParseMode::kStrict);
+  EXPECT_THROW(trunc.info(), IngestError);
+  ingest::PcapColumnSource ooo(fixture("tiny_ooo.pcap"), ParseMode::kStrict);
+  EXPECT_THROW(stream::collect_columns(ooo), IngestError);
 }
 
 TEST(MmapPcapReader, LenientModeAccountsForEveryDefect) {
@@ -166,18 +175,17 @@ TEST(MmapPcapReader, LenientModeAccountsForEveryDefect) {
   {
     // The cut removes the last record's tail: everything before it
     // parses, the truncation lands in the ledger.
-    ingest::MmapPcapPacketSource src(fixture("trunc.pcap"),
-                                     ParseMode::kLenient);
-    const auto tr = stream::collect(src);
+    ingest::PcapColumnSource src(fixture("trunc.pcap"), ParseMode::kLenient);
+    const auto tr = collect_trace(src);
     EXPECT_EQ(tr.size(), kTinyPackets - 1);
     EXPECT_EQ(src.stats().truncated_records, 1u);
     EXPECT_EQ(src.stats().skipped_frames, 1u);
     EXPECT_EQ(src.stats().records, kTinyPackets - 1);
   }
   {
-    ingest::MmapPcapPacketSource src(fixture("tiny_ooo.pcap"),
-                                     ParseMode::kLenient);
-    const auto tr = stream::collect(src);
+    ingest::PcapColumnSource src(fixture("tiny_ooo.pcap"),
+                                 ParseMode::kLenient);
+    const auto tr = collect_trace(src);
     EXPECT_EQ(tr.size(), kTinyPackets);  // kept: binning is order-proof
     EXPECT_EQ(src.stats().out_of_order, 1u);
   }
@@ -254,9 +262,8 @@ TEST(FlowReconstruction, RebuildsTheFixtureConnections) {
 }
 
 TEST(FlowReconstruction, PacketRecordsCarryFlowIdentity) {
-  ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
-                                   ParseMode::kStrict);
-  const auto tr = stream::collect(src);
+  ingest::PcapColumnSource src(fixture("tiny_le.pcap"), ParseMode::kStrict);
+  const auto tr = collect_trace(src);
   ASSERT_EQ(tr.size(), kTinyPackets);
   const auto& r = tr.records();
 
@@ -294,11 +301,10 @@ TEST(FlowReconstruction, IdleTimeoutSplitsSanitizedPacketFlows) {
 }
 
 TEST(FlowReconstruction, ResetReproducesIdenticalRecords) {
-  ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
-                                   ParseMode::kStrict);
-  const auto first = stream::collect(src);
+  ingest::PcapColumnSource src(fixture("tiny_le.pcap"), ParseMode::kStrict);
+  const auto first = collect_trace(src);
   src.reset();
-  const auto second = stream::collect(src);
+  const auto second = collect_trace(src);
   EXPECT_TRUE(same_records(first.records(), second.records()));
 }
 
@@ -603,41 +609,50 @@ TEST(PacketGoldenPins, ColumnSourceMatchesPinnedOutput) {
   }
 }
 
-// A capture's range, asked before the first next(), comes from a
-// prescan; asked after a drain, from the pass itself. Both give the
-// pinned bits, rows and ledger. In the middle of the pass that learns
-// the range, info() throws; reset() forgets that pass.
+// A capture's range, pcap or lbl-pkt, asked before the first next(),
+// comes from a prescan; asked after a drain, from the pass itself. Both
+// give the pinned bits, rows and ledger. In the middle of the pass that
+// learns the range, info() throws; reset() forgets that pass.
 TEST(PacketGoldenPins, CaptureRangeBeforeAndAfterADrainAgree) {
   for (const PacketPin& pin : kPacketPins) {
-    if (pin.format != Fmt::kPcap || pin.throws) continue;
+    if (pin.throws) continue;
     SCOPED_TRACE(std::string(pin.file) +
-                 (pin.mode == ParseMode::kStrict ? " strict" : " lenient"));
+                 (pin.mode == ParseMode::kStrict ? " strict" : " lenient") +
+                 " idle " + std::to_string(pin.idle_timeout));
+    ingest::IngestOptions opt;
+    opt.mode = pin.mode;
+    opt.flow.idle_timeout = pin.idle_timeout;
     const std::string path = fixture(pin.file);
-    ingest::PcapColumnSource early(path, pin.mode);
-    const stream::StreamInfo prescanned = early.info();
-    const stream::PacketColumns early_cols = stream::collect_columns(early);
-    ingest::PcapColumnSource late(path, pin.mode);
-    const stream::PacketColumns late_cols = stream::collect_columns(late);
-    const stream::StreamInfo learned = late.info();
+    const auto early = ingest::open_packet_column_source(path, pin.format, opt);
+    const stream::StreamInfo prescanned = early->info();
+    const stream::PacketColumns early_cols = stream::collect_columns(*early);
+    const auto late = ingest::open_packet_column_source(path, pin.format, opt);
+    const stream::PacketColumns late_cols = stream::collect_columns(*late);
+    const stream::StreamInfo learned = late->info();
     for (const stream::StreamInfo* info : {&prescanned, &learned}) {
-      EXPECT_EQ(info->name, "pcap:" + path);
+      EXPECT_EQ(info->name,
+                std::string(ingest::to_string(pin.format)) + ":" + path);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(info->t_begin), pin.t_begin_bits);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(info->t_end), pin.t_end_bits);
     }
-    EXPECT_EQ(&late.info(), &late.info());  // learned once, then held
-    for (const auto* run : {&early, &late})
+    EXPECT_EQ(&late->info(), &late->info());  // learned once, then held
+    for (const auto* run : {early.get(), late.get()})
       EXPECT_EQ(run->stats().to_string(), pin.ledger);
     EXPECT_EQ(packet_digest(early_cols), pin.digest);
     EXPECT_EQ(packet_digest(late_cols), pin.digest);
 
-    ingest::PcapColumnSource mid(path, pin.mode, {}, /*chunk_size=*/1);
+    ingest::IngestOptions one_row = opt;
+    one_row.chunk_size = 1;
+    const auto mid =
+        ingest::open_packet_column_source(path, pin.format, one_row);
     stream::PacketColumns chunk;
-    if (mid.next(chunk)) {
-      EXPECT_THROW(mid.info(), std::logic_error);
+    if (mid->next(chunk)) {
+      EXPECT_THROW(mid->info(), std::logic_error);
     }
-    mid.reset();
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(mid.info().t_end), pin.t_end_bits);
-    EXPECT_EQ(packet_digest(stream::collect_columns(mid)), pin.digest);
+    mid->reset();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(mid->info().t_end),
+              pin.t_end_bits);
+    EXPECT_EQ(packet_digest(stream::collect_columns(*mid)), pin.digest);
   }
 }
 
@@ -693,13 +708,13 @@ TEST(LblConn, CorruptLinesStrictVsLenient) {
 }
 
 TEST(LblPkt, CorruptLinesStrictVsLenient) {
-  EXPECT_THROW(ingest::LblPktPacketSource(fixture("corrupt.lbl-pkt"),
-                                          ParseMode::kStrict),
-               IngestError);
+  ingest::LblPktColumnSource strict(fixture("corrupt.lbl-pkt"),
+                                    ParseMode::kStrict);
+  EXPECT_THROW(strict.info(), IngestError);
 
-  ingest::LblPktPacketSource src(fixture("corrupt.lbl-pkt"),
+  ingest::LblPktColumnSource src(fixture("corrupt.lbl-pkt"),
                                  ParseMode::kLenient);
-  const auto tr = stream::collect(src);
+  const auto tr = collect_trace(src);
   EXPECT_EQ(tr.size(), 2u);
   EXPECT_EQ(src.stats().bad_lines, 2u);
 }
@@ -736,14 +751,15 @@ TEST(LblPkt, NonFiniteTimestampIsABadLine) {
                          "inf 1 2 1025 23 100\n"
                          "0.030000 2 1 23 1025 512\n";
   try {
-    ingest::LblPktPacketSource(path, ParseMode::kStrict);
+    ingest::LblPktColumnSource strict(path, ParseMode::kStrict);
+    strict.info();
     ADD_FAILURE() << "strict mode accepted nan";
   } catch (const IngestError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
   }
-  ingest::LblPktPacketSource src(path, ParseMode::kLenient);
-  const auto tr = stream::collect(src);
+  ingest::LblPktColumnSource src(path, ParseMode::kLenient);
+  const auto tr = collect_trace(src);
   EXPECT_EQ(tr.size(), 2u);
   EXPECT_EQ(src.stats().bad_lines, 2u);
   EXPECT_TRUE(std::isfinite(tr.t_end()));
@@ -758,16 +774,20 @@ TEST(IngestPipeline, BinaryRoundTripIsByteIdentical) {
   const std::string chunked = temp_path("ingest_chunked.bin");
   const std::string whole = temp_path("ingest_whole.bin");
 
-  ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
-                                   ParseMode::kStrict);
+  ingest::PcapColumnSource src(fixture("tiny_le.pcap"), ParseMode::kStrict);
   {
     stream::ChunkedBinaryWriter writer(chunked, src.info());
-    std::vector<trace::PacketRecord> chunk;
-    while (src.next(chunk)) writer.write(chunk);
+    stream::PacketColumns chunk;
+    std::vector<trace::PacketRecord> rows;
+    while (src.next(chunk)) {
+      rows.clear();
+      chunk.to_rows(rows);
+      writer.write(rows);
+    }
     writer.close();
   }
   src.reset();
-  trace::write_binary_file(stream::collect(src), whole);
+  trace::write_binary_file(collect_trace(src), whole);
 
   const std::string a = slurp(chunked);
   ASSERT_FALSE(a.empty());
@@ -775,7 +795,7 @@ TEST(IngestPipeline, BinaryRoundTripIsByteIdentical) {
 
   // And the written file reads back as the same record sequence.
   src.reset();
-  const auto direct = stream::collect(src);
+  const auto direct = collect_trace(src);
   const auto reread = trace::read_packet_binary_file(chunked);
   EXPECT_TRUE(same_records(direct.records(), reread.records()));
   std::remove(chunked.c_str());
@@ -787,11 +807,11 @@ TEST(IngestPipeline, StreamedAnalysisMatchesBatch) {
   opt.bin = 0.25;  // 5 s of fixture -> 20 bins
   opt.chunk_size = 4;
 
-  ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
-                                   ParseMode::kStrict, {}, opt.chunk_size);
-  const auto streamed = stream::analyze_stream(src, opt);
+  ingest::PcapColumnSource src(fixture("tiny_le.pcap"), ParseMode::kStrict,
+                               {}, opt.chunk_size);
+  const auto streamed = stream::analyze_columns(src, opt);
   src.reset();
-  const auto batch = stream::analyze_batch(stream::collect(src), opt);
+  const auto batch = stream::analyze_batch(collect_trace(src), opt);
 
   ASSERT_EQ(streamed.counts.size(), batch.counts.size());
   for (std::size_t i = 0; i < streamed.counts.size(); ++i)

@@ -2,8 +2,7 @@
 // its buffered fallback, the flat flow table and the direct columnar
 // decode. Golden pins hold each fixture's raw packets and each
 // synthetic flow-table stream's records; parity tests hold the buffered
-// fallback to the mapping, the columns to the row source and a piped
-// capture to the file.
+// fallback to the mapping and a piped capture to the file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -475,61 +474,6 @@ TEST(FlowTableGoldenPins, EveryStreamMatchesPinnedOutput) {
   }
 }
 
-// ---------------------------------------------------- columnar == row
-
-TEST(PcapColumnSource, ColumnsMatchRowSourceRows) {
-  ingest::PcapColumnSource cols(fixture("tiny_le.pcap"), ParseMode::kStrict);
-  ingest::MmapPcapPacketSource rows(fixture("tiny_le.pcap"),
-                                    ParseMode::kStrict);
-  EXPECT_EQ(cols.info().name, rows.info().name);
-  EXPECT_EQ(cols.info().t_begin, rows.info().t_begin);
-  EXPECT_EQ(cols.info().t_end, rows.info().t_end);
-
-  std::vector<trace::PacketRecord> from_cols;
-  stream::PacketColumns chunk;
-  while (cols.next(chunk)) chunk.to_rows(from_cols);
-  std::vector<trace::PacketRecord> from_rows, chunk_rows;
-  while (rows.next(chunk_rows))
-    from_rows.insert(from_rows.end(), chunk_rows.begin(), chunk_rows.end());
-
-  ASSERT_EQ(from_cols.size(), from_rows.size());
-  for (std::size_t i = 0; i < from_cols.size(); ++i) {
-    EXPECT_EQ(from_cols[i].time, from_rows[i].time);
-    EXPECT_EQ(from_cols[i].protocol, from_rows[i].protocol);
-    EXPECT_EQ(from_cols[i].conn_id, from_rows[i].conn_id);
-    EXPECT_EQ(from_cols[i].from_originator, from_rows[i].from_originator);
-    EXPECT_EQ(from_cols[i].payload_bytes, from_rows[i].payload_bytes);
-  }
-  expect_same_stats(cols.stats(), rows.stats());
-}
-
-TEST(PcapColumnSource, FactoryBridgesAndNativePathAgree) {
-  // The factory's native pcap decode against the serial mmap row source
-  // bridged through ColumnsFromIngest.
-  const std::string path = fixture("tiny_le.pcap");
-  const auto native =
-      ingest::open_packet_column_source(path, ingest::IngestFormat::kPcap, {});
-  ASSERT_NE(dynamic_cast<const ingest::PcapColumnSource*>(native.get()),
-            nullptr);
-  const auto want = stream::collect_columns(*native);
-  ASSERT_GT(want.size(), 0u);
-
-  ingest::ColumnsFromIngest bridged(
-      std::make_unique<ingest::MmapPcapPacketSource>(path,
-                                                     ParseMode::kStrict));
-  EXPECT_EQ(bridged.info().name, native->info().name);
-  EXPECT_EQ(bridged.info().t_begin, native->info().t_begin);
-  EXPECT_EQ(bridged.info().t_end, native->info().t_end);
-  const auto got = stream::collect_columns(bridged);
-  ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(got.time, want.time);
-  EXPECT_EQ(got.protocol, want.protocol);
-  EXPECT_EQ(got.conn_id, want.conn_id);
-  EXPECT_EQ(got.from_originator, want.from_originator);
-  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
-  expect_same_stats(bridged.stats(), native->stats());
-}
-
 // ------------------------------------------------- stdin "-" spooling
 
 std::vector<unsigned char> slurp(const std::string& path) {
@@ -606,41 +550,50 @@ std::string vt_rows(const stream::PipelineResult& r) {
 }
 
 // The filtered analysis decodes its capture once, with no prescan and no
-// rewind, so a pipe opened by name (the buffered source, which cannot
-// rewind) gives the file's result.
+// rewind, so a pipe opened by name (which cannot rewind) gives the
+// file's result, for a pcap (read through the buffered source) and an
+// lbl-pkt file alike.
 TEST(PcapColumnSource, FilteredAnalysisReadsAPipedCaptureOnce) {
   stream::PipelineOptions opt;
   opt.bin = 0.1;
   opt.orig_data_only = true;
   opt.remove_outliers = true;
-  ingest::PcapColumnSource file(fixture("tiny_le.pcap"), ParseMode::kStrict);
-  const stream::PipelineResult want = stream::analyze_columns(file, opt);
-  ASSERT_GT(want.packets, 0u);
+  const std::pair<const char*, ingest::IngestFormat> inputs[] = {
+      {"tiny_le.pcap", ingest::IngestFormat::kPcap},
+      {"sample.lbl-pkt", ingest::IngestFormat::kLblPkt}};
+  for (const auto& [file_name, format] : inputs) {
+    SCOPED_TRACE(file_name);
+    const auto file =
+        ingest::open_packet_column_source(fixture(file_name), format, {});
+    const stream::PipelineResult want = stream::analyze_columns(*file, opt);
+    ASSERT_GT(want.packets, 0u);
 
-  const int rd = fixture_pipe("tiny_le.pcap");
-  const std::string name = "/dev/fd/" + std::to_string(rd);
-  stream::PipelineResult got;
-  try {
-    ingest::PcapColumnSource piped(name, ParseMode::kStrict);
-    got = stream::analyze_columns(piped, opt);
-  } catch (...) {
+    const int rd = fixture_pipe(file_name);
+    const std::string name = "/dev/fd/" + std::to_string(rd);
+    stream::PipelineResult got;
+    try {
+      const auto piped = ingest::open_packet_column_source(name, format, {});
+      got = stream::analyze_columns(*piped, opt);
+    } catch (...) {
+      ::close(rd);
+      throw;
+    }
     ::close(rd);
-    throw;
+    EXPECT_EQ(got.info.name, std::string(ingest::to_string(format)) + ":" +
+                                 name + "/orig-data/no-outliers");
+    EXPECT_EQ(got.info.t_begin, want.info.t_begin);
+    EXPECT_EQ(got.info.t_end, want.info.t_end);
+    EXPECT_EQ(got.packets, want.packets);
+    EXPECT_EQ(got.counts, want.counts);
+    EXPECT_EQ(vt_rows(got), vt_rows(want));
   }
-  ::close(rd);
-  EXPECT_EQ(got.info.name, "pcap:" + name + "/orig-data/no-outliers");
-  EXPECT_EQ(got.info.t_begin, want.info.t_begin);
-  EXPECT_EQ(got.info.t_end, want.info.t_end);
-  EXPECT_EQ(got.packets, want.packets);
-  EXPECT_EQ(got.counts, want.counts);
-  EXPECT_EQ(vt_rows(got), vt_rows(want));
 }
 
 TEST(StdinInput, RejectsConfigurationsThatNeedANamedFile) {
   ingest::IngestOptions opt;
-  EXPECT_THROW(
-      ingest::open_packet_source("-", ingest::IngestFormat::kLblPkt, opt),
-      std::invalid_argument);
+  EXPECT_THROW(ingest::open_packet_column_source(
+                   "-", ingest::IngestFormat::kLblPkt, opt),
+               std::invalid_argument);
   EXPECT_THROW(
       ingest::reconstruct_conn_trace("-", ingest::IngestFormat::kLblConn, opt),
       std::invalid_argument);

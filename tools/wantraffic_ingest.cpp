@@ -16,23 +16,30 @@
 // --chunk N (pkt mode only) sets the records per chunk; conn mode
 // rejects it, because connections have no chunks.
 //
-// INPUT may be "-" for pcap: stdin is spooled to an anonymous temp file
-// and served through the buffered byte source, so the two-pass
-// (prescan + rewind) packet sources work on piped captures unchanged.
+// pkt mode writes the trace's range into the output's header, so it
+// learns the range first, by a prescan that decodes the input and
+// rewinds, and only then creates the output: a strict-mode defect
+// leaves no output file. INPUT may be "-" for pcap: stdin is spooled to
+// an anonymous temp file and served through the buffered byte source,
+// so the prescan's rewind works on a piped capture.
 //
 // Parsing is strict by default: the first structural defect aborts the
 // run. --lenient salvages what the file still holds and prints the
 // error ledger of everything that was dropped or repaired.
 //
 // Packets, in either mode, fold through one flow table
-// (src/ingest/flow_table.hpp) on the calling thread.
+// (src/ingest/flow_table.hpp) on the calling thread; pkt mode reads
+// them from the columnar source the analyses drain
+// (open_packet_column_source) and writes each chunk as rows.
 //
 // The binary output is byte-identical to what write_binary_file would
 // produce from the same records, so every downstream tool (and the
 // --binary paths of wantraffic_analyze) reads ingested and synthesized
 // traces interchangeably.
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/ingest/ingest.hpp"
 #include "src/stream/binary_chunk.hpp"
@@ -73,6 +80,23 @@ void print_ledger(const ingest::IngestStats& stats) {
   if (!ledger.empty()) std::printf("\ningest ledger:\n%s\n", ledger.c_str());
 }
 
+/// Drains `source` into a chunked writer (ChunkedBinaryWriter or
+/// ChunkedCsvWriter), one chunk per write, then closes it; returns the
+/// record count.
+template <typename Writer>
+std::uint64_t drain_rows_into(stream::PacketColumnSource& source,
+                              Writer& writer) {
+  stream::PacketColumns chunk;
+  std::vector<trace::PacketRecord> rows;
+  while (source.next(chunk)) {
+    rows.clear();
+    chunk.to_rows(rows);
+    writer.write(rows);
+  }
+  writer.close();
+  return writer.count();
+}
+
 int run_pkt(ingest::IngestFormat format, const std::string& input,
             const tools::ArgParser& args) {
   const std::string* out = args.value("--out");
@@ -81,16 +105,16 @@ int run_pkt(ingest::IngestFormat format, const std::string& input,
     return usage();
   }
   const auto opt = make_options(args);
-  const auto source = ingest::open_packet_source(input, format, opt);
-  const stream::StreamInfo& info = source->info();
+  const auto source = ingest::open_packet_column_source(input, format, opt);
+  const stream::StreamInfo& info = source->info();  // before the output
 
   std::uint64_t packets = 0;
   if (args.has("--csv")) {
     stream::ChunkedCsvWriter writer(*out, info);
-    packets = stream::drain_into(*source, writer);
+    packets = drain_rows_into(*source, writer);
   } else {
     stream::ChunkedBinaryWriter writer(*out, info);
-    packets = stream::drain_into(*source, writer);
+    packets = drain_rows_into(*source, writer);
   }
 
   std::printf("%s: %llu packets over [%.6f, %.6f) -> %s\n",
