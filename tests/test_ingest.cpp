@@ -624,6 +624,12 @@ TEST(PacketGoldenPins, CaptureRangeBeforeAndAfterADrainAgree) {
     opt.flow.idle_timeout = pin.idle_timeout;
     const std::string path = fixture(pin.file);
     const auto early = ingest::open_packet_column_source(path, pin.format, opt);
+    // No bridge: the factory hands out the format's own instantiation.
+    EXPECT_TRUE(pin.format == Fmt::kPcap
+                    ? dynamic_cast<const ingest::PcapColumnSource*>(
+                          early.get()) != nullptr
+                    : dynamic_cast<const ingest::LblPktColumnSource*>(
+                          early.get()) != nullptr);
     const stream::StreamInfo prescanned = early->info();
     const stream::PacketColumns early_cols = stream::collect_columns(*early);
     const auto late = ingest::open_packet_column_source(path, pin.format, opt);

@@ -445,7 +445,9 @@ const TablePin kTablePins[] = {
 // value. +inf is how to say "never evict".
 TEST(FlowTable, RejectsAnIdleTimeoutThatIsNotPositive) {
   const std::pair<double, const char*> refused[] = {
-      {-1.0, "-1"}, {0.0, "0"}, {std::numeric_limits<double>::quiet_NaN(), "nan"}};
+      {-1.0, "-1"},
+      {0.0, "0"},
+      {std::numeric_limits<double>::quiet_NaN(), "nan"}};
   for (const auto& [timeout, shown] : refused) {
     try {
       ingest::FlowTable table(idle_after(timeout));
